@@ -10,7 +10,7 @@ and the RDF layout stores the same logical extensions in wide rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Set, Tuple
+from typing import Collection, Dict, Tuple
 
 from repro.dllite.abox import ABox
 
@@ -55,8 +55,9 @@ class DataStatistics:
         stats.total_facts = len(abox)
         return stats
 
-    def refresh_predicate(self, name: str, rows: Set[Tuple]) -> None:
-        """Recompute one predicate's statistics from its current rows.
+    def refresh_predicate(self, name: str, rows: Collection[Tuple]) -> None:
+        """Recompute one predicate's statistics from its current rows
+        (any sized collection; it is only read, so pass the live one).
 
         The write path calls this for every predicate a write touched, so
         statistics stay exact without a full rescan; the data epoch tells

@@ -53,6 +53,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.collector import paused, thread_gc_seconds
 from repro.covers.reformulate import (
     cover_based_reformulation,
     cover_based_uscq_reformulation,
@@ -441,8 +442,12 @@ class OBDASystem:
                 )
             self.backend = backend
 
-        data = self.layout.build(abox, tbox)
-        self.backend.load(data)
+        # Ingest is an acyclic data phase: rows, indexes and statistics
+        # are built with the cyclic collector held off (repro.collector).
+        with paused():
+            data = self.layout.build(abox, tbox)
+            self.backend.load(data)
+            self.statistics = DataStatistics.from_abox(abox)
         self._table_names = {spec.name for spec in data.tables}
 
         # Replicated serving (see repro.serving.replicas): N read-only
@@ -485,7 +490,6 @@ class OBDASystem:
                 ),
             )
         self.translator = SQLTranslator(self.layout)
-        self.statistics = DataStatistics.from_abox(abox)
         self.cost_model = ExternalCostModel(self.statistics)
 
         #: Fragment reformulations shared across strategies, cost modes and
@@ -570,12 +574,15 @@ class OBDASystem:
                     "materialized saturation requires the simple layout; "
                     f"got {type(self.layout).__name__}"
                 )
-            saturator = Saturator(
-                self.kb.tbox, self.kb.abox, max_generations=self.max_generations
-            )
-            derived = saturator.saturate()
-            self._saturator = saturator
-            self._apply_write(derived, set())
+            with paused():  # the initial chase derives acyclic facts only
+                saturator = Saturator(
+                    self.kb.tbox,
+                    self.kb.abox,
+                    max_generations=self.max_generations,
+                )
+                derived = saturator.saturate()
+                self._saturator = saturator
+                self._apply_write(derived, set())
 
     def insert_facts(self, assertions: Sequence[Union[Assertion, Tuple]]) -> int:
         """Insert ABox facts; returns how many were genuinely new.
@@ -696,7 +703,7 @@ class OBDASystem:
         # backend ahead of the statistics or the epoch behind either.
         # (Each backend additionally serializes reads against its own
         # writes, so even barrier-less readers see whole writes.)
-        with self._barrier.exclusive():
+        with self._barrier.exclusive(), paused():
             self.backend.apply_changes(inserts, deletes)
             self._refresh_statistics(
                 {predicate for predicate, _ in added}
@@ -768,10 +775,11 @@ class OBDASystem:
             return
         abox = self.kb.abox
         for predicate in predicates:
-            rows: Set[Tuple] = set(abox.concept_facts(predicate)) or set(
-                abox.role_facts(predicate)
+            # The live extension, not a copy: the scan only reads it.
+            self.statistics.refresh_predicate(
+                predicate,
+                abox.concept_facts(predicate) or abox.role_facts(predicate),
             )
-            self.statistics.refresh_predicate(predicate, rows)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -1079,6 +1087,7 @@ class OBDASystem:
         if self.trace_enabled:
             tracer = Tracer()
             root = tracer.root("query", strategy=strategy, cost=cost)
+            gc_before = thread_gc_seconds()
         with root:
             if isinstance(query, str):
                 with root.child("parse"):
@@ -1102,56 +1111,63 @@ class OBDASystem:
                         ref_span, choice, perfectref_before, caches_before
                     )
             self._check_saturation_complete(choice)
-            started = time.perf_counter()
-            replica_index: Optional[int] = None
-            if self._replicas is not None:
-                # Replicated read: route to a replica at least as fresh
-                # as the session token (default: the primary's current
-                # epoch — exact read-your-writes for in-process callers).
-                token = self.data_epoch if min_epoch is None else min_epoch
-                with root.child(
-                    "execute", backend=self.backend.name
-                ) as exec_span:
-                    with activate(exec_span):
-                        rows, observed_epoch, replica_index = (
-                            self._replicas.execute(
-                                choice.sql,
-                                min_epoch=token,
-                                route=choice.shard_route,
-                            )
-                        )
-                    if exec_span.enabled:
-                        exec_span.set(
-                            rows=len(rows),
-                            sql_chars=len(choice.sql),
-                            replica=replica_index,
-                        )
-                self._check_saturation_complete(choice)  # see below
-            else:
-                # Shared barrier: a concurrent write drains this read
-                # before mutating anything, so the rows and the
-                # saturation state the re-check sees belong to one
-                # consistent epoch.
-                with self._barrier.shared():
+            # Execution and decode allocate only acyclic rows: the cyclic
+            # collector is held off until the answers are decoded.
+            with paused():
+                started = time.perf_counter()
+                replica_index: Optional[int] = None
+                if self._replicas is not None:
+                    # Replicated read: route to a replica at least as fresh
+                    # as the session token (default: the primary's current
+                    # epoch — exact read-your-writes for in-process callers).
+                    token = self.data_epoch if min_epoch is None else min_epoch
                     with root.child(
                         "execute", backend=self.backend.name
                     ) as exec_span:
                         with activate(exec_span):
-                            rows = self._execute_sql(choice)
+                            rows, observed_epoch, replica_index = (
+                                self._replicas.execute(
+                                    choice.sql,
+                                    min_epoch=token,
+                                    route=choice.shard_route,
+                                )
+                            )
                         if exec_span.enabled:
-                            self._describe_execution(exec_span, choice, rows)
-                    # Re-checked *after* execution: a write may have
-                    # truncated the saturation between the first check
-                    # and the table read, and the rows would then
-                    # under-approximate. (A write landing after this
-                    # point is fine — the answer is the valid pre-write
-                    # one.)
-                    self._check_saturation_complete(choice)
-                    observed_epoch = self.data_epoch
-            execution = time.perf_counter() - started
-            with root.child("decode") as decode_span:
-                answers = self._decode(query, rows)
-                decode_span.set(answers=len(answers))
+                            exec_span.set(
+                                rows=len(rows),
+                                sql_chars=len(choice.sql),
+                                replica=replica_index,
+                            )
+                    self._check_saturation_complete(choice)  # see below
+                else:
+                    # Shared barrier: a concurrent write drains this read
+                    # before mutating anything, so the rows and the
+                    # saturation state the re-check sees belong to one
+                    # consistent epoch.
+                    with self._barrier.shared():
+                        with root.child(
+                            "execute", backend=self.backend.name
+                        ) as exec_span:
+                            with activate(exec_span):
+                                rows = self._execute_sql(choice)
+                            if exec_span.enabled:
+                                self._describe_execution(exec_span, choice, rows)
+                        # Re-checked *after* execution: a write may have
+                        # truncated the saturation between the first check
+                        # and the table read, and the rows would then
+                        # under-approximate. (A write landing after this
+                        # point is fine — the answer is the valid pre-write
+                        # one.)
+                        self._check_saturation_complete(choice)
+                        observed_epoch = self.data_epoch
+                execution = time.perf_counter() - started
+                with root.child("decode") as decode_span:
+                    answers = self._decode(query, rows)
+                    decode_span.set(answers=len(answers))
+            if root.enabled:
+                # Same name and meaning as the benchmark ledger's gc_ms:
+                # collector time this thread paid inside the answer.
+                root.set(gc_ms=(thread_gc_seconds() - gc_before) * 1e3)
         report = AnswerReport(
             query=query,
             choice=choice,
@@ -1545,10 +1561,11 @@ class OBDASystem:
     def execute_choice(self, query: CQ, choice: ReformulationChoice) -> Set[Tuple]:
         """Evaluate an already-made reformulation choice (bench harness)."""
         self._check_saturation_complete(choice)
-        with self._barrier.shared():
-            rows = self._execute_sql(choice)
-            self._check_saturation_complete(choice)  # see answer()
-        return self._decode(query, rows)
+        with paused():
+            with self._barrier.shared():
+                rows = self._execute_sql(choice)
+                self._check_saturation_complete(choice)  # see answer()
+            return self._decode(query, rows)
 
     def _execute_sql(self, choice: ReformulationChoice) -> List[Tuple]:
         """Run a choice's SQL, passing the plan-time shard route through

@@ -12,6 +12,7 @@ import threading
 import time
 from typing import List, Optional, Tuple
 
+from repro.collector import paused
 from repro.engine.database import DB2_STATEMENT_LIMIT, MiniRDBMS
 from repro.engine.operators import CostParameters, DEFAULT_COSTS
 from repro.obs.metrics import get_registry
@@ -34,6 +35,11 @@ class _MemoryBulkLoader(BulkLoader):
         super().__init__(backend)
         self._db = backend.db
         backend._lock.acquire()
+        # Like the lock, the collector pause spans the session (which
+        # the lock already pins to this thread): appended rows and the
+        # indexes built over them are acyclic.
+        self._pause = paused()
+        self._pause.__enter__()
 
     def create_table(self, name, columns, indexes=(), shard_key=None) -> None:
         """Declare (and create empty) one table of the new dataset."""
@@ -51,14 +57,18 @@ class _MemoryBulkLoader(BulkLoader):
                     self._db.create_index(spec.name, index_columns)
             self._db.analyze()
         finally:
-            self._backend._lock.release()
+            self._release()
 
     def _abort(self) -> None:
         try:
             for spec in self._specs.values():
                 self._db.catalog.drop_table(spec.name)
         finally:
-            self._backend._lock.release()
+            self._release()
+
+    def _release(self) -> None:
+        self._pause.__exit__(None, None, None)
+        self._backend._lock.release()
 
 
 class MemoryBackend(Backend):
@@ -89,7 +99,7 @@ class MemoryBackend(Backend):
 
     def load(self, data: LayoutData) -> None:
         """Create tables and indexes, bulk-load rows, collect statistics."""
-        with self._lock:
+        with self._lock, paused():
             for spec in data.tables:
                 self.db.create_table(spec.name, spec.columns)
                 self.db.insert_many(spec.name, spec.rows)
@@ -122,13 +132,13 @@ class MemoryBackend(Backend):
     def apply_changes(self, inserts, deletes) -> None:
         """Apply a multi-table write in one critical section, so a
         concurrent read sees all of it or none of it."""
-        with self._lock:
+        with self._lock, paused():
             super().apply_changes(inserts, deletes)
 
     def execute(self, sql: str) -> List[Row]:
         """Evaluate *sql* on the embedded engine; returns result rows."""
         started = time.perf_counter()
-        with self._lock:
+        with self._lock, paused():
             rows = self.db.execute(sql)
         registry = get_registry()
         registry.inc("repro.engine.statements")
@@ -142,7 +152,7 @@ class MemoryBackend(Backend):
         engine's columnar result path (shard worker processes use this
         to feed the shared-memory wire format without row tuples)."""
         started = time.perf_counter()
-        with self._lock:
+        with self._lock, paused():
             result = self.db.execute_columns(sql)
         registry = get_registry()
         registry.inc("repro.engine.statements")

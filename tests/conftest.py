@@ -6,14 +6,20 @@ the ``REPRO_SCALE`` tier knob for scale-gated tests.
 smoke tier) or ``large`` (~1M, the acceptance tier). Tests marked
 ``@pytest.mark.scale("medium")`` / ``("large")`` are skipped below
 their tier, so the default suite stays fast.
+
+One autouse leak fixture rides along for every test: whatever a test
+does, it must leave the cyclic collector running and no
+:func:`repro.collector.paused` scope open.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 
 import pytest
 
+from repro import collector
 from repro.dllite.abox import ABox
 from repro.dllite.axioms import ConceptInclusion, RoleInclusion
 from repro.dllite.tbox import TBox
@@ -58,6 +64,25 @@ def pytest_collection_modifyitems(config, items):
                     )
                 )
             )
+
+
+def _collector_running() -> bool:
+    return gc.isenabled() and collector.depth() == 0
+
+
+@pytest.fixture(autouse=True)
+def collector_left_running(request):
+    """Fail the test that leaves the cyclic collector off or a
+    ``paused()`` scope open (a test that inherits the leak is not
+    blamed for it)."""
+    clean_before = _collector_running()
+    yield
+    if clean_before and not _collector_running():
+        pytest.fail(
+            f"{request.node.nodeid} left the cyclic collector in a bad "
+            f"state: gc.isenabled()={gc.isenabled()}, "
+            f"paused depth={collector.depth()}"
+        )
 
 
 @pytest.fixture(scope="session")
