@@ -7,11 +7,35 @@ on DB2" before optimization.
 Ours: the table printed below — 2–10 atoms (average 5.0), raw UCQ sizes
 50–585 (average ≈253), minimal sizes 1–240. Shape criterion: two orders of
 magnitude of spread, with 2-atom queries among the largest reformulations.
+
+The second test pins what is machine-independent — per query, the raw
+result count and the number of CQs PerfectRef keyed for deduplication —
+and reports (ungated) what one dedup key costs next to the key it
+replaced, which ``tests/legacy_canonical_key.py`` keeps as an oracle.
 """
 
 from __future__ import annotations
 
+import json
+import sys
+import time
+from pathlib import Path
+
 from repro.bench.harness import reformulation_statistics
+from repro.dllite.parser import parse_query
+from repro.queries.cq import CQ
+from repro.reformulation.perfectref import (
+    perfectref,
+    perfectref_candidates,
+    perfectref_results,
+)
+
+TESTS = Path(__file__).resolve().parent.parent / "tests"
+sys.path.insert(0, str(TESTS))
+from legacy_canonical_key import legacy_canonical_key  # noqa: E402
+
+#: S1–S3 + Q1–Q13: query text, raw result count, candidates keyed.
+PINS = json.loads((TESTS / "fixtures" / "perfectref_lubm_pins.json").read_text())
 
 
 def test_reformulation_statistics(benchmark, tbox, queries):
@@ -40,3 +64,56 @@ def test_reformulation_statistics(benchmark, tbox, queries):
     benchmark.extra_info["ucq_sizes"] = {
         row["query"]: row["ucq_size"] for row in result.rows
     }
+
+
+def test_pinned_sizes_candidates_and_key_cost(benchmark, tbox, monkeypatch):
+    candidates = []
+    keyed = CQ.canonical_key
+
+    def recording_key(query):
+        candidates.append(query)
+        return keyed(query)
+
+    def run():
+        rows = {}
+        for name, pin in PINS.items():
+            before = perfectref_candidates(), perfectref_results()
+            results = perfectref(parse_query(pin["query"]), tbox)
+            rows[name] = {
+                "results": len(results),
+                "candidates": perfectref_candidates() - before[0],
+                "counted_results": perfectref_results() - before[1],
+            }
+        return rows
+
+    monkeypatch.setattr(CQ, "canonical_key", recording_key)
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    monkeypatch.undo()
+
+    for name, pin in PINS.items():
+        assert rows[name]["results"] == pin["results"], name
+        assert rows[name]["counted_results"] == pin["results"], name
+        assert rows[name]["candidates"] == pin["candidates"], name
+    assert sum(row["results"] for row in rows.values()) == 3260
+    assert len(candidates) == sum(row["candidates"] for row in rows.values()) == 9020
+
+    def microseconds_per_key(key) -> float:
+        best = float("inf")
+        for _ in range(3):
+            started = time.perf_counter()
+            for query in candidates:
+                key(query)
+            best = min(best, time.perf_counter() - started)
+        return best / len(candidates) * 1e6
+
+    new_us = microseconds_per_key(CQ.canonical_key)
+    legacy_us = microseconds_per_key(legacy_canonical_key)
+    print()
+    print(
+        f"dedup key over {len(candidates)} candidates: {new_us:.1f} us/key, "
+        f"legacy {legacy_us:.1f} us/key ({legacy_us / new_us:.1f}x), "
+        f"candidates / results = {len(candidates) / 3260:.2f}"
+    )
+    benchmark.extra_info["candidates"] = {n: r["candidates"] for n, r in rows.items()}
+    benchmark.extra_info["key_us"] = round(new_us, 2)
+    benchmark.extra_info["legacy_key_us"] = round(legacy_us, 2)

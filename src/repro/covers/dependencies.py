@@ -18,10 +18,9 @@ requires such atoms to live in the same cover fragment.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Set
+from typing import FrozenSet, Mapping
 
 from repro.dllite.tbox import TBox
-from repro.dllite.vocabulary import predicate_name
 
 
 def dependencies(name: str, tbox: TBox) -> FrozenSet[str]:
@@ -29,34 +28,14 @@ def dependencies(name: str, tbox: TBox) -> FrozenSet[str]:
     return dependency_closure(tbox).get(name, frozenset({name}))
 
 
-def dependency_closure(tbox: TBox) -> Dict[str, FrozenSet[str]]:
+def dependency_closure(tbox: TBox) -> Mapping[str, FrozenSet[str]]:
     """``dep(N)`` for every predicate name of the TBox signature.
 
-    The closure is computed once for all names by propagating over the
-    positive axioms until fixpoint; names outside the TBox signature
-    trivially depend only on themselves.
+    The closure is computed once per TBox (:meth:`TBox.dependency_closure`
+    keeps it) by propagating over the positive axioms until fixpoint;
+    names outside the TBox signature trivially depend only on themselves.
     """
-    edges: Dict[str, Set[str]] = {}
-    for axiom in tbox.positive_axioms():
-        rhs_name = predicate_name(axiom.rhs)
-        lhs_name = predicate_name(axiom.lhs)
-        edges.setdefault(rhs_name, set()).add(lhs_name)
-
-    closure: Dict[str, Set[str]] = {
-        name: {name} for name in tbox.predicate_names()
-    }
-    changed = True
-    while changed:
-        changed = False
-        for name, deps in closure.items():
-            additions: Set[str] = set()
-            for dep in deps:
-                additions |= edges.get(dep, set())
-            new = additions - deps
-            if new:
-                deps |= new
-                changed = True
-    return {name: frozenset(deps) for name, deps in closure.items()}
+    return tbox.dependency_closure()
 
 
 def share_dependency(first: str, second: str, tbox: TBox) -> bool:

@@ -15,7 +15,18 @@ the system needs:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.dllite.axioms import Axiom, ConceptInclusion, RoleInclusion
 from repro.dllite.vocabulary import (
@@ -40,13 +51,17 @@ class TBox:
         self._axioms: Tuple[Axiom, ...] = tuple(unique)
         self._saturated_concepts: Optional[Dict[BasicConcept, Set[BasicConcept]]] = None
         self._saturated_roles: Optional[Dict[Role, Set[Role]]] = None
-        self._rhs_concept_index: Dict[BasicConcept, List[ConceptInclusion]] = {}
-        self._rhs_role_index: Dict[str, List[RoleInclusion]] = {}
+        self._dependency_closure: Optional[Mapping[str, FrozenSet[str]]] = None
+        into_concept: Dict[BasicConcept, List[ConceptInclusion]] = {}
+        into_role: Dict[str, List[RoleInclusion]] = {}
         for axiom in self._axioms:
             if isinstance(axiom, ConceptInclusion) and not axiom.negative:
-                self._rhs_concept_index.setdefault(axiom.rhs, []).append(axiom)
+                into_concept.setdefault(axiom.rhs, []).append(axiom)
             elif isinstance(axiom, RoleInclusion) and not axiom.negative:
-                self._rhs_role_index.setdefault(axiom.rhs.name, []).append(axiom)
+                into_role.setdefault(axiom.rhs.name, []).append(axiom)
+        # Tuples, so that lookups can hand out the index's own entries.
+        self._rhs_concept_index = {k: tuple(v) for k, v in into_concept.items()}
+        self._rhs_role_index = {k: tuple(v) for k, v in into_role.items()}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -97,13 +112,50 @@ class TBox:
     # ------------------------------------------------------------------
     # PerfectRef view
     # ------------------------------------------------------------------
-    def inclusions_into_concept(self, target: BasicConcept) -> List[ConceptInclusion]:
+    def inclusions_into_concept(
+        self, target: BasicConcept
+    ) -> Sequence[ConceptInclusion]:
         """Positive concept inclusions whose right-hand side is *target*."""
-        return list(self._rhs_concept_index.get(target, ()))
+        return self._rhs_concept_index.get(target, ())
 
-    def inclusions_into_role(self, role_name: str) -> List[RoleInclusion]:
+    def inclusions_into_role(self, role_name: str) -> Sequence[RoleInclusion]:
         """Positive role inclusions whose right-hand side uses *role_name*."""
-        return list(self._rhs_role_index.get(role_name, ()))
+        return self._rhs_role_index.get(role_name, ())
+
+    def dependency_closure(self) -> Mapping[str, FrozenSet[str]]:
+        """``dep(N)`` (Definition 4) for every predicate name of the signature.
+
+        ``dep(N)`` is the set of names ``N`` may turn into through backward
+        constraint applications: the fixpoint of ``dep(N) ∪ {cr(Y) | Y <= X
+        in T, cr(X) in dep(N)}``, ``cr`` stripping inverses and existentials
+        down to the bare name. Names outside the signature depend only on
+        themselves and are not listed. Computed on first use and kept: the
+        TBox is immutable, and every cover search asks.
+        """
+        if self._dependency_closure is None:
+            edges: Dict[str, Set[str]] = {}
+            for axiom in self.positive_axioms():
+                edges.setdefault(predicate_name(axiom.rhs), set()).add(
+                    predicate_name(axiom.lhs)
+                )
+            closure: Dict[str, Set[str]] = {
+                name: {name} for name in self.predicate_names()
+            }
+            changed = True
+            while changed:
+                changed = False
+                for deps in closure.values():
+                    additions: Set[str] = set()
+                    for dep in deps:
+                        additions |= edges.get(dep, set())
+                    new = additions - deps
+                    if new:
+                        deps |= new
+                        changed = True
+            self._dependency_closure = {
+                name: frozenset(deps) for name, deps in closure.items()
+            }
+        return self._dependency_closure
 
     # ------------------------------------------------------------------
     # Saturation

@@ -99,7 +99,9 @@ from repro.optimizer.result import SearchResult
 from repro.queries.cq import CQ
 from repro.queries.terms import is_variable
 from repro.reformulation.perfectref import (
+    perfectref_candidates,
     perfectref_invocations,
+    perfectref_results,
     reformulate_to_ucq,
 )
 from repro.serving.concurrency import (
@@ -222,6 +224,11 @@ DATA_INDEPENDENT_STRATEGIES = frozenset({"ucq", "croot", "sat"})
 #: constant because the plan cache only stores plans computed with this
 #: default (the plan key deliberately excludes the knob).
 DEFAULT_GENERALIZED_LIMIT = 20_000
+
+
+def _perfectref_counts() -> Tuple[int, int, int]:
+    """PerfectRef's process-wide (invocations, candidates, results)."""
+    return (perfectref_invocations(), perfectref_candidates(), perfectref_results())
 
 
 def _describe_search(span, search: "SearchResult") -> None:
@@ -1094,7 +1101,7 @@ class OBDASystem:
                     query = parse_query(query)
             with root.child("reformulate", strategy=strategy) as ref_span:
                 if ref_span.enabled:
-                    perfectref_before = perfectref_invocations()
+                    perfectref_before = _perfectref_counts()
                     caches_before = self.cache_stats()
                 with activate(ref_span):
                     choice = self.reformulate(
@@ -1186,16 +1193,23 @@ class OBDASystem:
         self,
         span,
         choice: ReformulationChoice,
-        perfectref_before: int,
+        perfectref_before: Tuple[int, int, int],
         caches_before: Dict[str, Dict[str, int]],
     ) -> None:
         """Annotate a reformulate span with what the choice cost:
-        PerfectRef invocations and per-cache hit/miss deltas this query
-        caused, plus the plan-cache outcome and routing decision."""
+        PerfectRef fixpoints run, CQs they keyed and CQs they kept, and
+        per-cache hit/miss deltas this query caused, plus the plan-cache
+        outcome and routing decision."""
+        invocations, candidates, results = (
+            now - before
+            for now, before in zip(_perfectref_counts(), perfectref_before)
+        )
         span.set(
             chosen_strategy=choice.strategy,
             plan_cache_hit=choice.plan_cache_hit,
-            perfectref_invocations=perfectref_invocations() - perfectref_before,
+            perfectref_invocations=invocations,
+            perfectref_candidates=candidates,
+            perfectref_results=results,
             seconds=choice.reformulation_seconds,
         )
         caches_after = self.cache_stats()

@@ -16,11 +16,11 @@ notions of identity matter here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.queries.atoms import Atom
 from repro.queries.substitution import Substitution
-from repro.queries.terms import Constant, Term, Variable, is_variable
+from repro.queries.terms import Term, Variable, is_variable
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,23 @@ class CQ:
     # ------------------------------------------------------------------
     # Transformation
     # ------------------------------------------------------------------
+    def _child(self, head: Tuple[Term, ...], atoms: Tuple[Atom, ...]) -> "CQ":
+        """A CQ derived from this one by a step that cannot take a head
+        variable out of the body — a substitution applied to head and body
+        alike, duplicate atoms dropped, PerfectRef specializing one atom
+        (only an unbound, hence non-head, variable can disappear) — so the
+        validation of ``__post_init__`` is skipped."""
+        child = object.__new__(CQ)
+        object.__setattr__(child, "head", head)
+        object.__setattr__(child, "atoms", atoms)
+        object.__setattr__(child, "name", self.name)
+        return child
+
     def apply(self, substitution: Substitution) -> "CQ":
         """Apply *substitution* to head and body, returning a new CQ."""
-        return CQ(
-            head=tuple(substitution.apply_term(t) for t in self.head),
-            atoms=substitution.apply_atoms(self.atoms),
-            name=self.name,
+        return self._child(
+            tuple(substitution.apply_term(t) for t in self.head),
+            substitution.apply_atoms(self.atoms),
         )
 
     def with_atoms(self, atoms: Sequence[Atom]) -> "CQ":
@@ -145,104 +156,88 @@ class CQ:
                 kept.append(atom)
         if len(kept) == len(self.atoms):
             return self
-        return self.with_atoms(kept)
+        return self._child(self.head, tuple(kept))
 
     # ------------------------------------------------------------------
     # Canonical form
     # ------------------------------------------------------------------
-    def canonical_key(self) -> Tuple[Tuple[Term, ...], Tuple[Atom, ...]]:
-        """A deterministic normal form for equality modulo variable renaming.
+    def canonical_key(self) -> Tuple[Tuple[str, ...], Tuple[Tuple[str, ...], ...]]:
+        """An opaque, hashable normal form for equality modulo variable renaming.
 
-        Head variables are renamed positionally first; remaining variables
-        are renamed greedily while atoms are emitted in lexicographically
-        minimal order. Ties between not-yet-named variables are broken by
+        Head variables are named positionally first (``_h0``, ``_h1``, …);
+        the remaining variables are named ``_b0``, ``_b1``, … greedily, in
+        the order the lexicographically least not-yet-chosen atom mentions
+        them. Ties between not-yet-named variables are broken by
         order-independent structure — a one-step refinement signature (the
         sorted multiset of the variable's occurrence contexts, each with
         the classes of its co-arguments) plus the repetition pattern
         within the atom — never by atom position, so the key is invariant
-        under reordering the body. Two
-        CQs with equal keys are isomorphic. (For highly symmetric bodies
-        two isomorphic CQs could in principle receive different keys; this
-        only causes a harmless duplicate during deduplication, never an
-        incorrect merge.)
+        under reordering the body.
+
+        The key is ``(head codes, sorted (predicate, argument code, …)
+        tuples)``, all plain ``str``: a variable's code is its canonical
+        name, a constant's is ``"#" + repr(value)`` (injective, and no
+        canonical name starts with ``#``). Callers must treat it as
+        opaque: hash it, compare it, nothing else. Two CQs with equal keys
+        are isomorphic. (For highly symmetric bodies two isomorphic CQs
+        could in principle receive different keys; this only causes a
+        harmless duplicate during deduplication, never an incorrect
+        merge.)
         """
-        renaming: Dict[Variable, Variable] = {}
-        for position, term in enumerate(self.head):
-            if is_variable(term) and term not in renaming:
-                renaming[term] = Variable(f"_h{len(renaming)}")
-        fresh_index = 0
-        occurrences = self.occurrence_counts()
-
-        def term_class(term: Term) -> Tuple:
-            if isinstance(term, Constant):
-                return (0, str(term.value))
-            if term in renaming:  # head variables only; fixed before the loop
-                return (1, renaming[term].name)
-            return (2, occurrences[term])
-
-        contexts: Dict[Variable, List[Tuple]] = {}
-        for atom in self.atoms:
-            for position, term in enumerate(atom.args):
-                if is_variable(term) and term not in renaming:
-                    contexts.setdefault(term, []).append(
-                        (
-                            atom.predicate,
-                            atom.arity,
-                            position,
-                            tuple(term_class(t) for t in atom.args),
-                        )
-                    )
-        signature: Dict[Variable, Tuple] = {
-            var: tuple(sorted(occurrence_list))
-            for var, occurrence_list in contexts.items()
-        }
-
-        def atom_rank(atom: Atom) -> Tuple:
-            first_seen: Dict[Variable, int] = {}
-            ranks: List[Tuple] = []
-            for position, term in enumerate(atom.args):
-                if isinstance(term, Constant):
-                    ranks.append((0, str(term.value)))
-                elif term in renaming:
-                    ranks.append((1, renaming[term].name))
-                else:
-                    first_seen.setdefault(term, position)
-                    ranks.append((2, signature[term], first_seen[term]))
-            return (atom.predicate, atom.arity, tuple(ranks))
-
-        remaining = list(self.atoms)
-        ordered: List[Atom] = []
-        while remaining:
-            best_position = min(
-                range(len(remaining)),
-                key=lambda i: atom_rank(remaining[i]),
-            )
-            atom = remaining.pop(best_position)
-            for term in atom.args:
-                if is_variable(term) and term not in renaming:
-                    renaming[term] = Variable(f"_b{fresh_index}")
-                    fresh_index += 1
-            ordered.append(atom)
-
-        substitution = Substitution(renaming)
-        canonical_head = tuple(substitution.apply_term(t) for t in self.head)
-
-        def atom_sort_key(atom: Atom) -> Tuple:
-            # Atoms mixing Constants and Variables at one position are not
-            # orderable by the dataclass ordering; rank per term class.
-            return (
+        names: Dict[str, str] = {}  # input variable name -> canonical name
+        for term in self.head:
+            if isinstance(term, Variable) and term.name not in names:
+                names[term.name] = f"_h{len(names)}"
+        head_names = dict(names)
+        # Flatten once: a variable becomes its name, a constant stays itself.
+        flat = [
+            (
                 atom.predicate,
-                atom.arity,
-                tuple(
-                    (0, str(t.value)) if isinstance(t, Constant) else (1, t.name)
-                    for t in atom.args
-                ),
+                tuple([t.name if isinstance(t, Variable) else t for t in atom.args]),
             )
+            for atom in self.atoms
+        ]
+        # An atom's rank starts with (predicate, arity), so the greedy
+        # selection empties one such group before it looks at the next, and
+        # only inside a group of several atoms does the rest of the rank —
+        # and so the signatures — get compared at all.
+        group_of = [(predicate, len(args)) for predicate, args in flat]
+        order = sorted(range(len(flat)), key=group_of.__getitem__)
+        signature: Optional[Dict[str, Tuple]] = None
+        fresh = 0
+        start = 0
+        while start < len(order):
+            end = start + 1
+            while end < len(order) and group_of[order[end]] == group_of[order[start]]:
+                end += 1
+            group = order[start:end]  # body order: the first minimum wins
+            start = end
+            ranks: Dict[int, Tuple] = {}
+            if len(group) > 1:
+                if signature is None:
+                    signature = _signatures(flat, head_names)
+                ranks = {i: _atom_rank(flat[i][1], names, signature) for i in group}
+            while group:
+                best = min(group, key=ranks.__getitem__) if len(group) > 1 else group[0]
+                group.remove(best)
+                named = set()
+                for arg in flat[best][1]:
+                    if type(arg) is str and arg not in names:
+                        names[arg] = f"_b{fresh}"
+                        fresh += 1
+                        named.add(arg)
+                if named and len(group) > 1:
+                    for i in group:
+                        if not named.isdisjoint(flat[i][1]):
+                            ranks[i] = _atom_rank(flat[i][1], names, signature)
 
-        canonical_atoms = tuple(
-            sorted(substitution.apply_atoms(ordered), key=atom_sort_key)
+        def code(arg) -> str:
+            return names[arg] if type(arg) is str else "#" + repr(arg.value)
+
+        return (
+            tuple([code(t.name if isinstance(t, Variable) else t) for t in self.head]),
+            tuple(sorted([(predicate, *map(code, args)) for predicate, args in flat])),
         )
-        return (canonical_head, canonical_atoms)
 
     def rename_apart(self, taken: Iterable[Variable]) -> "CQ":
         """Rename body variables so none collides with *taken*.
@@ -269,6 +264,60 @@ class CQ:
         head_render = ", ".join(str(t) for t in self.head)
         body_render = " AND ".join(str(a) for a in self.atoms)
         return f"{self.name}({head_render}) <- {body_render}"
+
+
+def _signatures(
+    flat: List[Tuple[str, Tuple]], head_names: Dict[str, str]
+) -> Dict[str, Tuple]:
+    """One-step refinement signature of every non-head variable of a
+    flattened body: the sorted multiset of its occurrence contexts, each
+    with the classes of its co-arguments (constant, head variable, or a
+    body variable's occurrence count)."""
+    occurrences: Dict[str, int] = {}
+    for _, args in flat:
+        for arg in args:
+            if type(arg) is str:
+                occurrences[arg] = occurrences.get(arg, 0) + 1
+    contexts: Dict[str, List[Tuple]] = {}
+    for predicate, args in flat:
+        classes = tuple(
+            [
+                (0, str(arg.value))
+                if type(arg) is not str
+                else (1, head_names[arg])
+                if arg in head_names
+                else (2, occurrences[arg])
+                for arg in args
+            ]
+        )
+        for position, arg in enumerate(args):
+            if type(arg) is str and arg not in head_names:
+                contexts.setdefault(arg, []).append(
+                    (predicate, len(args), position, classes)
+                )
+    return {name: tuple(sorted(found)) for name, found in contexts.items()}
+
+
+def _atom_rank(
+    args: Tuple, names: Dict[str, str], signature: Dict[str, Tuple]
+) -> Tuple:
+    """Where :meth:`CQ.canonical_key` orders one flattened atom among
+    those of its predicate and arity.
+
+    Constants rank before named variables before not-yet-named ones; a
+    not-yet-named variable ranks by its signature, then by the position
+    of its first occurrence in this atom (the repetition pattern).
+    """
+    first_seen: Dict[str, int] = {}
+    entries: List[Tuple] = []
+    for position, arg in enumerate(args):
+        if type(arg) is not str:
+            entries.append((0, str(arg.value)))
+        elif arg in names:
+            entries.append((1, names[arg]))
+        else:
+            entries.append((2, signature[arg], first_seen.setdefault(arg, position)))
+    return tuple(entries)
 
 
 def make_cq(name: str, head: Sequence[Term], atoms: Sequence[Atom]) -> CQ:

@@ -6,13 +6,14 @@ canonical database of ``q1``: a mapping of ``q2``'s variables to ``q1``'s
 terms sending every atom of ``q2`` onto an atom of ``q1`` and the head of
 ``q2`` onto the head of ``q1`` positionwise (Chandra & Merlin).
 
-The search is a backtracking join ordered most-constrained-atom-first, which
-is fast in practice for the small CQs produced by reformulation.
+The search is a backtracking join over the source atoms, ordered once by how
+many target atoms share their predicate, which is fast in practice for the
+small CQs produced by reformulation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.queries.atoms import Atom
 from repro.queries.cq import CQ
@@ -43,58 +44,56 @@ def find_homomorphism(source: CQ, target: CQ) -> Optional[Dict[Variable, Term]]:
     for atom in target.atoms:
         atoms_by_predicate.setdefault((atom.predicate, atom.arity), []).append(atom)
 
-    # Order source atoms: those with the fewest candidate target atoms first,
-    # re-sorted dynamically as variables get bound.
-    pending = list(source.atoms)
+    # Source atoms with the fewest same-predicate target atoms first.
+    plan: List[Tuple[Atom, List[Atom]]] = []
+    for atom in source.atoms:
+        options = atoms_by_predicate.get((atom.predicate, atom.arity))
+        if not options:
+            return None
+        plan.append((atom, options))
+    plan.sort(key=lambda step: len(step[1]))
 
-    def candidates(atom: Atom, current: Dict[Variable, Term]) -> List[Atom]:
-        options = atoms_by_predicate.get((atom.predicate, atom.arity), [])
-        viable = []
+    def search(depth: int) -> bool:
+        """Map ``plan[depth:]`` under the bindings made so far."""
+        if depth == len(plan):
+            return True
+        atom, options = plan[depth]
         for candidate in options:
-            if _atom_matches(atom, candidate, current) is not None:
-                viable.append(candidate)
-        return viable
+            bound = _bind(atom, candidate, mapping)
+            if bound is not None:
+                if search(depth + 1):
+                    return True
+                for variable in bound:
+                    del mapping[variable]
+        return False
 
-    def search(remaining: List[Atom], current: Dict[Variable, Term]) -> Optional[Dict[Variable, Term]]:
-        if not remaining:
-            return current
-        # Most constrained first.
-        scored = sorted(
-            range(len(remaining)),
-            key=lambda i: len(candidates(remaining[i], current)),
-        )
-        pick = scored[0]
-        atom = remaining[pick]
-        rest = remaining[:pick] + remaining[pick + 1 :]
-        for candidate in atoms_by_predicate.get((atom.predicate, atom.arity), []):
-            extended = _atom_matches(atom, candidate, current)
-            if extended is None:
-                continue
-            result = search(rest, extended)
-            if result is not None:
-                return result
-        return None
-
-    return search(pending, mapping)
+    return mapping if search(0) else None
 
 
-def _atom_matches(
+def _bind(
     source_atom: Atom,
     target_atom: Atom,
     mapping: Dict[Variable, Term],
-) -> Optional[Dict[Variable, Term]]:
-    """Try to extend *mapping* so that source_atom maps onto target_atom."""
-    extended = dict(mapping)
+) -> Optional[List[Variable]]:
+    """Extend *mapping* in place so that source_atom maps onto target_atom.
+
+    Returns the variables newly bound (for the caller to undo), or None,
+    with *mapping* as it was, when the atoms do not match.
+    """
+    bound: List[Variable] = []
     for source_term, target_term in zip(source_atom.args, target_atom.args):
         if is_variable(source_term):
-            bound = extended.get(source_term)
-            if bound is None:
-                extended[source_term] = target_term
-            elif bound != target_term:
-                return None
-        elif source_term != target_term:
+            image = mapping.get(source_term)
+            if image is None:
+                mapping[source_term] = target_term
+                bound.append(source_term)
+                continue
+            source_term = image
+        if source_term != target_term:
+            for variable in bound:
+                del mapping[variable]
             return None
-    return extended
+    return bound
 
 
 def is_contained_in(more_specific: CQ, more_general: CQ) -> bool:

@@ -17,14 +17,16 @@ Generated CQs are deduplicated modulo variable renaming via
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+import threading
+from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.dllite.axioms import Axiom, ConceptInclusion, RoleInclusion
+from repro.dllite.axioms import ConceptInclusion, RoleInclusion
 from repro.dllite.tbox import TBox
 from repro.dllite.vocabulary import AtomicConcept, BasicConcept, Exists, Role
+from repro.obs.metrics import get_registry
 from repro.queries.atoms import Atom, concept_atom, role_atom
 from repro.queries.cq import CQ
-from repro.queries.terms import Term, Variable, fresh_variable, is_variable
+from repro.queries.terms import Term, Variable, fresh_variable
 from repro.queries.ucq import UCQ
 from repro.queries.unification import most_general_unifier
 
@@ -73,28 +75,27 @@ def _backward_role_application(atom: Atom, axiom: RoleInclusion) -> Atom:
     return role_atom(axiom.lhs.name, u, v)
 
 
-def _specializations_of_atom(atom: Atom, query: CQ, tbox: TBox) -> List[Atom]:
-    """All single-step backward specializations of *atom* within *query*."""
-    results: List[Atom] = []
+def _specializations_of_atom(
+    atom: Atom, unbound: FrozenSet[Variable], tbox: TBox
+) -> List[Atom]:
+    """All single-step backward specializations of *atom*, given the
+    *unbound* variables of the query it belongs to."""
     if atom.is_concept_atom:
         target: BasicConcept = AtomicConcept(atom.predicate)
-        results.extend(
-            _backward_concept_applications(
-                atom, target, tbox.inclusions_into_concept(target), atom.args[0]
-            )
+        return _backward_concept_applications(
+            atom, target, tbox.inclusions_into_concept(target), atom.args[0]
         )
-        return results
 
-    unbound = query.unbound_variables()
+    results: List[Atom] = []
     subject, obj = atom.args
-    if is_variable(obj) and obj in unbound:
+    if obj in unbound:
         target = Exists(Role(atom.predicate))
         results.extend(
             _backward_concept_applications(
                 atom, target, tbox.inclusions_into_concept(target), subject
             )
         )
-    if is_variable(subject) and subject in unbound:
+    if subject in unbound:
         target = Exists(Role(atom.predicate, inverse=True))
         results.extend(
             _backward_concept_applications(
@@ -106,15 +107,40 @@ def _specializations_of_atom(atom: Atom, query: CQ, tbox: TBox) -> List[Atom]:
     return results
 
 
-#: Total :func:`perfectref` fixpoint runs in this process. The fixpoint is
-#: the expensive core the caches exist to avoid; benchmarks take deltas of
-#: :func:`perfectref_invocations` to show how much work sharing saved.
-_INVOCATIONS = 0
+_COUNTS_LOCK = threading.Lock()
+#: Process-wide totals over every :func:`perfectref` run: fixpoints run,
+#: CQs keyed for deduplication (the input included) and CQs kept. The
+#: fixpoint is the expensive core the caches exist to avoid; benchmarks
+#: take deltas of :func:`perfectref_invocations` to show how much work
+#: sharing saved, and candidates ÷ results is the share of its work a
+#: fixpoint spends rediscovering CQs it already has.
+_COUNTS = {"invocations": 0, "candidates": 0, "results": 0}
 
 
 def perfectref_invocations() -> int:
     """Process-wide count of PerfectRef fixpoint runs (monotone)."""
-    return _INVOCATIONS
+    return _COUNTS["invocations"]
+
+
+def perfectref_candidates() -> int:
+    """Process-wide count of CQs PerfectRef keyed for deduplication (monotone)."""
+    return _COUNTS["candidates"]
+
+
+def perfectref_results() -> int:
+    """Process-wide count of CQs PerfectRef kept (monotone)."""
+    return _COUNTS["results"]
+
+
+def _record_run(candidates: int, results: int) -> None:
+    """Count one finished fixpoint; safe on serving-pool threads."""
+    with _COUNTS_LOCK:
+        _COUNTS["invocations"] += 1
+        _COUNTS["candidates"] += candidates
+        _COUNTS["results"] += results
+    registry = get_registry()
+    registry.inc("repro.perfectref.candidates", candidates)
+    registry.inc("repro.perfectref.results", results)
 
 
 def perfectref(query: CQ, tbox: TBox, max_queries: Optional[int] = None) -> List[CQ]:
@@ -124,17 +150,17 @@ def perfectref(query: CQ, tbox: TBox, max_queries: Optional[int] = None) -> List
     ``max_queries`` optionally bounds the fixpoint as a safety valve for
     adversarial inputs; the workloads in this repository never hit it.
     """
-    global _INVOCATIONS
-    _INVOCATIONS += 1
     start = query.dedup_atoms()
     seen: Set[Tuple] = {start.canonical_key()}
     results: List[CQ] = [start]
     frontier: List[CQ] = [start]
+    candidates = 1
 
     def consider(candidate: CQ) -> None:
+        nonlocal candidates
         if max_queries is not None and len(results) >= max_queries:
             return
-        candidate = candidate.dedup_atoms()
+        candidates += 1
         key = candidate.canonical_key()
         if key in seen:
             return
@@ -146,24 +172,25 @@ def perfectref(query: CQ, tbox: TBox, max_queries: Optional[int] = None) -> List
         if max_queries is not None and len(results) >= max_queries:
             break
         current = frontier.pop()
-        # (a) backward constraint applications, one atom at a time.
-        for index, atom in enumerate(current.atoms):
-            for specialized in _specializations_of_atom(atom, current, tbox):
-                atoms = (
-                    current.atoms[:index]
-                    + (specialized,)
-                    + current.atoms[index + 1 :]
-                )
-                consider(current.with_atoms(atoms))
-        # (b) reduce: unify pairs of atoms.
+        atoms = current.atoms
         protected = current.head_variables()
-        for i in range(len(current.atoms)):
-            for j in range(i + 1, len(current.atoms)):
-                unifier = most_general_unifier(
-                    current.atoms[i], current.atoms[j], frozenset(protected)
+        unbound = current.unbound_variables()
+        # (a) backward constraint applications, one atom at a time.
+        for index, atom in enumerate(atoms):
+            for specialized in _specializations_of_atom(atom, unbound, tbox):
+                child = current._child(
+                    current.head,
+                    atoms[:index] + (specialized,) + atoms[index + 1 :],
                 )
+                # ``atoms`` holds no duplicate, so only the new atom can be one.
+                consider(child.dedup_atoms() if specialized in atoms else child)
+        # (b) reduce: unify pairs of atoms.
+        for i in range(len(atoms)):
+            for j in range(i + 1, len(atoms)):
+                unifier = most_general_unifier(atoms[i], atoms[j], protected)
                 if unifier is not None:
-                    consider(current.apply(unifier))
+                    consider(current.apply(unifier).dedup_atoms())
+    _record_run(candidates, len(results))
     return results
 
 

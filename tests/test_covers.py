@@ -3,7 +3,11 @@
 import pytest
 
 from repro.covers.cover import Cover, GeneralizedCover, GeneralizedFragment
-from repro.covers.dependencies import dependencies, share_dependency
+from repro.covers.dependencies import (
+    dependencies,
+    dependency_closure,
+    share_dependency,
+)
 from repro.covers.fragments import fragment_query, generalized_fragment_query
 from repro.covers.lattice import (
     bell_number,
@@ -67,6 +71,20 @@ class TestDependencies:
         # worksWith <- supervisedBy (T5); PhDStudent <- supervisedBy via T6.
         assert "supervisedBy" in dependencies("worksWith", example1_tbox)
         assert "supervisedBy" in dependencies("PhDStudent", example1_tbox)
+
+
+    def test_closure_is_computed_once_per_tbox(self, example7_tbox):
+        closure = dependency_closure(example7_tbox)
+        assert dependency_closure(example7_tbox) is closure
+        assert example7_tbox.dependency_closure() is closure
+        assert closure["worksWith"] == {"worksWith", "supervisedBy", "Graduate"}
+        # A fresh TBox — same axioms or more — gets its own.
+        twin = example7_tbox.extended_with([])
+        assert dependency_closure(twin) is not closure
+        assert dependency_closure(twin) == closure
+        extended = example7_tbox.extended_with(parse_tbox("Alien <= PhDStudent").axioms)
+        assert dependency_closure(extended)["PhDStudent"] == {"PhDStudent", "Alien"}
+        assert "Alien" not in dependency_closure(example7_tbox)
 
 
 class TestCoverStructure:

@@ -1,8 +1,13 @@
 """Unit tests for the CQ dialect: structure, graphs, canonicalization."""
 
-import pytest
+import pickle
 
-from repro.queries.atoms import concept_atom, role_atom
+import pytest
+from legacy_canonical_key import legacy_canonical_key
+
+import repro.queries.cq as cq_module
+from repro.dllite.parser import parse_query
+from repro.queries.atoms import Atom, concept_atom, role_atom
 from repro.queries.cq import CQ
 from repro.queries.substitution import Substitution
 from repro.queries.terms import Constant, Variable
@@ -134,3 +139,80 @@ class TestCanonicalKey:
         q1 = CQ(head=(), atoms=(role_atom("r", Constant("a"), X),))
         q2 = CQ(head=(), atoms=(role_atom("r", Constant("b"), X),))
         assert q1.canonical_key() != q2.canonical_key()
+
+    def test_int_and_str_constants_stay_distinct(self):
+        q1 = CQ(head=(), atoms=(role_atom("r", Constant(1), X),))
+        q2 = CQ(head=(), atoms=(role_atom("r", Constant("1"), X),))
+        assert q1.canonical_key() != q2.canonical_key()
+        assert legacy_canonical_key(q1) != legacy_canonical_key(q2)
+        h1 = CQ(head=(Constant(1),), atoms=(concept_atom("A", X),))
+        h2 = CQ(head=(Constant("1"),), atoms=(concept_atom("A", X),))
+        assert h1.canonical_key() != h2.canonical_key()
+
+    def test_underscore_constant_is_not_a_canonical_variable(self):
+        # The constant "_b0" must not read as the first body variable.
+        with_constant = CQ(head=(), atoms=(role_atom("r", Constant("_b0"), X),))
+        with_variables = CQ(head=(), atoms=(role_atom("r", Y, X),))
+        loop = CQ(head=(), atoms=(role_atom("r", X, X),))
+        keys = {
+            q.canonical_key() for q in (with_constant, with_variables, loop)
+        }
+        assert len(keys) == 3
+        head_constant = CQ(head=(Constant("_h0"), X), atoms=(concept_atom("A", X),))
+        head_variable = CQ(head=(X, X), atoms=(concept_atom("A", X),))
+        assert head_constant.canonical_key() != head_variable.canonical_key()
+
+    def test_input_variables_named_like_canonical_ones(self):
+        # _h0 is existential here and _b0 is not the first body variable.
+        tricky = parse_query("q(x) <- R(x, _h0), S(_h0, _b0)")
+        plain = parse_query("q(x) <- R(x, y), S(y, z)")
+        crossed = parse_query("q(_b0) <- R(_b0, _h0), S(_h0, x)")
+        different = parse_query("q(x) <- R(x, y), S(x, z)")
+        assert tricky.canonical_key() == plain.canonical_key()
+        assert crossed.canonical_key() == plain.canonical_key()
+        assert different.canonical_key() != plain.canonical_key()
+
+    def test_key_is_plain_hashable_and_pickles(self):
+        query = CQ(
+            head=(X, Constant("a")),
+            atoms=(role_atom("r", X, Y), concept_atom("A", Constant(7))),
+        )
+        key = query.canonical_key()
+
+        def leaves(value):
+            if isinstance(value, tuple):
+                for item in value:
+                    yield from leaves(item)
+            else:
+                yield value
+
+        assert all(type(leaf) is str for leaf in leaves(key))
+        assert not any(isinstance(leaf, (Atom, Variable)) for leaf in leaves(key))
+        assert hash(key) == hash(query.canonical_key())
+        assert pickle.loads(pickle.dumps(key)) == key
+
+    def test_ranks_each_atom_a_bounded_number_of_times(self, monkeypatch):
+        # A 10-atom chain over one predicate: every rank is compared, and
+        # every step names a variable two atoms share. The key before
+        # re-ranked every remaining atom at every step: n(n+1)/2 = 55.
+        variables = [Variable(f"v{i}") for i in range(11)]
+        chain = CQ(
+            head=(variables[0],),
+            atoms=tuple(
+                role_atom("r", variables[i], variables[i + 1]) for i in range(10)
+            ),
+        )
+        calls = []
+        rank = cq_module._atom_rank
+
+        def counting_rank(*args):
+            calls.append(args)
+            return rank(*args)
+
+        monkeypatch.setattr(cq_module, "_atom_rank", counting_rank)
+        key = chain.canonical_key()
+        assert 10 <= len(calls) <= 3 * 10
+        monkeypatch.undo()
+        assert key == chain.canonical_key()
+        reversed_chain = chain.with_atoms(tuple(reversed(chain.atoms)))
+        assert reversed_chain.canonical_key() == key

@@ -359,9 +359,28 @@ class TestTracedAnswerMatrix:
             reformulate = report.trace.find("reformulate")[0]
             assert reformulate.attributes["chosen_strategy"] == "gdl"
             assert reformulate.attributes["plan_cache_hit"] is False
+            # PerfectRef's work is on the span and in the registry alike.
+            assert reformulate.attributes["perfectref_invocations"] >= 1
+            assert (
+                reformulate.attributes["perfectref_candidates"]
+                >= reformulate.attributes["perfectref_results"]
+                >= 1
+            )
+            counters = system.metrics()["counters"]
+            assert (
+                counters["repro.perfectref.candidates"]
+                >= reformulate.attributes["perfectref_candidates"]
+            )
+            assert (
+                counters["repro.perfectref.results"]
+                >= reformulate.attributes["perfectref_results"]
+            )
             # A second identical answer is a plan-cache hit with no search.
             repeat = system.answer("q(x) <- Researcher(x)", strategy="gdl")
-            assert repeat.trace.find("reformulate")[0].attributes["plan_cache_hit"]
+            repeated = repeat.trace.find("reformulate")[0].attributes
+            assert repeated["plan_cache_hit"]
+            assert repeated["perfectref_candidates"] == 0
+            assert repeated["perfectref_results"] == 0
             assert not repeat.trace.find("cover_search")
 
 

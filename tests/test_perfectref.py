@@ -1,13 +1,29 @@
 """PerfectRef reformulation tests, pinned to the paper's Examples 4 and 7."""
 
-import pytest
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
+import pytest
+from legacy_canonical_key import legacy_canonical_key
+
+from repro.bench.lubm import lubm_exists_tbox
 from repro.dllite.parser import parse_query
 from repro.queries.atoms import concept_atom, role_atom
 from repro.queries.cq import CQ
 from repro.queries.evaluate import evaluate_ucq
 from repro.queries.terms import Variable
-from repro.reformulation.perfectref import perfectref, reformulate_to_ucq
+from repro.reformulation.perfectref import (
+    perfectref,
+    perfectref_candidates,
+    perfectref_invocations,
+    perfectref_results,
+    reformulate_to_ucq,
+)
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
@@ -164,3 +180,117 @@ class TestReformulationGeneralities:
         ucq = reformulate_to_ucq(query, example1_tbox)
         assert evaluate_ucq(ucq, example1_abox.fact_store()) == truth
         assert truth == {("Ioana",), ("Francois",), ("Damian",)}
+
+
+#: S1–S3 + Q1–Q13 on the LUBM-exists TBox, measured once on the commit
+#: before the key was string-coded: whole-query, unminimised result count,
+#: CQs keyed (the input included), and a digest of the *ordered* legacy
+#: keys of the results.
+PINS = json.loads(
+    (Path(__file__).parent / "fixtures" / "perfectref_lubm_pins.json").read_text()
+)
+
+
+def legacy_keys_digest(results) -> str:
+    rendered = "\n".join(repr(legacy_canonical_key(cq)) for cq in results)
+    return hashlib.sha256(rendered.encode()).hexdigest()
+
+
+class TestPinnedWorkload:
+    """What a faster dedup key must not change."""
+
+    def test_pinned_totals(self):
+        assert list(PINS) == ["S1", "S2", "S3"] + [f"Q{i}" for i in range(1, 14)]
+        assert sum(pin["results"] for pin in PINS.values()) == 3260
+        assert sum(pin["candidates"] for pin in PINS.values()) == 9020
+
+    @pytest.mark.parametrize("name", list(PINS))
+    def test_sizes_order_and_counters(self, name):
+        pin = PINS[name]
+        before = perfectref_candidates(), perfectref_results()
+        results = perfectref(parse_query(pin["query"]), lubm_exists_tbox())
+        assert len(results) == pin["results"]
+        assert perfectref_candidates() - before[0] == pin["candidates"]
+        assert perfectref_results() - before[1] == pin["results"]
+        assert legacy_keys_digest(results) == pin["legacy_keys_sha256"]
+
+    def test_both_keys_partition_every_candidate_alike(self, monkeypatch):
+        candidates = []
+        keyed = CQ.canonical_key
+
+        def recording_key(query):
+            candidates.append(query)
+            return keyed(query)
+
+        monkeypatch.setattr(CQ, "canonical_key", recording_key)
+        for pin in PINS.values():
+            perfectref(parse_query(pin["query"]), lubm_exists_tbox())
+        monkeypatch.undo()
+        assert len(candidates) == 9020
+        new_classes, legacy_classes = {}, {}
+        for query in candidates:
+            new = new_classes.setdefault(query.canonical_key(), len(new_classes))
+            legacy = legacy_classes.setdefault(
+                legacy_canonical_key(query), len(legacy_classes)
+            )
+            assert new == legacy, str(query)
+
+    def test_independent_of_the_hash_seed(self):
+        script = (
+            "import json, sys; sys.path.insert(0, sys.argv[1]);"
+            "import test_perfectref as t;"
+            "print(json.dumps({n: t.legacy_keys_digest(t.perfectref("
+            "t.parse_query(p['query']), t.lubm_exists_tbox()))"
+            " for n, p in t.PINS.items() if n in ('S1', 'Q5', 'Q13')}))"
+        )
+        for seed in ("0", "5"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=seed,
+                PYTHONPATH=os.pathsep.join(filter(None, sys.path)),
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(Path(__file__).parent)],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            assert json.loads(done.stdout) == {
+                name: PINS[name]["legacy_keys_sha256"] for name in ("S1", "Q5", "Q13")
+            }
+
+
+class TestCounters:
+    def test_no_update_is_lost_across_threads(self, example1_tbox):
+        """Serving-pool threads run fixpoints side by side: every run must
+        land in all three process-wide totals."""
+        query = parse_query("q(x) <- PhDStudent(x), worksWith(y, x)")
+        before = perfectref_candidates(), perfectref_results()
+        perfectref(query, example1_tbox)
+        per_run = (
+            perfectref_candidates() - before[0],
+            perfectref_results() - before[1],
+        )
+        assert per_run[0] >= per_run[1] == 10
+        threads, runs = 8, 40
+        start = (perfectref_invocations(), perfectref_candidates(), perfectref_results())
+        barrier = threading.Barrier(threads)
+
+        def worker():
+            barrier.wait(timeout=30)
+            for _ in range(runs):
+                perfectref(query, example1_tbox)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=worker) for _ in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        total = threads * runs
+        assert perfectref_invocations() - start[0] == total
+        assert perfectref_candidates() - start[1] == total * per_run[0]
+        assert perfectref_results() - start[2] == total * per_run[1]

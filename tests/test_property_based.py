@@ -15,6 +15,7 @@ from __future__ import annotations
 import random as stdlib_random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
+from legacy_canonical_key import legacy_canonical_key
 
 from repro.covers.lattice import enumerate_safe_covers
 from repro.covers.generalized import enumerate_generalized_covers
@@ -122,6 +123,45 @@ def connected_cqs(draw, max_atoms: int = 3):
     body_vars = sorted({v for a in atoms for v in a.variables()})
     head = (body_vars[0],) if body_vars else ()
     return CQ(head=head, atoms=tuple(atoms))
+
+
+#: Terms for :func:`keyable_cqs`: variables (two of them named like the
+#: canonical names the key hands out) and constants whose ``str`` differ —
+#: the old key ordered atoms by ``str(value)``, so ``Constant(1)`` beside
+#: ``Constant("1")`` made *it* depend on the body order; that one pair is
+#: pinned by name in ``test_cq.py`` instead.
+KEY_VARIABLES = [Variable(n) for n in ("x", "y", "z", "w", "_h0", "_b0")]
+KEY_CONSTANTS = [Constant("a"), Constant("_b0"), Constant(1), Constant(2)]
+
+
+@st.composite
+def keyable_cqs(draw):
+    """CQs that stress :meth:`CQ.canonical_key`: two concepts and two roles
+    only (so bodies repeat predicates and come out symmetric), repeated
+    variables, constants in body and head, any connectivity."""
+    terms = st.sampled_from(KEY_VARIABLES + KEY_CONSTANTS)
+    atoms = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            atoms.append(concept_atom(draw(st.sampled_from(CONCEPTS[:2])), draw(terms)))
+        else:
+            atoms.append(
+                role_atom(draw(st.sampled_from(ROLES[:2])), draw(terms), draw(terms))
+            )
+    body_vars = sorted({v for a in atoms for v in a.variables()})
+    head = draw(st.lists(st.sampled_from(body_vars + KEY_CONSTANTS), max_size=2))
+    return CQ(head=tuple(head), atoms=tuple(atoms))
+
+
+def _renamed_and_permuted(query: CQ, rng) -> CQ:
+    """An isomorphic copy: variables renamed injectively, body shuffled."""
+    variables = sorted(query.variables())
+    images = [Variable(n) for n in ("_b0", "_h0", "p", "q", "_b1", "s")]
+    rng.shuffle(images)
+    renamed = query.apply(Substitution(dict(zip(variables, images))))
+    atoms = list(renamed.atoms)
+    rng.shuffle(atoms)
+    return renamed.with_atoms(atoms)
 
 
 COMMON_SETTINGS = settings(
@@ -270,6 +310,16 @@ class TestContainmentProperties:
             indices = list(reversed(range(len(query.atoms))))
         reordered = query.with_atoms([query.atoms[i] for i in indices])
         assert reordered.canonical_key() == query.canonical_key()
+
+    @settings(max_examples=300, deadline=None)
+    @given(keyable_cqs(), keyable_cqs(), st.randoms(use_true_random=False))
+    def test_canonical_key_partitions_like_the_legacy_key(self, first, second, rng):
+        """The string-coded key equates exactly the pairs the old key did."""
+        copy = _renamed_and_permuted(first, rng)
+        for left, right in ((first, second), (first, copy), (copy, second)):
+            assert (left.canonical_key() == right.canonical_key()) == (
+                legacy_canonical_key(left) == legacy_canonical_key(right)
+            ), (str(left), str(right))
 
 
 # ---------------------------------------------------------------------------

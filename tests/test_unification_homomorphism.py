@@ -1,5 +1,11 @@
 """Unit tests for mgu computation and CQ containment."""
 
+import json
+from pathlib import Path
+
+import repro.queries.minimize as minimize_module
+from repro.bench.lubm import lubm_exists_tbox
+from repro.dllite.parser import parse_query
 from repro.queries.atoms import concept_atom, role_atom
 from repro.queries.cq import CQ
 from repro.queries.homomorphism import (
@@ -10,6 +16,7 @@ from repro.queries.homomorphism import (
 from repro.queries.minimize import minimize_cq, minimize_ucq
 from repro.queries.terms import Constant, Variable
 from repro.queries.unification import most_general_unifier
+from repro.reformulation.perfectref import perfectref
 
 X, Y, Z, W = Variable("x"), Variable("y"), Variable("z"), Variable("w")
 
@@ -125,6 +132,103 @@ class TestContainment:
         assert mapping is not None
         assert mapping[X] == Z
         assert mapping[Y] == Constant("a")
+
+
+def naive_homomorphism_exists(source: CQ, target: CQ) -> bool:
+    """Reference containment search: source atoms in body order, every
+    target atom tried for each, a fresh mapping per attempt."""
+
+    def extend(mapping, source_terms, target_terms):
+        mapping = dict(mapping)
+        for source_term, target_term in zip(source_terms, target_terms):
+            if isinstance(source_term, Variable):
+                if mapping.setdefault(source_term, target_term) != target_term:
+                    return None
+            elif source_term != target_term:
+                return None
+        return mapping
+
+    def search(index, mapping):
+        if index == len(source.atoms):
+            return True
+        atom = source.atoms[index]
+        for candidate in target.atoms:
+            if (candidate.predicate, candidate.arity) != (atom.predicate, atom.arity):
+                continue
+            extended = extend(mapping, atom.args, candidate.args)
+            if extended is not None and search(index + 1, extended):
+                return True
+        return False
+
+    if len(source.head) != len(target.head):
+        return False
+    start = extend({}, source.head, target.head)
+    return start is not None and search(0, start)
+
+
+def assert_is_homomorphism(mapping, source: CQ, target: CQ) -> None:
+    def image(term):
+        return mapping[term] if isinstance(term, Variable) else term
+
+    assert tuple(image(t) for t in source.head) == target.head
+    target_atoms = set(target.atoms)
+    for atom in source.atoms:
+        mapped = type(atom)(atom.predicate, tuple(image(t) for t in atom.args))
+        assert mapped in target_atoms, (str(atom), str(mapped))
+
+
+class TestSearchAgainstReference:
+    def test_every_pair_minimization_asks_about(self, monkeypatch):
+        """Over the pinned workload (S1–S3, Q1–Q13 on the LUBM-exists
+        TBox): same verdict as the reference, and every mapping returned
+        is a homomorphism."""
+        asked = []
+        real = minimize_module.is_contained_in
+
+        def recording(more_specific, more_general):
+            asked.append((more_general, more_specific))
+            return real(more_specific, more_general)
+
+        monkeypatch.setattr(minimize_module, "is_contained_in", recording)
+        pins = json.loads(
+            (Path(__file__).parent / "fixtures" / "perfectref_lubm_pins.json").read_text()
+        )
+        for pin in pins.values():
+            minimize_ucq(perfectref(parse_query(pin["query"]), lubm_exists_tbox()))
+        assert len(asked) > 5000
+        found = 0
+        for general, specific in asked:
+            mapping = find_homomorphism(general, specific)
+            assert (mapping is not None) == naive_homomorphism_exists(general, specific)
+            if mapping is not None:
+                found += 1
+                assert_is_homomorphism(mapping, general, specific)
+        assert 0 < found < len(asked)
+
+    def test_backtracking_undoes_its_bindings(self):
+        # Two candidates per predicate, so the body order stands: r(x, y)
+        # takes r(a, b), s(b, _) does not exist, and x and y must be free
+        # again for r(e, c). On the way, s(y, z) against s(e, f) binds
+        # nothing it keeps.
+        a, b, c, d, e, f = (Constant(n) for n in "abcdef")
+        general = CQ(head=(), atoms=(role_atom("r", X, Y), role_atom("s", Y, Z)))
+        specific = CQ(
+            head=(),
+            atoms=(
+                role_atom("r", a, b),
+                role_atom("r", e, c),
+                role_atom("s", e, f),
+                role_atom("s", c, d),
+            ),
+        )
+        assert find_homomorphism(general, specific) == {X: e, Y: c, Z: d}
+        assert find_homomorphism(specific, general) is None
+
+    def test_repeated_variable_must_map_consistently(self):
+        loop = CQ(head=(), atoms=(role_atom("r", X, X),))
+        edge = CQ(head=(), atoms=(role_atom("r", Y, Z),))
+        assert find_homomorphism(loop, edge) is None
+        assert find_homomorphism(edge, loop) == {Y: X, Z: X}
 
 
 class TestMinimization:
