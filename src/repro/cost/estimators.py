@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.covers.cover import Cover, GeneralizedCover
 from repro.covers.reformulate import (
@@ -27,7 +27,7 @@ from repro.covers.reformulate import (
     cover_based_uscq_reformulation,
 )
 from repro.cost.cache import CostCache, ReformulationCache
-from repro.cost.model import ExternalCostModel
+from repro.cost.model import ComponentMemo, ExternalCostModel
 from repro.dllite.tbox import TBox
 
 AnyCover = Union[Cover, GeneralizedCover]
@@ -66,6 +66,9 @@ class CoverCostEstimator(ABC):
         self.use_uscq = use_uscq
         self.calls = 0
         self._cache: Dict[Tuple, float] = {}
+        #: Set to a list by a traced search: every cover priced, with its
+        #: estimate, in pricing order (the rejected alternatives).
+        self.priced: Optional[List[Tuple[AnyCover, float]]] = None
         self.fragment_cache = (
             fragment_cache if fragment_cache is not None else ReformulationCache()
         )
@@ -89,9 +92,15 @@ class CoverCostEstimator(ABC):
     def estimate(self, cover: AnyCover) -> float:
         """Memoized cost of the cover's reformulation."""
         key = cover.key()
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        cost = self._cache.get(key)
+        if cost is None:
+            cost = self._cache[key] = self._estimate_shared(cover, key)
+            if self.priced is not None:
+                self.priced.append((cover, cost))
+        return cost
+
+    def _estimate_shared(self, cover: AnyCover, key: Tuple) -> float:
+        """The cover's cost, through the system-shared cache if any."""
         shared_key = None
         if self.cost_cache is not None:
             shared_key = (
@@ -103,11 +112,9 @@ class CoverCostEstimator(ABC):
             )
             shared = self.cost_cache.get(shared_key, self.epoch)
             if shared is not None:
-                self._cache[key] = shared
                 return shared
         self.calls += 1
         cost = self._estimate_uncached(cover)
-        self._cache[key] = cost
         if shared_key is not None:
             self.cost_cache.put(shared_key, cost, self.epoch)
         return cost
@@ -148,9 +155,14 @@ class ExternalCoverCost(CoverCostEstimator):
             epoch=epoch,
         )
         self.model = model
+        # Neighbouring covers share all but one or two fragments, and the
+        # fragment cache hands back the same reformulated component for
+        # each: price every component once. This estimator lives for one
+        # search under one data epoch, so nothing ever invalidates it.
+        self._components: ComponentMemo = {}
 
     def _estimate_uncached(self, cover: AnyCover) -> float:
-        return self.model.estimate(self.reformulate(cover))
+        return self.model.estimate(self.reformulate(cover), self._components)
 
 
 class RDBMSCoverCost(CoverCostEstimator):

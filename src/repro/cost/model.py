@@ -77,6 +77,11 @@ class Estimate:
     ndv: Dict[Variable, float]
 
 
+#: ``id(component) -> (component, its Estimate)`` — see
+#: :meth:`ExternalCostModel.estimate`.
+ComponentMemo = Dict[int, Tuple[object, Estimate]]
+
+
 class ExternalCostModel:
     """Estimates evaluation cost of any dialect from data statistics."""
 
@@ -99,9 +104,16 @@ class ExternalCostModel:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def estimate(self, query: AnyQuery) -> float:
-        """Total estimated evaluation cost of *query*."""
-        return self._dispatch(query).cost
+    def estimate(
+        self, query: AnyQuery, components: Optional[ComponentMemo] = None
+    ) -> float:
+        """Total estimated evaluation cost of *query*.
+
+        *components*, when given, memoises the estimate of each JUCQ /
+        JUSCQ component by object identity; the caller owns it and must
+        drop it when the statistics change.
+        """
+        return self._dispatch(query, components).cost
 
     def estimated_rows(self, query: AnyQuery) -> float:
         """Estimated result cardinality of *query*."""
@@ -144,7 +156,19 @@ class ExternalCostModel:
         return efficiency
 
     # ------------------------------------------------------------------
-    def _dispatch(self, query: AnyQuery) -> Estimate:
+    def _component(self, component, memo: Optional[ComponentMemo]) -> Estimate:
+        """A join component's estimate, through *memo* when there is one.
+        Entries hold the component itself, so its ``id`` stays its own."""
+        if memo is None:
+            return self._dispatch(component)
+        entry = memo.get(id(component))
+        if entry is None:
+            entry = memo[id(component)] = (component, self._dispatch(component))
+        return entry[1]
+
+    def _dispatch(
+        self, query: AnyQuery, memo: Optional[ComponentMemo] = None
+    ) -> Estimate:
         if isinstance(query, CQ):
             return self._estimate_cq(query)
         if isinstance(query, SCQ):
@@ -157,11 +181,11 @@ class ExternalCostModel:
         if isinstance(query, UCQ):
             return self._estimate_union_blocks(query.disjuncts)
         if isinstance(query, JUCQ):
-            inner = [self._estimate_union_blocks(c.disjuncts) for c in query.components]
+            inner = [self._component(c, memo) for c in query.components]
             heads = [component_head(c) for c in query.components]
             return self._estimate_join(query.head, inner, heads, materialize=True)
         if isinstance(query, JUSCQ):
-            inner = [self._dispatch(c) for c in query.components]
+            inner = [self._component(c, memo) for c in query.components]
             heads = [c.scqs[0].head for c in query.components]
             return self._estimate_join(query.head, inner, heads, materialize=True)
         raise TypeError(f"unsupported query dialect: {type(query).__name__}")

@@ -10,7 +10,7 @@ at 20,003 covers for query A6 (Table 6).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.covers.cover import (
     Cover,
@@ -18,6 +18,7 @@ from repro.covers.cover import (
     GeneralizedCover,
     GeneralizedFragment,
     _indices_connected,
+    join_components,
 )
 from repro.covers.lattice import enumerate_safe_covers
 from repro.covers.safety import is_safe_cover
@@ -33,14 +34,7 @@ def _connected_extensions(
     Enumerated by growing with join-adjacent atoms only, so every yielded
     set is connected whenever *base* is.
     """
-    variable_map = query.atoms_sharing_variable()
-    adjacency = {i: set() for i in range(len(query.atoms))}
-    for positions in variable_map.values():
-        for i in positions:
-            for j in positions:
-                if i != j:
-                    adjacency[i].add(j)
-
+    adjacency = query.atom_adjacency()
     seen: Set[Fragment] = set()
 
     def grow(current: Fragment) -> Iterator[Fragment]:
@@ -64,6 +58,64 @@ def in_generalized_space(cover: GeneralizedCover, tbox: TBox) -> bool:
     return all(
         _indices_connected(cover.query, gf.f) for gf in cover.fragments
     )
+
+
+def _shortest_join_path(
+    adjacency: Dict[int, Set[int]], sources: Sequence[int], targets: Set[int]
+) -> List[int]:
+    """Interior atoms of a shortest join path from *sources* to *targets*
+    (breadth-first, neighbours in index order, so ties fall to the lowest
+    atom index); empty when there is no path."""
+    parent: Dict[int, Optional[int]] = {source: None for source in sources}
+    queue = list(sources)
+    for node in queue:
+        for neighbor in sorted(adjacency[node]):
+            if neighbor in targets:
+                path = []
+                while parent[node] is not None:
+                    path.append(node)
+                    node = parent[node]
+                return path
+            if neighbor not in parent:
+                parent[neighbor] = node
+                queue.append(neighbor)
+    return []
+
+
+def connect_fragments(
+    cover: GeneralizedCover, adjacency: Dict[int, Set[int]]
+) -> GeneralizedCover:
+    """Move *cover* into Gq by enlarging every disconnected f-part.
+
+    The components of an f-part are bridged with the atoms of a shortest
+    join path, as semijoin reducers: g-parts are untouched, so the g-cover
+    (and with it Theorem 3) is unchanged. A fragment whose f ends up
+    inside an enlarged f is unioned into it, as a GDL *union* move would.
+    Components with no join path between them (a disconnected query) stay
+    apart.
+    """
+    enlarged: List[GeneralizedFragment] = []
+    for gf in cover.fragments:
+        f = set(gf.f)
+        components = join_components(adjacency, f)
+        while len(components) > 1:
+            bridge = _shortest_join_path(
+                adjacency, components[0], f.difference(components[0])
+            )
+            if not bridge:
+                break
+            f.update(bridge)
+            components = join_components(adjacency, f)
+        enlarged.append(GeneralizedFragment(frozenset(f), gf.g))
+    kept: List[GeneralizedFragment] = []
+    for gf in sorted(enlarged, key=lambda gf: (-len(gf.f), gf.key())):
+        for position, larger in enumerate(kept):
+            if gf.f <= larger.f:
+                kept[position] = GeneralizedFragment(larger.f, larger.g | gf.g)
+                break
+        else:
+            kept.append(gf)
+    return GeneralizedCover(cover.query, tuple(kept))
 
 
 def enumerate_generalized_covers(

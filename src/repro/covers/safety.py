@@ -41,6 +41,12 @@ def root_cover(query: CQ, tbox: TBox) -> Cover:
     Built as the connected components of the dependency adjacency between
     atoms — equivalent to the paper's inflationary pairwise-union
     construction, and independent of fragment consideration order.
+
+    This is the definition as the paper gives it, and what the ``croot``
+    strategy evaluates: a fragment merged by dependency alone need not be
+    join-connected. GDL repairs its own start cover
+    (:func:`repro.covers.generalized.connect_fragments`); ``croot`` stays
+    the uncorrected baseline.
     """
     adjacency = _dependency_adjacency(query, tbox)
     seen: Set[int] = set()

@@ -44,6 +44,7 @@ and never costs a full-cache flush.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import os
 import threading
@@ -231,18 +232,32 @@ def _perfectref_counts() -> Tuple[int, int, int]:
     return (perfectref_invocations(), perfectref_candidates(), perfectref_results())
 
 
-def _describe_search(span, search: "SearchResult") -> None:
+def _describe_search(
+    span, search: "SearchResult", estimator: CoverCostEstimator
+) -> None:
     """Fold a cover search's effort counters onto its trace span: the
     cost-estimation side of the paper's pipeline (candidates considered,
-    estimator calls, chosen cost). No-op with tracing off."""
+    estimator calls, chosen cost), and what makes a bad pick diagnosable
+    — the chosen cover, the reducer atoms the connectivity repair added
+    to the start cover, and the five cheapest covers the search priced
+    and rejected. No-op with tracing off."""
     if not span.enabled:
         return
+    chosen = search.cover.key()
+    rejected = heapq.nsmallest(
+        5,
+        (pair for pair in estimator.priced or () if pair[0].key() != chosen),
+        key=lambda pair: pair[1],
+    )
     span.set(
         safe_covers_explored=search.safe_covers_explored,
         generalized_covers_explored=search.generalized_covers_explored,
         cost_estimations=search.cost_estimations,
         est_cost=search.cost,
         hit_time_budget=search.hit_time_budget,
+        cover=str(search.cover),
+        reducers_added=search.reducers_added,
+        alternatives=[[str(cover), cost] for cover, cost in rejected],
     )
 
 
@@ -823,6 +838,36 @@ class OBDASystem:
             )
         raise ValueError(f"unknown cost mode {cost!r}; expected one of {COST_MODES}")
 
+    def _search(
+        self,
+        span,
+        algorithm: str,
+        query: CQ,
+        estimator: CoverCostEstimator,
+        time_budget_seconds: Optional[float],
+        generalized_limit: Optional[int],
+    ) -> SearchResult:
+        """Run one cover search under a ``cover_search`` child of *span*."""
+        with span.child("cover_search", algorithm=algorithm) as search_span:
+            if search_span.enabled:
+                estimator.priced = []
+            if algorithm == "gdl":
+                search = gdl_search(
+                    query,
+                    self.kb.tbox,
+                    estimator,
+                    time_budget_seconds=time_budget_seconds,
+                )
+            else:
+                search = edl_search(
+                    query,
+                    self.kb.tbox,
+                    estimator,
+                    generalized_limit=generalized_limit,
+                )
+            _describe_search(search_span, search, estimator)
+        return search
+
     def _plan_key(
         self, query: CQ, strategy: str, cost: str, minimize: bool, use_uscq: bool
     ) -> Tuple:
@@ -955,14 +1000,9 @@ class OBDASystem:
             reformulation: object = query
         elif strategy == "auto":
             estimator = self._estimator(cost, minimize, use_uscq)
-            with span.child("cover_search", algorithm="gdl") as search_span:
-                search = gdl_search(
-                    query,
-                    self.kb.tbox,
-                    estimator,
-                    time_budget_seconds=time_budget_seconds,
-                )
-                _describe_search(search_span, search)
+            search = self._search(
+                span, "gdl", query, estimator, time_budget_seconds, generalized_limit
+            )
             if self._saturator.truncated:
                 # Saturation is incomplete at this generation bound;
                 # reformulation is the only complete side, whatever the
@@ -1004,22 +1044,9 @@ class OBDASystem:
             )
         elif strategy in ("gdl", "edl"):
             estimator = self._estimator(cost, minimize, use_uscq)
-            with span.child("cover_search", algorithm=strategy) as search_span:
-                if strategy == "gdl":
-                    search = gdl_search(
-                        query,
-                        self.kb.tbox,
-                        estimator,
-                        time_budget_seconds=time_budget_seconds,
-                    )
-                else:
-                    search = edl_search(
-                        query,
-                        self.kb.tbox,
-                        estimator,
-                        generalized_limit=generalized_limit,
-                    )
-                _describe_search(search_span, search)
+            search = self._search(
+                span, strategy, query, estimator, time_budget_seconds, generalized_limit
+            )
             reformulation = estimator.reformulate(search.cover)
         else:
             raise ValueError(

@@ -31,7 +31,10 @@ def edl_search(
     """Exhaustively search Lq (and Gq up to *generalized_limit*).
 
     The generalized cap mirrors the paper, which stopped counting A6's
-    space at 20,003 covers.
+    space at 20,003 covers. Unlike GDL, EDL does not repair or filter
+    anything: it prices Lq as :func:`enumerate_safe_covers` yields it
+    (root fragments that are not join-connected included) and Gq as
+    :func:`enumerate_generalized_covers` does.
     """
     start = time.perf_counter()
     best_cover = None

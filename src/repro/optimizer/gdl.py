@@ -1,7 +1,14 @@
 """GDL — Greedy Covers for DL (Algorithm 1 of the paper).
 
-Starting from the root cover, GDL repeatedly evaluates the *moves*
-available from the current cover:
+The search space is Gq (§5.2): the g-parts form a safe cover and every
+f-part is join-connected. Definition 6's dependency merge can hand the
+root cover fragments that are *not* join-connected, so the search starts
+from the root cover repaired into Gq (:func:`~repro.covers.generalized.
+connect_fragments`) and no move leaves it: an f-part that is a cartesian
+product is excluded by the definition of the space, not left to a cost
+model whose join-cardinality error such a product multiplies by a whole
+extension (docs/ARCHITECTURE.md has the measurement). From there GDL
+repeatedly evaluates the *moves* available from the current cover:
 
 * **union** two fragments — merging ``f1||g1`` and ``f2||g2`` into
   ``(f1 ∪ f2)||(g1 ∪ g2)`` (the g-parts stay a union of root fragments,
@@ -21,7 +28,12 @@ from __future__ import annotations
 import time
 from typing import Dict, FrozenSet, Iterator, Optional, Set, Tuple
 
-from repro.covers.cover import Cover, GeneralizedCover, GeneralizedFragment
+from repro.covers.cover import (
+    GeneralizedCover,
+    GeneralizedFragment,
+    join_components,
+)
+from repro.covers.generalized import connect_fragments
 from repro.covers.safety import root_cover
 from repro.cost.estimators import CoverCostEstimator
 from repro.dllite.tbox import TBox
@@ -29,26 +41,8 @@ from repro.optimizer.result import SearchResult
 from repro.queries.cq import CQ
 
 
-def _union_moves(cover: GeneralizedCover) -> Iterator[GeneralizedCover]:
-    """All covers obtained by unioning two fragments of *cover*."""
-    fragments = cover.fragments
-    for i in range(len(fragments)):
-        for j in range(i + 1, len(fragments)):
-            first, second = fragments[i], fragments[j]
-            merged = GeneralizedFragment(
-                first.f | second.f, first.g | second.g
-            )
-            remaining = [
-                gf for k, gf in enumerate(fragments) if k not in (i, j)
-            ]
-            try:
-                yield GeneralizedCover(cover.query, tuple(remaining) + (merged,))
-            except ValueError:
-                continue  # inclusion among fragments: not a valid cover
-
-
 class _MoveEnumerator:
-    """Per-search enumeration state for *enlarge* moves.
+    """Per-search enumeration state for GDL moves.
 
     The atom-adjacency map depends only on the query, and a fragment's
     frontier only on its ``f`` part — both recur across the covers one
@@ -57,15 +51,31 @@ class _MoveEnumerator:
     """
 
     def __init__(self, query: CQ) -> None:
-        self.adjacency: Dict[int, Set[int]] = {
-            i: set() for i in range(len(query.atoms))
-        }
-        for positions in query.atoms_sharing_variable().values():
-            for i in positions:
-                for j in positions:
-                    if i != j:
-                        self.adjacency[i].add(j)
+        self.adjacency = query.atom_adjacency()
         self._frontiers: Dict[FrozenSet[int], Tuple[int, ...]] = {}
+
+    def union_moves(self, cover: GeneralizedCover) -> Iterator[GeneralizedCover]:
+        """All covers obtained by unioning two fragments of *cover* whose
+        merged f-part is join-connected: a merge of fragments that share
+        no variable is a cartesian product, outside Gq (§5.2)."""
+        fragments = cover.fragments
+        for i in range(len(fragments)):
+            for j in range(i + 1, len(fragments)):
+                first, second = fragments[i], fragments[j]
+                merged = GeneralizedFragment(
+                    first.f | second.f, first.g | second.g
+                )
+                if len(join_components(self.adjacency, merged.f)) > 1:
+                    continue
+                remaining = [
+                    gf for k, gf in enumerate(fragments) if k not in (i, j)
+                ]
+                try:
+                    yield GeneralizedCover(
+                        cover.query, tuple(remaining) + (merged,)
+                    )
+                except ValueError:
+                    continue  # inclusion among fragments: not a valid cover
 
     def frontier(self, f: FrozenSet[int]) -> Tuple[int, ...]:
         """Atom indices join-connected to ``f`` but outside it, sorted."""
@@ -101,7 +111,8 @@ def gdl_search(
     """Greedy cover search (Algorithm 1), optionally time-limited.
 
     ``enable_generalized=False`` restricts the search to *union* moves
-    (the safe-cover lattice Lq only) — the ablation quantifying what the
+    (the safe-cover lattice Lq only) from the root cover as Definition 6
+    builds it, with no reducer added — the ablation quantifying what the
     semijoin-reducer space Gq buys (§6.3 reports GDL picks a generalized
     cover always under the external model).
     """
@@ -113,19 +124,22 @@ def gdl_search(
             and time.perf_counter() - start > time_budget_seconds
         )
 
+    moves = _MoveEnumerator(query)
     current = GeneralizedCover.from_cover(root_cover(query, tbox))
+    if enable_generalized:
+        current = connect_fragments(current, moves.adjacency)
+    reducers_added = sum(len(gf.reducers) for gf in current.fragments)
     current_cost = estimator.estimate(current)
     visited: Set[Tuple] = {current.key()}
-    safe_explored = 1
-    generalized_explored = 0
+    safe_explored = int(current.is_plain())
+    generalized_explored = 1 - safe_explored
     hit_budget = False
-    moves = _MoveEnumerator(query)
 
     for _step in range(max_steps):
         move: Optional[GeneralizedCover] = None
         move_cost: Optional[float] = None
         move_is_generalized = False
-        move_kinds = [("union", _union_moves(current))]
+        move_kinds = [("union", moves.union_moves(current))]
         if enable_generalized:
             move_kinds.append(("enlarge", moves.enlarge_moves(current)))
         for kind, candidates in move_kinds:
@@ -163,4 +177,5 @@ def gdl_search(
         cost_estimations=estimator.calls,
         elapsed_seconds=time.perf_counter() - start,
         hit_time_budget=hit_budget,
+        reducers_added=reducers_added,
     )

@@ -21,6 +21,9 @@ class SearchResult:
     cost_estimations: int = 0
     elapsed_seconds: float = 0.0
     hit_time_budget: bool = False
+    #: Reducer atoms GDL's connectivity repair put into the start cover
+    #: (0 when every root fragment was already join-connected).
+    reducers_added: int = 0
 
     @property
     def total_covers_explored(self) -> int:

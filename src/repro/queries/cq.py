@@ -95,14 +95,17 @@ class CQ:
         """True when the body atoms form one join-connected component."""
         return len(self.connected_components()) <= 1
 
-    def connected_components(self) -> List[FrozenSet[int]]:
-        """Partition atom indexes into join-connected components."""
+    def atom_adjacency(self) -> Dict[int, Set[int]]:
+        """The join graph of the body: atom index -> atoms sharing a variable."""
         adjacency: Dict[int, Set[int]] = {i: set() for i in range(len(self.atoms))}
         for positions in self.atoms_sharing_variable().values():
             for i in positions:
-                for j in positions:
-                    if i != j:
-                        adjacency[i].add(j)
+                adjacency[i].update(j for j in positions if j != i)
+        return adjacency
+
+    def connected_components(self) -> List[FrozenSet[int]]:
+        """Partition atom indexes into join-connected components."""
+        adjacency = self.atom_adjacency()
         seen: Set[int] = set()
         components: List[FrozenSet[int]] = []
         for start in range(len(self.atoms)):

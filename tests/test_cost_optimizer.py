@@ -1,14 +1,24 @@
 """Tests for statistics, the external cost model, EDL and GDL."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+from repro.bench.datagen import stream_facts
+from repro.bench.generator import generate_abox
+from repro.bench.lubm import lubm_exists_tbox
+from repro.bench.queries import benchmark_queries
+from repro.cost.cache import ReformulationCache
 from repro.cost.estimators import ExternalCoverCost, RDBMSCoverCost
 from repro.cost.model import ExternalCostModel
 from repro.cost.statistics import DataStatistics
 from repro.covers.cover import GeneralizedCover
+from repro.covers.generalized import in_generalized_space
 from repro.covers.safety import root_cover, single_fragment_cover
+from repro.dllite.abox import ABox
 from repro.dllite.parser import parse_query
 from repro.optimizer.edl import edl_search
 from repro.optimizer.gdl import gdl_search
@@ -279,6 +289,150 @@ class TestGDL:
             )
             assert warm_result.cover.key() == private_result.cover.key()
             assert warm_result.cost == private_result.cost
+
+
+#: The 16 queries of the end-to-end ledger (``benchmarks/e2e``): the
+#: superclass queries S1-S3 beside the workload's Q1-Q13.
+LEDGER_QUERIES = {
+    "S1": parse_query("q(x) <- Student(x), takesCourse(x, y)"),
+    "S2": parse_query("q(x) <- Professor(x), worksFor(x, y)"),
+    "S3": parse_query("q(x, y) <- Article(x), publicationAuthor(x, y)"),
+    **benchmark_queries(),
+}
+
+#: Prints the cover GDL picks for every ledger query, one per line; run
+#: in a child interpreter so ``PYTHONHASHSEED`` can be set.
+PICKS_SCRIPT = """
+from repro.bench.generator import generate_abox
+from repro.bench.lubm import lubm_exists_tbox
+from repro.cost.estimators import ExternalCoverCost
+from repro.cost.model import ExternalCostModel
+from repro.cost.statistics import DataStatistics
+from repro.optimizer.gdl import gdl_search
+from test_cost_optimizer import LEDGER_QUERIES
+
+tbox = lubm_exists_tbox()
+model = ExternalCostModel(DataStatistics.from_abox(generate_abox("tiny")))
+for name, query in LEDGER_QUERIES.items():
+    print(name, gdl_search(query, tbox, ExternalCoverCost(tbox, model)).cover)
+"""
+
+
+class TestGDLStaysInGq:
+    """GDL starts from the root cover repaired into Gq and no move
+    leaves it (§5.2: safe g-cover, join-connected f-parts)."""
+
+    @pytest.fixture(scope="class")
+    def tbox(self):
+        return lubm_exists_tbox()
+
+    @pytest.fixture(scope="class")
+    def model_100k(self):
+        """The ext model over the ledger's 100k tier, seed 2016."""
+        abox = ABox()
+        for fact in stream_facts(100_000, 2016):
+            if fact[0] == "c":
+                abox.add_concept(fact[1], fact[2])
+            else:
+                abox.add_role(fact[1], fact[2], fact[3])
+        return ExternalCostModel(DataStatistics.from_abox(abox))
+
+    @pytest.fixture(scope="class")
+    def fragments(self):
+        return ReformulationCache()
+
+    @pytest.mark.parametrize("name", list(LEDGER_QUERIES))
+    def test_ledger_pick_is_in_gq(self, name, tbox, model_100k, fragments):
+        estimator = ExternalCoverCost(tbox, model_100k, fragment_cache=fragments)
+        search = gdl_search(LEDGER_QUERIES[name], tbox, estimator)
+        assert in_generalized_space(search.cover, tbox)
+
+    def test_q10_pick_is_pinned(self, tbox, model_100k, fragments):
+        # The root cover's f0 carries University(u) as a cartesian
+        # product (861 ms on SQLite); the repaired start cover, with
+        # subOrganizationOf(d, u) as reducer, runs in 109 ms and no move
+        # is priced below it.
+        estimator = ExternalCoverCost(tbox, model_100k, fragment_cache=fragments)
+        search = gdl_search(LEDGER_QUERIES["Q10"], tbox, estimator)
+        assert str(search.cover) == (
+            "{[0, 1, 2, 3, 4, 5, 7, 8, 9]||[0, 1, 2, 3, 4, 5, 8, 9]; "
+            "[6, 7]||[6, 7]}"
+        )
+        assert search.reducers_added == 1
+
+    def test_zero_budget_returns_the_connected_start_cover(
+        self, tbox, model_100k, fragments
+    ):
+        estimator = ExternalCoverCost(tbox, model_100k, fragment_cache=fragments)
+        search = gdl_search(
+            LEDGER_QUERIES["Q10"], tbox, estimator, time_budget_seconds=0
+        )
+        assert search.hit_time_budget
+        assert search.total_covers_explored == 1
+        assert in_generalized_space(search.cover, tbox)
+
+    @pytest.mark.parametrize("name", ["Q7", "Q8", "Q10", "Q12"])
+    def test_lq_ablation_adds_no_reducer(self, name, tbox, model_100k, fragments):
+        # These four have a disconnected root fragment; the Lq-only
+        # search starts from the root cover as Definition 6 builds it.
+        estimator = ExternalCoverCost(tbox, model_100k, fragment_cache=fragments)
+        search = gdl_search(
+            LEDGER_QUERIES[name], tbox, estimator, enable_generalized=False
+        )
+        assert search.cover.is_plain()
+        assert search.reducers_added == 0
+        assert search.generalized_covers_explored == 0
+
+    def test_disconnected_query_terminates_with_ucq_answers(self, tbox):
+        # No join path exists, so there is nothing to repair, and the
+        # union of the two fragments (a cross product) is not a move.
+        query = parse_query("q(x, y) <- Student(x), University(y)")
+        abox = generate_abox("tiny")
+        model = ExternalCostModel(DataStatistics.from_abox(abox))
+        estimator = ExternalCoverCost(tbox, model)
+        search = gdl_search(query, tbox, estimator)
+        assert search.cover == GeneralizedCover.from_cover(root_cover(query, tbox))
+        assert search.reducers_added == 0
+        assert search.total_covers_explored == 1
+        facts = abox.fact_store()
+        assert evaluate_jucq(estimator.reformulate(search.cover), facts) == evaluate(
+            reformulate_to_ucq(query, tbox), facts
+        )
+
+    def test_picks_do_not_depend_on_the_hash_seed(self):
+        here = os.path.dirname(os.path.abspath(__file__))
+        picks = []
+        for seed in ("0", "5"):
+            path = os.pathsep.join([here] + sys.path)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            done = subprocess.run(
+                [sys.executable, "-c", PICKS_SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            picks.append(done.stdout)
+        assert picks[0].count("\n") == len(LEDGER_QUERIES)
+        assert picks[0] == picks[1]
+
+    @pytest.mark.parametrize("use_uscq", [False, True])
+    def test_component_memo_is_exact(self, use_uscq, tbox, model_100k, fragments):
+        # Every cover a search prices through the per-component memo gets
+        # the very float the model computes from scratch. (RDBMSCoverCost
+        # prices whole SQL statements and has no memo.)
+        for name, query in LEDGER_QUERIES.items():
+            if use_uscq and name in ("Q5", "Q10"):
+                continue  # factorising their fragments takes 7 s each
+            estimator = ExternalCoverCost(
+                tbox, model_100k, use_uscq=use_uscq, fragment_cache=fragments
+            )
+            estimator.priced = []
+            gdl_search(query, tbox, estimator)
+            assert estimator.priced
+            for cover, cost in estimator.priced:
+                assert cost == model_100k.estimate(estimator.reformulate(cover))
 
 
 class TestEDL:

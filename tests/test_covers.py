@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.bench.lubm import lubm_exists_tbox
+from repro.bench.queries import query as lubm_query
 from repro.covers.cover import Cover, GeneralizedCover, GeneralizedFragment
 from repro.covers.dependencies import (
     dependencies,
@@ -15,6 +17,7 @@ from repro.covers.lattice import (
     safe_cover_count,
 )
 from repro.covers.generalized import (
+    connect_fragments,
     enumerate_generalized_covers,
     generalized_space_upper_bound,
     in_generalized_space,
@@ -304,6 +307,50 @@ class TestGeneralizedCovers:
 
     def test_upper_bound_formula(self):
         assert generalized_space_upper_bound(3) == 5 * 3 * 4
+
+
+class TestConnectFragments:
+    """The repair that moves a lifted root cover into Gq."""
+
+    @staticmethod
+    def repaired(query, tbox):
+        lifted = GeneralizedCover.from_cover(root_cover(query, tbox))
+        return lifted, connect_fragments(lifted, query.atom_adjacency())
+
+    def test_bridges_with_a_shortest_path_and_leaves_g_alone(self):
+        # Q10's root f0 holds University(u) with nothing that mentions u:
+        # subOrganizationOf(d, u) (atom 7) is the one-atom bridge.
+        tbox = lubm_exists_tbox()
+        lifted, repaired = self.repaired(lubm_query("Q10"), tbox)
+        assert not in_generalized_space(lifted, tbox)
+        assert in_generalized_space(repaired, tbox)
+        assert repaired.g_cover() == lifted.g_cover()
+        assert str(repaired) == (
+            "{[0, 1, 2, 3, 4, 5, 7, 8, 9]||[0, 1, 2, 3, 4, 5, 8, 9]; "
+            "[6, 7]||[6, 7]}"
+        )
+
+    def test_swallowed_fragment_is_unioned_not_an_error(self):
+        # Q7's bridge is orgPublication(x, p), the whole other fragment:
+        # the enlarged f includes it, which Definition 1 forbids side by
+        # side — the two become one fragment, as a union move would.
+        tbox = lubm_exists_tbox()
+        _lifted, repaired = self.repaired(lubm_query("Q7"), tbox)
+        assert repaired.key() == (((0, 1, 2, 3, 4, 5),) * 2,)
+        assert in_generalized_space(repaired, tbox)
+
+    def test_connected_cover_is_returned_as_is(self, example7_query, example7_tbox):
+        lifted, repaired = self.repaired(example7_query, example7_tbox)
+        assert repaired == lifted
+
+    def test_components_without_a_join_path_stay_apart(self):
+        query = parse_query("q(x, y) <- A(x), r(x, z), B(y)")
+        cover = GeneralizedCover(
+            query,
+            (GeneralizedFragment(frozenset({0, 2}), frozenset({0, 2})),
+             GeneralizedFragment(frozenset({1}), frozenset({1}))),
+        )
+        assert connect_fragments(cover, query.atom_adjacency()) == cover
 
 
 class TestCoverBasedReformulation:

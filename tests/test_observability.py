@@ -383,6 +383,31 @@ class TestTracedAnswerMatrix:
             assert repeated["perfectref_results"] == 0
             assert not repeat.trace.find("cover_search")
 
+    def test_cover_search_span_makes_a_pick_diagnosable(self):
+        # Q12's root cover has a fragment that is not join-connected
+        # ({Chair(x), worksFor(x, y), University(u)}): the span names the
+        # cover chosen, the reducer the repair added to reach u, and the
+        # cheapest covers the search priced and turned down.
+        from repro.bench.generator import generate_abox
+        from repro.bench.lubm import lubm_exists_tbox
+        from repro.bench.queries import query
+
+        with OBDASystem(
+            lubm_exists_tbox(), generate_abox("tiny"), trace=True
+        ) as system:
+            report = system.answer(query("Q12"), strategy="gdl")
+            attributes = report.trace.find("cover_search")[0].attributes
+            assert attributes["cover"] == str(report.choice.search.cover)
+            assert attributes["reducers_added"] == 1
+            alternatives = attributes["alternatives"]
+            assert 1 <= len(alternatives) <= 5
+            assert len(alternatives) == min(
+                5, report.choice.search.total_covers_explored - 1
+            )
+            estimates = [estimate for _cover, estimate in alternatives]
+            assert estimates == sorted(estimates)
+            assert attributes["cover"] not in [cover for cover, _ in alternatives]
+
 
 class TestDisabledTracing:
     def test_disabled_trace_identical_answers_and_no_buffers(

@@ -12,13 +12,20 @@
 
 from __future__ import annotations
 
+import functools
 import random as stdlib_random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 from legacy_canonical_key import legacy_canonical_key
 
+from repro.bench.generator import generate_abox
+from repro.bench.lubm import lubm_exists_tbox
+from repro.cost.cache import ReformulationCache
+from repro.cost.estimators import ExternalCoverCost
+from repro.cost.model import ExternalCostModel
+from repro.cost.statistics import DataStatistics
 from repro.covers.lattice import enumerate_safe_covers
-from repro.covers.generalized import enumerate_generalized_covers
+from repro.covers.generalized import enumerate_generalized_covers, in_generalized_space
 from repro.covers.reformulate import cover_based_reformulation
 from repro.dllite.abox import ABox
 from repro.dllite.axioms import ConceptInclusion, RoleInclusion
@@ -26,6 +33,7 @@ from repro.dllite.kb import KnowledgeBase
 from repro.dllite.saturation import certain_answers
 from repro.dllite.tbox import TBox
 from repro.dllite.vocabulary import AtomicConcept, Exists, Role
+from repro.optimizer.gdl import gdl_search
 from repro.queries.atoms import Atom, concept_atom, role_atom
 from repro.queries.cq import CQ
 from repro.queries.evaluate import evaluate_cq, evaluate_jucq, evaluate_ucq, evaluate_uscq
@@ -99,8 +107,8 @@ def aboxes(draw):
 
 
 @st.composite
-def connected_cqs(draw, max_atoms: int = 3):
-    """Small connected CQs over the shared vocabulary."""
+def connected_cqs(draw, max_atoms: int = 3, concepts=CONCEPTS, roles=ROLES):
+    """Small connected CQs over the shared vocabulary (or the given one)."""
     atom_count = draw(st.integers(1, max_atoms))
     atoms = []
     used_vars = [VARIABLES[0]]
@@ -114,10 +122,10 @@ def connected_cqs(draw, max_atoms: int = 3):
             else st.sampled_from(used_vars)
         )
         if draw(st.booleans()):
-            atoms.append(concept_atom(draw(st.sampled_from(CONCEPTS)), anchor))
+            atoms.append(concept_atom(draw(st.sampled_from(concepts)), anchor))
         else:
             pair = (anchor, other) if draw(st.booleans()) else (other, anchor)
-            atoms.append(role_atom(draw(st.sampled_from(ROLES)), *pair))
+            atoms.append(role_atom(draw(st.sampled_from(roles)), *pair))
             if other not in used_vars:
                 used_vars.append(other)
     body_vars = sorted({v for a in atoms for v in a.variables()})
@@ -196,6 +204,30 @@ class TestCoverTheorems:
         for cover in enumerate_generalized_covers(query, tbox, limit=8):
             jucq = cover_based_reformulation(cover, tbox)
             assert evaluate_jucq(jucq, facts) == reference
+
+
+#: LUBM∃ predicates that fuse and split in the root cover the way the
+#: ledger queries' atoms do (Q7, Q8, Q10 and Q12 are drawn from these).
+LUBM_CONCEPTS = ["Department", "University", "Professor", "Chair", "GraduateCourse"]
+LUBM_ROLES = ["worksFor", "subOrganizationOf", "teacherOf", "takesCourse", "advisor"]
+
+
+@functools.lru_cache(maxsize=None)
+def _lubm_search_context():
+    """TBox, ext model over the tiny ABox, and one fragment cache shared
+    by every example (the same fragments recur across drawn queries)."""
+    model = ExternalCostModel(DataStatistics.from_abox(generate_abox("tiny")))
+    return lubm_exists_tbox(), model, ReformulationCache()
+
+
+class TestGDLSearchSpace:
+    @settings(max_examples=200, deadline=None)
+    @given(connected_cqs(max_atoms=6, concepts=LUBM_CONCEPTS, roles=LUBM_ROLES))
+    def test_gdl_returns_a_cover_of_gq(self, query):
+        tbox, model, fragments = _lubm_search_context()
+        estimator = ExternalCoverCost(tbox, model, fragment_cache=fragments)
+        search = gdl_search(query, tbox, estimator)
+        assert in_generalized_space(search.cover, tbox)
 
 
 # ---------------------------------------------------------------------------
