@@ -23,6 +23,7 @@ re-run at three orders of magnitude. Per scale tier this records into
 
 from __future__ import annotations
 
+import gc
 import os
 from dataclasses import asdict
 from time import perf_counter
@@ -141,6 +142,11 @@ def _shard_timings(scale: int, tbox) -> dict:
 def test_scale_tier(scale, engine_report):
     """One full tier: generate, ingest both ways, query, calibrate."""
     tbox = lubm_exists_tbox()
+    # The benchmark files that ran before leave ~30k cyclic objects and a
+    # large heap behind; one full collection of that is ~50 ms, ten times
+    # the 1k tier's whole bulk load, and where it lands is a coin toss.
+    # Pay it here, before anything below is timed.
+    gc.collect()
     payload = {"scale": scale, "generator": _generator_throughput(scale)}
 
     backend = MemoryBackend()

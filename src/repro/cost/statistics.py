@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Collection, Dict, Tuple
 
 from repro.dllite.abox import ABox
+from repro.dllite.positions import PositionCounts
 
 
 @dataclass(frozen=True)
@@ -23,10 +24,6 @@ class PredicateStatistics:
     distinct_subjects: int
     distinct_objects: int = 0  # 0 for concepts
 
-    @property
-    def is_role(self) -> bool:
-        return self.distinct_objects > 0 or self.cardinality == 0
-
 
 class DataStatistics:
     """Per-predicate cardinalities and distinct counts."""
@@ -34,6 +31,11 @@ class DataStatistics:
     def __init__(self) -> None:
         self._predicates: Dict[str, PredicateStatistics] = {}
         self.total_facts = 0
+        #: Value multisets of the roles written since load: a role's
+        #: distinct counts after a write are ``len()`` of these. Filled
+        #: per role on its first write, so loading builds nothing.
+        self._positions = PositionCounts()
+        self._positions_are_mine = True
 
     @classmethod
     def from_abox(cls, abox: ABox) -> "DataStatistics":
@@ -41,9 +43,9 @@ class DataStatistics:
         stats = cls()
         for concept in abox.concept_names():
             rows = abox.concept_facts(concept)
+            # Rows are 1-tuples in a set: every row is a distinct subject.
             stats._predicates[concept] = PredicateStatistics(
-                cardinality=len(rows),
-                distinct_subjects=len({r[0] for r in rows}),
+                cardinality=len(rows), distinct_subjects=len(rows)
             )
         for role in abox.role_names():
             rows = abox.role_facts(role)
@@ -55,21 +57,47 @@ class DataStatistics:
         stats.total_facts = len(abox)
         return stats
 
-    def refresh_predicate(self, name: str, rows: Collection[Tuple]) -> None:
-        """Recompute one predicate's statistics from its current rows
-        (any sized collection; it is only read, so pass the live one).
+    def share_positions(self, positions: PositionCounts) -> None:
+        """Read role distinct counts off *positions* from now on: a
+        multiset whose owner (the saturator) counts every role row it
+        stores, so the statistics only ever read it."""
+        self._positions = positions
+        self._positions_are_mine = False
 
-        The write path calls this for every predicate a write touched, so
-        statistics stay exact without a full rescan; the data epoch tells
+    def refresh_predicate(
+        self,
+        name: str,
+        added: Collection[Tuple],
+        removed: Collection[Tuple],
+        rows: Collection[Tuple],
+    ) -> None:
+        """Bring one predicate's statistics up to date with a write.
+
+        *added* / *removed* are the rows of *name* the write stored and
+        dropped (of one arity, not both empty); the cost is theirs, not
+        the extension's. *rows*, the live extension after the write, is
+        scanned once, on the first write to a role nobody counts yet —
+        never under :meth:`share_positions`. The write path calls this
+        for every predicate a write touched; the data epoch tells
         consumers which cached estimates became stale.
         """
-        old = self._predicates.get(name)
-        self.total_facts += len(rows) - (old.cardinality if old else 0)
-        is_role = any(len(row) == 2 for row in rows)
+        change = len(added) - len(removed)
+        self.total_facts += change
+        cardinality = self.for_predicate(name).cardinality + change
+        if len(next(iter(added or removed))) == 1:
+            self._predicates[name] = PredicateStatistics(cardinality, cardinality)
+            return
+        positions = self._positions
+        if self._positions_are_mine:
+            if name in positions:
+                for row in added:
+                    positions.add(name, row)
+                for row in removed:
+                    positions.remove(name, row)
+            else:
+                positions.track(name, rows)
         self._predicates[name] = PredicateStatistics(
-            cardinality=len(rows),
-            distinct_subjects=len({row[0] for row in rows}),
-            distinct_objects=len({row[1] for row in rows}) if is_role else 0,
+            cardinality, positions.distinct(name, 0), positions.distinct(name, 1)
         )
 
     def for_predicate(self, name: str) -> PredicateStatistics:

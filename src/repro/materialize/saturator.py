@@ -33,6 +33,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.dllite.abox import ABox, Assertion, ConceptAssertion, RoleAssertion
 from repro.dllite.axioms import ConceptInclusion, RoleInclusion
+from repro.dllite.positions import PositionCounts
 from repro.dllite.saturation import NULL_PREFIX, is_null
 from repro.dllite.tbox import TBox
 from repro.dllite.vocabulary import AtomicConcept, Exists
@@ -120,9 +121,11 @@ class Saturator:
         #: generation of each labeled null (constants are generation 0)
         self._generation: Dict[str, int] = {}
         self._null_counter = itertools.count()
-        #: (role name, position) -> multiset of values at that position,
-        #: for O(1) witness checks and backward membership checks.
-        self._position_counts: Dict[Tuple[str, int], Counter] = {}
+        #: Multiset of the values at each position of every stored role
+        #: row, for O(1) witness checks and backward membership checks;
+        #: the data statistics read their distinct counts off the same
+        #: instance (``DataStatistics.share_positions``).
+        self.positions = PositionCounts()
         #: how many store rows mention each live null; when a null's count
         #: hits zero its name is recycled (``_free_nulls``) so a long
         #: churn workload neither leaks generation entries nor grows the
@@ -199,10 +202,7 @@ class Saturator:
             return False
         rows.add(row)
         if len(row) == 2:
-            for position in (0, 1):
-                self._position_counts.setdefault(
-                    (predicate, position), Counter()
-                )[row[position]] += 1
+            self.positions.add(predicate, row)
         has_null = False
         for value in row:
             if is_null(value):
@@ -219,12 +219,7 @@ class Saturator:
             return False
         rows.discard(row)
         if len(row) == 2:
-            for position in (0, 1):
-                counter = self._position_counts.get((predicate, position))
-                if counter is not None:
-                    counter[row[position]] -= 1
-                    if counter[row[position]] <= 0:
-                        del counter[row[position]]
+            self.positions.remove(predicate, row)
         has_null = False
         for value in row:
             if is_null(value):
@@ -247,8 +242,7 @@ class Saturator:
         return fact[1] in self.store.get(fact[0], ())
 
     def _witnessed(self, role: str, member_pos: int, member: str) -> bool:
-        counter = self._position_counts.get((role, member_pos))
-        return bool(counter) and counter[member] > 0
+        return self.positions.count(role, member_pos, member) > 0
 
     def _generation_of(self, value: str) -> int:
         return self._generation.get(value, 0)
@@ -366,7 +360,7 @@ class Saturator:
         """Chase the current ABox from scratch; returns the derived facts
         (everything in the store beyond the base facts)."""
         self.store = {}
-        self._position_counts = {}
+        self.positions.clear()  # in place: the statistics may share it
         self._generation = {}
         self._null_counter = itertools.count()
         self._null_refs = Counter()

@@ -602,8 +602,15 @@ class OBDASystem:
                     self.kb.abox,
                     max_generations=self.max_generations,
                 )
+                started = time.perf_counter()
                 derived = saturator.saturate()
+                get_registry().observe(
+                    "repro.write.saturate.seconds", time.perf_counter() - started
+                )
                 self._saturator = saturator
+                # From here on the saturator counts every stored role row;
+                # the statistics read the same multiset instead of a second.
+                self.statistics.share_positions(saturator.positions)
                 self._apply_write(derived, set())
 
     def insert_facts(self, assertions: Sequence[Union[Assertion, Tuple]]) -> int:
@@ -616,6 +623,7 @@ class OBDASystem:
         so no stale plan, statistic or cover cost is ever served afterwards.
         A call that changes nothing leaves every cache intact.
         """
+        started = time.perf_counter()
         parsed = [self._as_assertion(a) for a in assertions]
         with self._write_lock:
             self._check_writable()
@@ -635,11 +643,7 @@ class OBDASystem:
                     for assertion in new:
                         self.kb.abox.remove(assertion)
                     raise InconsistentKBError(violated)
-            if self._saturator is not None:
-                added, removed = self._saturator.insert(new)
-            else:
-                added, removed = {_fact_of(a) for a in new}, set()
-            self._apply_write(added, removed)
+            self._maintain(new, True, started)
             return len(new)
 
     def delete_facts(self, assertions: Sequence[Union[Assertion, Tuple]]) -> int:
@@ -650,6 +654,7 @@ class OBDASystem:
         still-derivable ones re-derived — never a full re-saturation.
         Derived facts that remain entailed by other base facts stay put.
         """
+        started = time.perf_counter()
         parsed = [self._as_assertion(a) for a in assertions]
         with self._write_lock:
             self._check_writable()
@@ -660,11 +665,7 @@ class OBDASystem:
                 return 0
             for assertion in present:
                 self.kb.abox.remove(assertion)
-            if self._saturator is not None:
-                added, removed = self._saturator.delete(present)
-            else:
-                added, removed = set(), {_fact_of(a) for a in present}
-            self._apply_write(added, removed)
+            self._maintain(present, False, started)
             return len(present)
 
     def epoch_token(self) -> int:
@@ -704,6 +705,29 @@ class OBDASystem:
                 f"got {type(self.layout).__name__}"
             )
 
+    def _maintain(
+        self, assertions: List[Assertion], inserted: bool, started: float
+    ) -> None:
+        """The shared tail of ``insert_facts`` / ``delete_facts``, under
+        the write lock: *assertions* already joined or left the ABox;
+        derive the stored-tuple deltas (the saturator's, or the facts
+        themselves), apply them, and record the write begun at *started*."""
+        registry = get_registry()
+        if self._saturator is not None:
+            saturator = self._saturator
+            chase = saturator.insert if inserted else saturator.delete
+            chase_started = time.perf_counter()
+            added, removed = chase(assertions)
+            registry.observe(
+                "repro.write.saturate.seconds",
+                time.perf_counter() - chase_started,
+            )
+        else:
+            facts = {_fact_of(a) for a in assertions}
+            added, removed = (facts, set()) if inserted else (set(), facts)
+        self._apply_write(added, removed)
+        registry.observe("repro.write.seconds", time.perf_counter() - started)
+
     def _apply_write(self, added: Set[Fact], removed: Set[Fact]) -> None:
         """Mirror store deltas into the backend and invalidate by epoch.
 
@@ -725,12 +749,13 @@ class OBDASystem:
         # backend ahead of the statistics or the epoch behind either.
         # (Each backend additionally serializes reads against its own
         # writes, so even barrier-less readers see whole writes.)
+        registry = get_registry()
         with self._barrier.exclusive(), paused():
+            started = time.perf_counter()
             self.backend.apply_changes(inserts, deletes)
-            self._refresh_statistics(
-                {predicate for predicate, _ in added}
-                | {predicate for predicate, _ in removed}
-            )
+            applied = time.perf_counter()
+            touched = self._refresh_statistics(added, removed)
+            refreshed = time.perf_counter()
             self.data_epoch += 1
             if self._replication_log is not None:
                 # Delta shipping: record the write (created tables plus
@@ -747,6 +772,11 @@ class OBDASystem:
                 )
                 self._replication_log.record(delta)
                 self._replicas.publish(delta)
+        registry.observe("repro.write.apply_changes.seconds", applied - started)
+        registry.observe("repro.write.stats_refresh.seconds", refreshed - applied)
+        registry.inc("repro.write.facts_added", len(added))
+        registry.inc("repro.write.facts_removed", len(removed))
+        registry.inc("repro.write.predicates_touched", touched)
 
     def _rows_by_table(self, facts: Set[Fact]) -> Dict[str, List[Tuple]]:
         """Group facts per backend table, dictionary-encoded."""
@@ -781,27 +811,31 @@ class OBDASystem:
         self._table_names.add(table)
         return spec
 
-    def _refresh_statistics(self, predicates: Set[str]) -> None:
-        """Recompute logical statistics for the predicates a write touched.
+    def _refresh_statistics(self, added: Set[Fact], removed: Set[Fact]) -> int:
+        """Fold a write's deltas into the logical statistics, one call
+        per touched predicate; returns how many that was.
 
         Statistics describe what the backend *stores*: base facts plus,
         under materialization, the derived tuples — that is what cost
-        estimates are estimates of.
+        estimates are estimates of. Only the deltas are read; a role's
+        asserted rows ride along for the one scan a non-materialized
+        system needs on its first write to that role (under
+        materialization the saturator already counts every stored row).
         """
-        if self._saturator is not None:
-            store = self._saturator.store
-            for predicate in predicates:
-                self.statistics.refresh_predicate(
-                    predicate, store.get(predicate, set())
-                )
-            return
-        abox = self.kb.abox
-        for predicate in predicates:
-            # The live extension, not a copy: the scan only reads it.
+        changes: Dict[Tuple[str, int], Tuple[List[Tuple], List[Tuple]]] = {}
+        for side, facts in enumerate((added, removed)):
+            for predicate, row in facts:
+                # Keyed by arity too, so each call sees rows of one shape.
+                key = (predicate, len(row))
+                if key not in changes:
+                    changes[key] = ([], [])
+                changes[key][side].append(row)
+        role_facts = self.kb.abox.role_facts
+        for (predicate, _), (plus, minus) in changes.items():
             self.statistics.refresh_predicate(
-                predicate,
-                abox.concept_facts(predicate) or abox.role_facts(predicate),
+                predicate, plus, minus, role_facts(predicate)
             )
+        return len(changes)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -1620,11 +1654,16 @@ class OBDASystem:
     def _decode(self, query: CQ, rows: List[Tuple]) -> Set[Tuple]:
         if not query.head:
             return {()} if rows else set()
-        decoded = {self.layout.dictionary.decode_row(row) for row in rows}
-        if self._saturator is not None:
-            # Saturated tables contain labeled nulls (existential
-            # witnesses); they assert existence, not identity, so rows
-            # naming them are not certain answers.
+        # Saturated tables contain labeled nulls (existential witnesses);
+        # they assert existence, not identity, so rows naming them are
+        # not certain answers.
+        drop_nulls = self._saturator is not None
+        dictionary = self.layout.dictionary
+        if all(is_variable(term) for term in query.head):
+            # Every output column is a stored column: all codes.
+            return dictionary.decode_rows(rows, drop_nulls)
+        decoded = {dictionary.decode_row(row) for row in rows}
+        if drop_nulls:
             decoded = {
                 row
                 for row in decoded

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+from repro.dllite.saturation import is_null
 
 
 class Dictionary:
@@ -16,6 +19,10 @@ class Dictionary:
     def __init__(self) -> None:
         self._code_of: Dict[str, int] = {}
         self._value_of: List[str] = []
+        #: Codes that name labeled nulls (existential witnesses), noted
+        #: when the code is allocated so answers can be filtered on
+        #: codes, before anything is decoded.
+        self._null_codes: Set[int] = set()
 
     def encode(self, value: str) -> int:
         """The code of *value*, allocating one if unseen."""
@@ -24,6 +31,8 @@ class Dictionary:
             code = len(self._value_of)
             self._code_of[value] = code
             self._value_of.append(value)
+            if is_null(value):
+                self._null_codes.add(code)
         return code
 
     def encode_many(self, values: Iterable[str]) -> List[int]:
@@ -47,6 +56,27 @@ class Dictionary:
         return tuple(
             self._value_of[v] if isinstance(v, int) and 0 <= v < len(self._value_of) else v
             for v in row
+        )
+
+    def decode_rows(
+        self, rows: Sequence[Tuple[int, ...]], drop_nulls: bool = False
+    ) -> Set[Tuple[str, ...]]:
+        """Decode result rows that hold nothing but codes into one set;
+        with *drop_nulls*, rows naming a labeled null are left out."""
+        if drop_nulls and self._null_codes:
+            rows = list(filter(self._null_codes.isdisjoint, rows))
+        if not rows:
+            return set()
+        # Column by column, so that every loop runs in C; zip puts the
+        # decoded columns back together as row tuples.
+        lookup = self._value_of.__getitem__
+        return set(
+            zip(
+                *(
+                    map(lookup, map(itemgetter(column), rows))
+                    for column in range(len(rows[0]))
+                )
+            )
         )
 
     def __len__(self) -> int:

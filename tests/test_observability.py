@@ -469,6 +469,31 @@ class TestSystemMetrics:
             prometheus = system.metrics_prometheus()
             assert "repro_query_count 2" in prometheus
 
+    def test_writes_populate_registry(self, example1_tbox, example1_abox):
+        with OBDASystem(example1_tbox, example1_abox, materialize=True) as system:
+            before = system.metrics()
+            chases = before["histograms"]["repro.write.saturate.seconds"]["count"]
+            assert chases == 1  # the initial chase
+            assert "repro.write.seconds" not in before["histograms"]
+            system.insert_facts([("supervisedBy", "Ada", "Grace")])
+            system.insert_facts([("supervisedBy", "Ada", "Grace")])  # no-op
+            system.delete_facts([("supervisedBy", "Ada", "Grace")])
+            after = system.metrics()
+            histograms, counters = after["histograms"], after["counters"]
+            assert histograms["repro.write.seconds"]["count"] == 2
+            assert histograms["repro.write.saturate.seconds"]["count"] == chases + 2
+            # One more of each: enabling materialization applies the
+            # derived tuples through the same path.
+            for stage in ("apply_changes", "stats_refresh"):
+                assert histograms[f"repro.write.{stage}.seconds"]["count"] == 3
+            added = counters["repro.write.facts_added"]
+            removed = counters["repro.write.facts_removed"]
+            # supervisedBy <= worksWith <= worksWith-, PhDStudent, Researcher …
+            assert added - before["counters"]["repro.write.facts_added"] >= 3
+            assert removed >= 3
+            assert counters["repro.write.predicates_touched"] >= 6
+            assert "repro_write_seconds_count 2" in system.metrics_prometheus()
+
     @needs_processes
     def test_metrics_merge_worker_registries_without_double_count(
         self, example1_tbox, example1_abox

@@ -58,6 +58,22 @@ class TestDictionary:
         d.encode("a")
         assert "a" in d and "b" not in d
 
+    def test_decode_rows_equals_decoding_row_by_row(self):
+        d = Dictionary()
+        values = ["a", "_:null0", "b", "_:null1", "c"]
+        codes = d.encode_many(values)
+        for arity in (1, 2, 3):
+            rows = [tuple(codes[(i + k) % 5] for k in range(arity)) for i in range(5)]
+            rows.append(rows[0])  # a duplicate: the result is a set
+            decoded = {d.decode_row(row) for row in rows}
+            assert d.decode_rows(rows) == decoded
+            certain = {
+                row for row in decoded if not any(v.startswith("_:null") for v in row)
+            }
+            assert d.decode_rows(rows, drop_nulls=True) == certain
+        assert d.decode_rows([]) == set()
+        assert d.decode_rows([(codes[1],)], drop_nulls=True) == set()
+
 
 class TestSimpleLayout:
     def test_tables_and_indexes(self, abox):
