@@ -98,6 +98,8 @@ def test_process_scatter_scaling(tbox, abox_15m, engine_report, monkeypatch):
         assert len(scattered.last_execution.shards_touched) == SHARDS
 
         telemetry = scattered.shard_telemetry()
+        shm_results = telemetry.get("shards.shm.results", 0)
+        shm_bytes = telemetry.get("shards.shm.bytes", 0)
         speedup = wall_1w / max(wall_4w, 1e-9)
         asserted = _enough_cpus()
         engine_report.extra(
@@ -109,9 +111,9 @@ def test_process_scatter_scaling(tbox, abox_15m, engine_report, monkeypatch):
                 "scatter_wall_s_1w": round(wall_1w, 4),
                 "scatter_wall_s_4w": round(wall_4w, 4),
                 "speedup_4w_vs_1w": round(speedup, 2),
-                "shm_results": telemetry.get("shm_results", 0),
-                "shm_bytes": telemetry.get("shm_bytes", 0),
-                "inline_results": telemetry.get("inline_results", 0),
+                "shm_results": shm_results,
+                "shm_bytes": shm_bytes,
+                "inline_results": telemetry.get("shards.inline.results", 0),
                 "cpus": os.cpu_count(),
                 "gil": _gil_enabled(),
                 "scaling_asserted": asserted,
@@ -120,8 +122,7 @@ def test_process_scatter_scaling(tbox, abox_15m, engine_report, monkeypatch):
         print(
             f"\nprocess scatter on {role.name}: 1w={wall_1w * 1000:.1f}ms "
             f"{SHARDS}w={wall_4w * 1000:.1f}ms speedup={speedup:.2f}x "
-            f"(shm={telemetry.get('shm_results', 0)} segments, "
-            f"{telemetry.get('shm_bytes', 0)} bytes)"
+            f"(shm={shm_results} segments, {shm_bytes} bytes)"
         )
         if asserted:
             assert speedup >= 2.0, (

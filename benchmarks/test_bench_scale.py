@@ -72,6 +72,18 @@ def _timed(fn, repeats=EVAL_REPEAT):
     return best * 1000.0, result
 
 
+def _ingest(scale: int, tbox, incremental: bool) -> int:
+    """Load the tier into a fresh engine backend; the facts loaded."""
+    backend = MemoryBackend()
+    try:
+        total, _dictionary = load_generated(
+            backend, scale, tbox=tbox, incremental=incremental
+        )
+        return total
+    finally:
+        backend.close()
+
+
 def _generator_throughput(scale: int) -> dict:
     started = perf_counter()
     total = sum(1 for _ in stream_facts(scale))
@@ -169,17 +181,16 @@ def test_scale_tier(scale, engine_report):
     finally:
         backend.close()
 
-    incremental = MemoryBackend()
-    try:
-        started = perf_counter()
-        total, _dictionary = load_generated(
-            incremental, scale, tbox=tbox, incremental=True
-        )
-        payload["ingest"]["memory_incremental_s"] = round(
-            perf_counter() - started, 3
-        )
-    finally:
-        incremental.close()
+    # At the smallest tier one load takes a few milliseconds, within
+    # scheduler jitter (a single-shot bulk/incremental ratio tops 1.25 in
+    # about one sample in ten): the shape assertion below compares
+    # best-of-N timings there (one load each at the larger tiers).
+    repeats = EVAL_REPEAT if scale == SCALES[0] else 1
+    incremental_ms, _ = _timed(lambda: _ingest(scale, tbox, True), repeats)
+    payload["ingest"]["memory_incremental_s"] = round(incremental_ms / 1e3, 3)
+    if repeats > 1:
+        bulk_ms, _ = _timed(lambda: _ingest(scale, tbox, False), repeats - 1)
+        payload["ingest"]["memory_bulk_s"] = round(min(bulk_s, bulk_ms / 1e3), 3)
 
     payload["sharded"] = _shard_timings(scale, tbox)
     engine_report.extra(f"scale_{scale}", payload)

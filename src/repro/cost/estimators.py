@@ -13,6 +13,9 @@ strategies, matching the paper's "ext" and "RDBMS" modes:
 
 Both memoize per cover key and count estimator invocations, since cost
 estimation dominates GDL's running time in the paper's measurements.
+Both also accept a bound: a cover costing at least that much prices at
+infinity (the external model stops adding up its terms there), and only
+complete costs are memoized.
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ from repro.cost.model import ComponentMemo, ExternalCostModel
 from repro.dllite.tbox import TBox
 
 AnyCover = Union[Cover, GeneralizedCover]
+
+
+def _cut_off(cost: float, bound: float) -> bool:
+    """Whether *cost* is a bounded pricing's "at least *bound*" answer."""
+    return cost == math.inf and bound != math.inf
 
 
 class CoverCostEstimator(ABC):
@@ -89,17 +97,26 @@ class CoverCostEstimator(ABC):
             cover, self.tbox, minimize=self.minimize, cache=self.fragment_cache
         )
 
-    def estimate(self, cover: AnyCover) -> float:
-        """Memoized cost of the cover's reformulation."""
+    def estimate(self, cover: AnyCover, bound: float = math.inf) -> float:
+        """Memoized cost of the cover's reformulation.
+
+        With a finite *bound* a cover costing at least *bound* prices at
+        ``math.inf``, and may stop being priced part-way. Such a result
+        is a lower bound, not a cost: it is kept neither here nor in the
+        shared cache, and is not listed in :attr:`priced`.
+        """
         key = cover.key()
         cost = self._cache.get(key)
         if cost is None:
-            cost = self._cache[key] = self._estimate_shared(cover, key)
+            cost = self._estimate_shared(cover, key, bound)
+            if _cut_off(cost, bound):
+                return cost
+            self._cache[key] = cost
             if self.priced is not None:
                 self.priced.append((cover, cost))
-        return cost
+        return cost if cost < bound else math.inf
 
-    def _estimate_shared(self, cover: AnyCover, key: Tuple) -> float:
+    def _estimate_shared(self, cover: AnyCover, key: Tuple, bound: float) -> float:
         """The cover's cost, through the system-shared cache if any."""
         shared_key = None
         if self.cost_cache is not None:
@@ -114,8 +131,8 @@ class CoverCostEstimator(ABC):
             if shared is not None:
                 return shared
         self.calls += 1
-        cost = self._estimate_uncached(cover)
-        if shared_key is not None:
+        cost = self._estimate_uncached(cover, bound)
+        if shared_key is not None and not _cut_off(cost, bound):
             self.cost_cache.put(shared_key, cost, self.epoch)
         return cost
 
@@ -127,8 +144,9 @@ class CoverCostEstimator(ABC):
         return cached
 
     @abstractmethod
-    def _estimate_uncached(self, cover: AnyCover) -> float:
-        """Price one cover (no memoization)."""
+    def _estimate_uncached(self, cover: AnyCover, bound: float) -> float:
+        """Price one cover (no memoization); may stop at ``math.inf`` once
+        the cover is known to cost at least *bound*."""
 
 
 class ExternalCoverCost(CoverCostEstimator):
@@ -161,8 +179,8 @@ class ExternalCoverCost(CoverCostEstimator):
         # search under one data epoch, so nothing ever invalidates it.
         self._components: ComponentMemo = {}
 
-    def _estimate_uncached(self, cover: AnyCover) -> float:
-        return self.model.estimate(self.reformulate(cover), self._components)
+    def _estimate_uncached(self, cover: AnyCover, bound: float) -> float:
+        return self.model.estimate(self.reformulate(cover), self._components, bound)
 
 
 class RDBMSCoverCost(CoverCostEstimator):
@@ -192,7 +210,9 @@ class RDBMSCoverCost(CoverCostEstimator):
         self.backend = backend
         self.translator = translator
 
-    def _estimate_uncached(self, cover: AnyCover) -> float:
+    def _estimate_uncached(self, cover: AnyCover, bound: float) -> float:
+        # EXPLAIN prices the statement in one call: *bound* cannot cut it
+        # short, the caller only compares against it.
         from repro.engine.errors import StatementTooLongError
 
         sql = self.translator.translate(self.reformulate(cover))

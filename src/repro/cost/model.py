@@ -11,12 +11,17 @@ Assumptions, following §6.1 of the paper:
 * the cost of a JUCQ adds the fragments' evaluation and materialization to
   the cost of joining the materialized fragment results.
 
+Every term of a total is non-negative, so a running sum of the terms is a
+lower bound of the total: :meth:`ExternalCostModel.estimate` uses that to
+stop pricing a query that cannot come in under a given bound.
+
 All constants live in :class:`ExternalCostParameters` and were calibrated
 per backend the way the paper calibrates "a few constant coefficients".
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -105,15 +110,29 @@ class ExternalCostModel:
     # Public API
     # ------------------------------------------------------------------
     def estimate(
-        self, query: AnyQuery, components: Optional[ComponentMemo] = None
+        self,
+        query: AnyQuery,
+        components: Optional[ComponentMemo] = None,
+        bound: float = math.inf,
     ) -> float:
         """Total estimated evaluation cost of *query*.
 
         *components*, when given, memoises the estimate of each JUCQ /
         JUSCQ component by object identity; the caller owns it and must
         drop it when the statistics change.
+
+        *bound* turns the estimate into a test against a price to beat:
+        a query whose cost is below it gets exactly the float the
+        unbounded estimate computes, any other gets ``math.inf``. The
+        components of a JUCQ / JUSCQ, and inside each the UCQ's CQs (or
+        the USCQ's SCQs), are priced in order, and pricing stops once
+        their running sum reaches *bound* — every term of the total is
+        non-negative, so that sum never exceeds the total.
         """
-        return self._dispatch(query, components).cost
+        estimate = self._bounded(query, components, bound)
+        if estimate is None or estimate.cost >= bound:
+            return math.inf
+        return estimate.cost
 
     def estimated_rows(self, query: AnyQuery) -> float:
         """Estimated result cardinality of *query*."""
@@ -156,19 +175,7 @@ class ExternalCostModel:
         return efficiency
 
     # ------------------------------------------------------------------
-    def _component(self, component, memo: Optional[ComponentMemo]) -> Estimate:
-        """A join component's estimate, through *memo* when there is one.
-        Entries hold the component itself, so its ``id`` stays its own."""
-        if memo is None:
-            return self._dispatch(component)
-        entry = memo.get(id(component))
-        if entry is None:
-            entry = memo[id(component)] = (component, self._dispatch(component))
-        return entry[1]
-
-    def _dispatch(
-        self, query: AnyQuery, memo: Optional[ComponentMemo] = None
-    ) -> Estimate:
+    def _dispatch(self, query: AnyQuery) -> Estimate:
         if isinstance(query, CQ):
             return self._estimate_cq(query)
         if isinstance(query, SCQ):
@@ -180,15 +187,71 @@ class ExternalCostModel:
             return self._estimate_union([self._dispatch(s) for s in query.scqs])
         if isinstance(query, UCQ):
             return self._estimate_union_blocks(query.disjuncts)
-        if isinstance(query, JUCQ):
-            inner = [self._component(c, memo) for c in query.components]
-            heads = [component_head(c) for c in query.components]
-            return self._estimate_join(query.head, inner, heads, materialize=True)
-        if isinstance(query, JUSCQ):
-            inner = [self._component(c, memo) for c in query.components]
-            heads = [c.scqs[0].head for c in query.components]
-            return self._estimate_join(query.head, inner, heads, materialize=True)
+        if isinstance(query, (JUCQ, JUSCQ)):
+            return self._join_components(
+                query, [self._dispatch(c) for c in query.components]
+            )
         raise TypeError(f"unsupported query dialect: {type(query).__name__}")
+
+    def _join_components(
+        self, query: Union[JUCQ, JUSCQ], inner: Sequence[Estimate]
+    ) -> Estimate:
+        """A JUCQ / JUSCQ from its components' estimates, in order."""
+        if isinstance(query, JUCQ):
+            heads = [component_head(c) for c in query.components]
+        else:
+            heads = [c.scqs[0].head for c in query.components]
+        return self._estimate_join(query.head, inner, heads, materialize=True)
+
+    def _bounded(
+        self, query: AnyQuery, memo: Optional[ComponentMemo], bound: float
+    ) -> Optional[Estimate]:
+        """*query*'s estimate, or ``None`` once a running sum of the
+        costs it adds up reaches *bound* (never, when it is infinite).
+
+        The sum is accumulated the way the full estimate accumulates
+        them (components in order, each a sequential sum of its parts),
+        so in floating point too it never exceeds the full cost. Only
+        complete component estimates enter *memo*; an entry holds the
+        component itself, so its ``id`` stays its own.
+        """
+        if isinstance(query, (UCQ, USCQ)):
+            return self._bounded_union(query, 0.0, bound)
+        if not isinstance(query, (JUCQ, JUSCQ)):
+            return self._dispatch(query)
+        spent = 0.0
+        inner: List[Estimate] = []
+        for component in query.components:
+            entry = memo.get(id(component)) if memo is not None else None
+            if entry is not None:
+                estimate = entry[1]
+            else:
+                estimate = self._bounded_union(component, spent, bound)
+                if estimate is None:
+                    return None
+                if memo is not None:
+                    memo[id(component)] = (component, estimate)
+            spent += estimate.cost
+            if spent >= bound:
+                return None
+            inner.append(estimate)
+        return self._join_components(query, inner)
+
+    def _bounded_union(
+        self, query: Union[UCQ, USCQ], spent: float, bound: float
+    ) -> Optional[Estimate]:
+        """A UCQ's (USCQ's) estimate, or ``None`` once *spent* plus the
+        running sum of its CQs' (SCQs') costs reaches *bound*."""
+        parts = query.disjuncts if isinstance(query, UCQ) else query.scqs
+        estimates: List[Estimate] = []
+        partial = 0.0
+        for part in parts:
+            estimate = self._dispatch(part)
+            partial += estimate.cost
+            if spent + partial >= bound:
+                return None
+            estimates.append(estimate)
+        return self._estimate_union(estimates)
 
     # ------------------------------------------------------------------
     def _atom_estimate(self, atom: Atom) -> Estimate:
@@ -287,9 +350,12 @@ class ExternalCostModel:
     def _estimate_union(self, estimates: Sequence[Estimate]) -> Estimate:
         params = self.parameters
         rows = sum(e.rows for e in estimates)
-        cost = sum(e.cost for e in estimates) + (
-            params.dedup_per_row * rows / params.parallel_speedup()
-        )
+        # Added left to right, so :meth:`_bounded_union`'s running sum
+        # never passes the total (``sum`` compensates from CPython 3.12).
+        cost = 0.0
+        for estimate in estimates:
+            cost += estimate.cost
+        cost += params.dedup_per_row * rows / params.parallel_speedup()
         ndv: Dict[Variable, float] = {}
         for estimate in estimates:
             for variable, value in estimate.ndv.items():

@@ -45,6 +45,7 @@ by the engine's *measured* (not assumed-linear) parallel speedup.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.parallel import ParallelContext, slice_bounds
@@ -210,7 +211,7 @@ class SeqScan(Operator):
             params.seq_scan_per_row * cardinality / params.parallel_speedup()
         )
 
-    def _filtered_rows(self, rows: Sequence[Row]) -> List[Row]:
+    def _filtered_rows(self, rows: Iterable[Row]) -> List[Row]:
         if len(self.filters) == 1:
             position, value = self.filters[0]
             return [r for r in rows if r[position] == value]
@@ -226,14 +227,15 @@ class SeqScan(Operator):
     def batches_partitioned(
         self, context: Context, part: int, parts: int
     ) -> Iterator[Batch]:
+        # Partitions are runs of the cached columnar batches: the rows
+        # themselves live in a dict, which cannot be sliced.
+        stored = self.table.column_batches(self._batch_size)
+        lo, hi = slice_bounds(len(stored), part, parts)
         if not self.filters:
-            stored = self.table.column_batches(self._batch_size)
-            lo, hi = slice_bounds(len(stored), part, parts)
             yield from stored[lo:hi]
             return
-        rows = self.table.rows
-        lo, hi = slice_bounds(len(rows), part, parts)
-        yield from _chunked(self._filtered_rows(rows[lo:hi]), self._batch_size)
+        rows = chain.from_iterable(zip(*batch) for batch in stored[lo:hi])
+        yield from _chunked(self._filtered_rows(rows), self._batch_size)
 
     def label(self) -> str:
         rendered = f"SeqScan {self.table.name} AS {self.alias}"

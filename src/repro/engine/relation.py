@@ -1,17 +1,18 @@
 """Tables and hash indexes for the MiniRDBMS storage layer.
 
-Tables are row stores (lists of tuples) but serve the vectorized
-executor through :meth:`Table.column_batches`: the rows transposed into
-columnar batches of ``batch_size`` rows, cached until the next write.
-A full-table scan therefore costs one cached transpose per table, not
-one generator frame per row per query.
+Tables are row stores (tuples, kept as the keys of one insertion-ordered
+dict, so set semantics, insert and delete are O(1) per row) but serve
+the vectorized executor through :meth:`Table.column_batches`: the rows
+transposed into columnar batches of ``batch_size`` rows, cached until
+the next write. A full-table scan therefore costs one cached transpose
+per table, not one generator frame per row per query.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import groupby, islice
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.errors import UnknownColumnError
 
@@ -106,7 +107,13 @@ class Index:
 
 
 class Table:
-    """An in-memory relation: named columns and a list of rows."""
+    """An in-memory relation: named columns and a set of rows.
+
+    ``rows`` maps each row to ``None``: iterating it yields the rows in
+    insertion order (a delete keeps the order of the rest), ``in`` is
+    the set-semantics test, and ``del`` removes a row in O(1) — the
+    representation ``storage/supervisor.py``'s table mirrors use too.
+    """
 
     def __init__(self, name: str, columns: Sequence[str]) -> None:
         if not columns:
@@ -115,9 +122,8 @@ class Table:
             raise ValueError(f"duplicate column names in table {name!r}")
         self.name = name
         self.columns: Tuple[str, ...] = tuple(columns)
-        self.rows: List[Row] = []
+        self.rows: Dict[Row, None] = {}
         self.indexes: Dict[Tuple[str, ...], Index] = {}
-        self._row_set: Set[Row] = set()
         # batch_size -> list of columnar batches; dropped on any write.
         self._batch_cache: Dict[int, List[Batch]] = {}
 
@@ -129,10 +135,9 @@ class Table:
                 f"row arity {len(row)} does not match table {self.name!r} "
                 f"({len(self.columns)} columns)"
             )
-        if row in self._row_set:
+        if row in self.rows:
             return False
-        self._row_set.add(row)
-        self.rows.append(row)
+        self.rows[row] = None
         for index in self.indexes.values():
             index._insert(row)
         if self._batch_cache:
@@ -148,41 +153,39 @@ class Table:
         return added
 
     def delete(self, row: Sequence[Value]) -> bool:
-        """Remove one row; True when it was present.
-
-        Delegates to the batched :meth:`delete_many` path (a direct
-        ``self.rows.remove(row)`` would rescan the row list per call).
-        """
+        """Remove one row; True when it was present."""
         return self.delete_many((row,)) == 1
 
     def delete_many(self, rows: Iterable[Sequence[Value]]) -> int:
         """Bulk delete; returns how many rows were actually removed.
 
-        One pass over the stored rows for the whole batch (``delete`` in
-        a loop would rescan the row list per deleted row).
+        O(1) per row given, whatever the table's size.
         """
-        doomed = {tuple(row) for row in rows} & self._row_set
-        if not doomed:
-            return 0
-        self._row_set -= doomed
-        self.rows = [row for row in self.rows if row not in doomed]
-        for row in doomed:
+        stored = self.rows
+        removed = 0
+        for row in rows:
+            row = tuple(row)
+            if row not in stored:
+                continue
+            del stored[row]
             for index in self.indexes.values():
                 index._remove(row)
-        if self._batch_cache:
+            removed += 1
+        if removed and self._batch_cache:
             self._batch_cache.clear()
-        return len(doomed)
+        return removed
 
     def bulk_append(self, rows: Iterable[Sequence[Value]]) -> None:
-        """Append rows **without** dedup or index maintenance.
+        """Add rows **without** index maintenance.
 
-        The bulk-load fast path: rows land on the raw list and nothing
-        else is touched. The table is not query-consistent (duplicates
-        possible, indexes stale) until :meth:`bulk_finish` runs — only
+        The bulk-load fast path: rows land in :attr:`rows` (a row seen
+        before keeps its first position, as an incremental insert would)
+        and nothing else is touched. The table is not query-consistent
+        (indexes stale) until :meth:`bulk_finish` runs — only
         :meth:`~repro.storage.base.BulkLoader` sessions, which hold the
         backend exclusively, may use it.
         """
-        append = self.rows.append
+        stored = self.rows
         width = len(self.columns)
         for row in rows:
             if type(row) is not tuple:
@@ -192,20 +195,12 @@ class Table:
                     f"row arity {len(row)} does not match table "
                     f"{self.name!r} ({width} columns)"
                 )
-            append(row)
+            stored[row] = None
 
     def bulk_finish(self) -> int:
-        """Restore set semantics and indexes after :meth:`bulk_append`.
-
-        One dedup pass (``dict.fromkeys`` keeps first-seen order, the
-        same order incremental inserts would have produced), one row-set
-        rebuild, and one rebuild per existing index — instead of
-        per-row work on every append. Returns the final row count.
-        """
-        deduped = dict.fromkeys(self.rows)
-        if len(deduped) != len(self.rows):
-            self.rows = list(deduped)
-        self._row_set = set(deduped)
+        """Restore the indexes after :meth:`bulk_append`: one rebuild per
+        existing index instead of per-row work on every append. Returns
+        the final row count."""
         for columns in list(self.indexes):
             self.indexes[columns] = Index(self, columns)
         if self._batch_cache:
@@ -220,11 +215,13 @@ class Table:
         """
         cached = self._batch_cache.get(batch_size)
         if cached is None:
-            rows = self.rows
-            cached = [
-                tuple(zip(*rows[start : start + batch_size]))
-                for start in range(0, len(rows), batch_size)
-            ]
+            rows = iter(self.rows)
+            cached = []
+            while True:
+                chunk = list(islice(rows, batch_size))
+                if not chunk:
+                    break
+                cached.append(tuple(zip(*chunk)))
             self._batch_cache[batch_size] = cached
         return cached
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+import math
 import os
 import threading
 import time
@@ -240,7 +241,10 @@ def _describe_search(
     estimator calls, chosen cost), and what makes a bad pick diagnosable
     — the chosen cover, the reducer atoms the connectivity repair added
     to the start cover, and the five cheapest covers the search priced
-    and rejected. No-op with tracing off."""
+    and rejected. A bounded search (``auto``) adds the bound and how many
+    covers it cut off; only fully priced covers are alternatives, and a
+    cost that did not come in under the bound is left out rather than
+    written as infinity. No-op with tracing off."""
     if not span.enabled:
         return
     chosen = search.cover.key()
@@ -253,12 +257,20 @@ def _describe_search(
         safe_covers_explored=search.safe_covers_explored,
         generalized_covers_explored=search.generalized_covers_explored,
         cost_estimations=search.cost_estimations,
-        est_cost=search.cost,
         hit_time_budget=search.hit_time_budget,
         cover=str(search.cover),
         reducers_added=search.reducers_added,
         alternatives=[[str(cover), cost] for cover, cost in rejected],
     )
+    _set_finite(span, est_cost=search.cost)
+    if search.bound != math.inf:
+        span.set(bound=search.bound, pruned_at_bound=search.pruned_at_bound)
+
+
+def _set_finite(span, **costs: float) -> None:
+    """Set the cost attributes that are finite; an infinite one means
+    "not priced below a bound" (or unpriceable) and is left out."""
+    span.set(**{name: cost for name, cost in costs.items() if cost != math.inf})
 
 
 @dataclass
@@ -554,7 +566,8 @@ class OBDASystem:
         self._serving_pool_size = 0
         self._serving_guard = threading.Lock()
         #: Telemetry from the most recent concurrent ``answer_many``:
-        #: ``{"workers", "wall_seconds", "admission": {...}}``.
+        #: ``{"serving.workers", "serving.wall.seconds", "admission": {...},
+        #: ...}``.
         self.last_batch_stats: Optional[Dict] = None
 
         # Observability (see repro.obs): per-query tracing is opt-in
@@ -880,6 +893,7 @@ class OBDASystem:
         estimator: CoverCostEstimator,
         time_budget_seconds: Optional[float],
         generalized_limit: Optional[int],
+        bound: float = math.inf,
     ) -> SearchResult:
         """Run one cover search under a ``cover_search`` child of *span*."""
         with span.child("cover_search", algorithm=algorithm) as search_span:
@@ -891,6 +905,7 @@ class OBDASystem:
                     self.kb.tbox,
                     estimator,
                     time_budget_seconds=time_budget_seconds,
+                    bound=bound,
                 )
             else:
                 search = edl_search(
@@ -1033,26 +1048,38 @@ class OBDASystem:
                 raise ChaseTruncatedError(self.max_generations)
             reformulation: object = query
         elif strategy == "auto":
-            estimator = self._estimator(cost, minimize, use_uscq)
-            search = self._search(
-                span, "gdl", query, estimator, time_budget_seconds, generalized_limit
-            )
-            if self._saturator.truncated:
+            # Price the saturation side first (one CQ): the search then
+            # only has to look below it, and a cover it cannot beat is
+            # not priced to the end.
+            truncated = self._saturator.truncated
+            if truncated:
                 # Saturation is incomplete at this generation bound;
                 # reformulation is the only complete side, whatever the
-                # costs say.
+                # costs say, so the search runs unbounded.
+                saturation_cost = math.inf
+            else:
+                saturated_model = self.cost_model if cost == "ext" else None
+                saturation_cost = self._router.saturation_cost(
+                    query, cost, saturated_model
+                )
+            estimator = self._estimator(cost, minimize, use_uscq)
+            search = self._search(
+                span,
+                "gdl",
+                query,
+                estimator,
+                time_budget_seconds,
+                generalized_limit,
+                bound=saturation_cost,
+            )
+            if truncated:
                 routing = RoutingDecision(
                     routed_to="gdl",
-                    saturation_cost=float("inf"),
+                    saturation_cost=saturation_cost,
                     reformulation_cost=search.cost,
                 )
             else:
-                saturated_model = self.cost_model if cost == "ext" else None
-                routing = pick(
-                    self._router.saturation_cost(query, cost, saturated_model),
-                    search.cost,
-                    "gdl",
-                )
+                routing = pick(saturation_cost, search.cost, "gdl")
             if routing.routed_to == "sat":
                 reformulation = query
             else:
@@ -1285,8 +1312,9 @@ class OBDASystem:
                         }
                     )
         if choice.routing is not None:
-            span.set(
-                routed_to=choice.routing.routed_to,
+            span.set(routed_to=choice.routing.routed_to)
+            _set_finite(
+                span,
                 saturation_cost=choice.routing.saturation_cost,
                 reformulation_cost=choice.routing.reformulation_cost,
             )
@@ -1299,8 +1327,11 @@ class OBDASystem:
         worker equivalents) and the search's estimated cost, so the
         trace shows estimated vs. measured side by side."""
         span.set(rows=len(rows), sql_chars=len(choice.sql))
-        if choice.search is not None:
-            span.set(est_cost=choice.search.cost)
+        routing = choice.routing
+        if routing is not None and routing.routed_to == "sat":
+            _set_finite(span, est_cost=routing.saturation_cost)
+        elif choice.search is not None:
+            _set_finite(span, est_cost=choice.search.cost)
         execution = getattr(self.backend, "last_execution", None)
         if execution is not None:
             for attribute in (
@@ -1555,19 +1586,13 @@ class OBDASystem:
                 reports.append(timed_out(query))
         wall_seconds = time.perf_counter() - started
         self.last_batch_stats = {
-            # Canonical metric names (the docs/OBSERVABILITY.md catalog)
-            # next to the historical flat keys, which are **deprecated
-            # aliases** kept for one release.
-            "workers": max_workers,
+            # Metric names of the docs/OBSERVABILITY.md catalog.
             "serving.workers": max_workers,
-            "queries": len(queries),
             "serving.queries": len(queries),
-            "wall_seconds": wall_seconds,
             "serving.wall.seconds": wall_seconds,
             "admission": admission.stats(),
             #: The storage-side execution substrate this batch ran on
             #: ("inproc" for plain unsharded backends).
-            "substrate": getattr(self.backend, "substrate", "inproc"),
             "serving.substrate": getattr(self.backend, "substrate", "inproc"),
         }
         registry = get_registry()
@@ -1576,26 +1601,24 @@ class OBDASystem:
         registry.observe("repro.serving.batch.seconds", wall_seconds)
         if shards_before is not None:
             # Route counters this batch moved (approximate under racing
-            # batches — counters are system-global). Old flat keys stay
-            # as deprecated aliases of the dotted canonical names.
+            # batches — counters are system-global).
             shards_after = telemetry()
-            batch_shards = {
-                "shards": shards_after["shards"],
-                **{
-                    key: shards_after[key] - shards_before[key]
-                    for key in ("executions", "pruned", "scatter", "gather")
-                },
+            self.last_batch_stats["shards"] = {
+                "shards.count": shards_after["shards.count"],
                 **{
                     key: shards_after[key] - shards_before.get(key, 0)
-                    for key in ("shm_results", "shm_bytes", "inline_results")
+                    for key in (
+                        "shards.executions",
+                        "shards.route.pruned",
+                        "shards.route.scatter",
+                        "shards.route.gather",
+                        "shards.shm.results",
+                        "shards.shm.bytes",
+                        "shards.inline.results",
+                    )
                     if key in shards_after
                 },
             }
-            aliases = getattr(type(self.backend), "TELEMETRY_ALIASES", {})
-            for old_key, canonical in aliases.items():
-                if old_key in batch_shards:
-                    batch_shards[canonical] = batch_shards[old_key]
-            self.last_batch_stats["shards"] = batch_shards
         return reports
 
     def _ensure_serving_pool(self, workers: int) -> ThreadPoolExecutor:

@@ -25,6 +25,7 @@ good as the full run because interesting covers are found early.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Dict, FrozenSet, Iterator, Optional, Set, Tuple
 
@@ -107,6 +108,7 @@ def gdl_search(
     time_budget_seconds: Optional[float] = None,
     max_steps: int = 1_000,
     enable_generalized: bool = True,
+    bound: float = math.inf,
 ) -> SearchResult:
     """Greedy cover search (Algorithm 1), optionally time-limited.
 
@@ -115,8 +117,19 @@ def gdl_search(
     builds it, with no reducer added — the ablation quantifying what the
     semijoin-reducer space Gq buys (§6.3 reports GDL picks a generalized
     cover always under the external model).
+
+    *bound* is a price the caller already has in hand (``auto``: the
+    original CQ over the saturation). No cover priced at or above it is
+    accepted, and the estimator may stop pricing a cover as soon as it
+    is known to reach it. Once the current cover is below the bound the
+    search takes exactly the moves the unbounded one takes; a start
+    cover at or above it is left only for a cover below it, and is
+    returned at ``math.inf`` when there is none. So the two can differ
+    only where the unbounded search reaches a cover below the bound
+    *through* covers above it: the bounded search then misses it.
     """
     start = time.perf_counter()
+    bounded = bound != math.inf
 
     def out_of_time() -> bool:
         return (
@@ -124,12 +137,20 @@ def gdl_search(
             and time.perf_counter() - start > time_budget_seconds
         )
 
+    def price(cover: GeneralizedCover) -> float:
+        # Unbounded, the estimator gets the cover alone, so estimators
+        # whose ``estimate`` takes one argument keep working.
+        if bounded:
+            return estimator.estimate(cover, bound)
+        return estimator.estimate(cover)
+
     moves = _MoveEnumerator(query)
     current = GeneralizedCover.from_cover(root_cover(query, tbox))
     if enable_generalized:
         current = connect_fragments(current, moves.adjacency)
     reducers_added = sum(len(gf.reducers) for gf in current.fragments)
-    current_cost = estimator.estimate(current)
+    current_cost = price(current)
+    pruned = int(bounded and current_cost >= bound)
     visited: Set[Tuple] = {current.key()}
     safe_explored = int(current.is_plain())
     generalized_explored = 1 - safe_explored
@@ -155,7 +176,10 @@ def gdl_search(
                     safe_explored += 1
                 else:
                     generalized_explored += 1
-                cost = estimator.estimate(candidate)
+                cost = price(candidate)
+                if bounded and cost >= bound:
+                    pruned += 1
+                    continue
                 accept_first = move is None and cost <= current_cost
                 beats_move = move is not None and cost < move_cost  # type: ignore[operator]
                 if accept_first or beats_move:
@@ -178,4 +202,6 @@ def gdl_search(
         elapsed_seconds=time.perf_counter() - start,
         hit_time_budget=hit_budget,
         reducers_added=reducers_added,
+        bound=bound,
+        pruned_at_bound=pruned,
     )

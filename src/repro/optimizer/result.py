@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -24,6 +25,11 @@ class SearchResult:
     #: Reducer atoms GDL's connectivity repair put into the start cover
     #: (0 when every root fragment was already join-connected).
     reducers_added: int = 0
+    #: The price the search had to beat (``math.inf``: none), and how
+    #: many covers it priced at or above it. ``cost`` is ``math.inf``
+    #: when no cover came in under the bound.
+    bound: float = math.inf
+    pruned_at_bound: int = 0
 
     @property
     def total_covers_explored(self) -> int:

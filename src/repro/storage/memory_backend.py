@@ -23,10 +23,10 @@ from repro.storage.layouts import LayoutData
 class _MemoryBulkLoader(BulkLoader):
     """Deferred-index bulk loader for :class:`MemoryBackend`.
 
-    Appends go straight onto the engine tables' raw row lists
-    (:meth:`repro.engine.relation.Table.bulk_append` — no dedup, no
-    index maintenance); :meth:`finish` dedups each table once, builds
-    the declared indexes over the final rows, and runs one ``analyze``.
+    Appends go straight into the engine tables' rows
+    (:meth:`repro.engine.relation.Table.bulk_append` — no index
+    maintenance); :meth:`finish` builds the declared indexes over the
+    final rows and runs one ``analyze``.
     The backend lock is held for the whole session, so no query can
     observe the half-built state.
     """

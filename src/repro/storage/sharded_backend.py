@@ -395,20 +395,21 @@ class ShardedBackend(Backend):
         self._route_lock = threading.Lock()
         self._barrier = ReadWriteBarrier()
         self._telemetry_lock = threading.Lock()
+        # Keyed by the metric names of the docs/OBSERVABILITY.md catalog.
         self._counters = {
-            "executions": 0,
-            "pruned": 0,
-            "scatter": 0,
-            "gather": 0,
+            "shards.executions": 0,
+            "shards.route.pruned": 0,
+            "shards.route.scatter": 0,
+            "shards.route.gather": 0,
             # Gather-path transfer accounting: how much data the
             # coordinator pulled out of the shards to materialize its
             # row copies (bytes are estimated at 8 per cell — the shm
             # wire format's int64 width — since in-process transfers
             # never serialize).
-            "gather_tables": 0,
-            "gather_rows": 0,
-            "gather_cells": 0,
-            "gather_bytes": 0,
+            "shards.gather.tables": 0,
+            "shards.gather.rows": 0,
+            "shards.gather.cells": 0,
+            "shards.gather.bytes": 0,
         }
         self._largest_shard: Optional[int] = None
         self._closed = False
@@ -657,8 +658,8 @@ class ShardedBackend(Backend):
         stats.substrate = self.substrate
         self.last_execution = stats
         with self._telemetry_lock:
-            self._counters["executions"] += 1
-            self._counters[route.kind] += 1
+            self._counters["shards.executions"] += 1
+            self._counters[f"shards.route.{route.kind}"] += 1
         registry = get_registry()
         registry.inc("repro.shards.executions")
         registry.inc(f"repro.shards.route.{route.kind}")
@@ -792,10 +793,10 @@ class ShardedBackend(Backend):
                 cells = transferred_rows * len(columns)
                 span.set(rows=transferred_rows, est_bytes=cells * 8)
             with self._telemetry_lock:
-                self._counters["gather_tables"] += 1
-                self._counters["gather_rows"] += transferred_rows
-                self._counters["gather_cells"] += cells
-                self._counters["gather_bytes"] += cells * 8
+                self._counters["shards.gather.tables"] += 1
+                self._counters["shards.gather.rows"] += transferred_rows
+                self._counters["shards.gather.cells"] += cells
+                self._counters["shards.gather.bytes"] += cells * 8
             registry = get_registry()
             registry.inc("repro.shards.gather.tables")
             registry.inc("repro.shards.gather.rows", transferred_rows)
@@ -901,60 +902,27 @@ class ShardedBackend(Backend):
             return None
         return self._coordinator.catalog.statistics(table)
 
-    #: shard_telemetry's historical flat keys and their canonical metric
-    #: names (the ``docs/OBSERVABILITY.md`` catalog). Both spellings are
-    #: returned; the flat keys are **deprecated aliases** kept for one
-    #: release.
-    TELEMETRY_ALIASES = {
-        "executions": "shards.executions",
-        "pruned": "shards.route.pruned",
-        "scatter": "shards.route.scatter",
-        "gather": "shards.route.gather",
-        "gather_tables": "shards.gather.tables",
-        "gather_rows": "shards.gather.rows",
-        "gather_cells": "shards.gather.cells",
-        "gather_bytes": "shards.gather.bytes",
-        "shards": "shards.count",
-        "shm_results": "shards.shm.results",
-        "shm_bytes": "shards.shm.bytes",
-        "inline_results": "shards.inline.results",
-        "worker_restarts": "worker.restarts",
-        "rpc_retries": "rpc.retries",
-        "rpc_deadline_exceeded": "rpc.deadline_exceeded",
-        "circuit_trips": "circuit.trips",
-        "circuit_recoveries": "circuit.recoveries",
-        "circuit_open_shards": "circuit.open_shards",
-        "degraded_executions": "worker.degraded.executions",
-    }
-
     def shard_telemetry(self) -> Dict[str, int]:
         """Cumulative route and gather-transfer counters (plus the shard
         count; on the process substrate, also the shared-memory exchange
-        counters summed over the workers).
-
-        Every counter appears under two keys: its canonical dotted
-        metric name (``shards.route.pruned``, ...) and the historical
-        flat key (``pruned``, ...), the latter a deprecated alias kept
-        for one release — see :data:`TELEMETRY_ALIASES`.
-        """
+        counters summed over the workers; under supervision, the
+        supervisor's counters), keyed by their dotted metric names
+        (``shards.route.pruned``, ``shards.count``, ``worker.restarts``,
+        ...)."""
         with self._telemetry_lock:
             snapshot = dict(self._counters)
-        snapshot["shards"] = self.shards
+        snapshot["shards.count"] = self.shards
         if self.substrate == "process":
-            snapshot["shm_results"] = sum(
-                getattr(child, "shm_results", 0) for child in self.children
-            )
-            snapshot["shm_bytes"] = sum(
-                getattr(child, "shm_bytes", 0) for child in self.children
-            )
-            snapshot["inline_results"] = sum(
-                getattr(child, "inline_results", 0) for child in self.children
-            )
+            for key, attribute in (
+                ("shards.shm.results", "shm_results"),
+                ("shards.shm.bytes", "shm_bytes"),
+                ("shards.inline.results", "inline_results"),
+            ):
+                snapshot[key] = sum(
+                    getattr(child, attribute, 0) for child in self.children
+                )
         if self._supervisor is not None:
             snapshot.update(self._supervisor.telemetry())
-        for old_key, canonical in self.TELEMETRY_ALIASES.items():
-            if old_key in snapshot:
-                snapshot[canonical] = snapshot[old_key]
         return snapshot
 
     def metrics_snapshot(self) -> Optional[Dict]:

@@ -1111,21 +1111,22 @@ class ShardSupervisor:
                     worker.heal()
 
     def telemetry(self) -> Dict[str, int]:
-        """Aggregate supervision counters across the shards."""
+        """Aggregate supervision counters across the shards, keyed by
+        their dotted metric names."""
         return {
-            "worker_restarts": sum(w.restarts for w in self.workers),
-            "rpc_retries": sum(w.rpc_retries for w in self.workers),
-            "rpc_deadline_exceeded": sum(
+            "worker.restarts": sum(w.restarts for w in self.workers),
+            "rpc.retries": sum(w.rpc_retries for w in self.workers),
+            "rpc.deadline_exceeded": sum(
                 w.deadline_exceeded for w in self.workers
             ),
-            "circuit_trips": sum(w.circuit_trips for w in self.workers),
-            "circuit_recoveries": sum(
+            "circuit.trips": sum(w.circuit_trips for w in self.workers),
+            "circuit.recoveries": sum(
                 w.circuit_recoveries for w in self.workers
             ),
-            "circuit_open_shards": sum(
+            "circuit.open_shards": sum(
                 1 for w in self.workers if w.circuit_open
             ),
-            "degraded_executions": sum(
+            "worker.degraded.executions": sum(
                 w.degraded_executions for w in self.workers
             ),
         }

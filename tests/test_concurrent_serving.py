@@ -240,7 +240,7 @@ class TestAnswerManyDeterminism:
             reports = system.answer_many(self.QUERIES)
             assert len(reports) == len(self.QUERIES)
             assert system.last_batch_stats is not None
-            assert system.last_batch_stats["workers"] == 4
+            assert system.last_batch_stats["serving.workers"] == 4
 
     def test_engine_workers_flow_into_the_memory_backend(
         self, example1_tbox, example1_abox

@@ -324,7 +324,7 @@ class TestShardedProcess:
             for sql in QUERIES:
                 assert backend.execute(sql) == oracle.execute(sql), sql
             telemetry = backend.shard_telemetry()
-            assert telemetry["shm_results"] > 0
+            assert telemetry["shards.shm.results"] > 0
         finally:
             backend.close()
             oracle.close()

@@ -408,6 +408,35 @@ class TestTracedAnswerMatrix:
             assert estimates == sorted(estimates)
             assert attributes["cover"] not in [cover for cover, _ in alternatives]
 
+    def test_auto_search_span_shows_the_bound_and_what_it_pruned(self):
+        # auto prices sat first and searches below it: the span carries
+        # that bound and how many covers it cut off; alternatives are only
+        # fully priced covers, and no attribute anywhere is infinite.
+        from repro.bench.generator import generate_abox
+        from repro.bench.lubm import lubm_exists_tbox
+        from repro.bench.queries import query
+
+        with OBDASystem(
+            lubm_exists_tbox(), generate_abox("tiny"), materialize=True, trace=True
+        ) as system:
+            pruned = 0
+            for name in ("Q2", "Q5", "Q8", "Q10", "Q12"):
+                report = system.answer(query(name), strategy="auto")
+                routing = report.choice.routing
+                attributes = report.trace.find("cover_search")[0].attributes
+                assert attributes["bound"] == routing.saturation_cost
+                pruned += attributes["pruned_at_bound"]
+                for _cover, estimate in attributes["alternatives"]:
+                    assert estimate < attributes["bound"]
+                reformulate = report.trace.find("reformulate")[0].attributes
+                if routing.routed_to == "sat":
+                    assert "reformulation_cost" not in reformulate
+                    assert "est_cost" not in attributes
+                for span in report.trace.spans():
+                    for value in span.attributes.values():
+                        assert value != float("inf"), span.name
+            assert pruned >= 1
+
 
 class TestDisabledTracing:
     def test_disabled_trace_identical_answers_and_no_buffers(
@@ -534,14 +563,20 @@ class TestSystemMetrics:
         ) as system:
             system.answer("q(x) <- Researcher(x)")  # join → gather route
             telemetry = system.backend.shard_telemetry()
-            assert telemetry["gather"] >= 1
-            assert telemetry["gather_tables"] >= 1
-            assert telemetry["gather_rows"] >= 1
+            assert telemetry["shards.route.gather"] >= 1
+            assert telemetry["shards.gather.tables"] >= 1
+            assert telemetry["shards.gather.rows"] >= 1
             # Bytes are estimated at the shm wire width (8 bytes/cell).
-            assert telemetry["gather_bytes"] == telemetry["gather_cells"] * 8
+            assert (
+                telemetry["shards.gather.bytes"]
+                == telemetry["shards.gather.cells"] * 8
+            )
 
 
 class TestTelemetryAliases:
+    """The telemetry dictionaries use the metric catalog's dotted names
+    and nothing else: the flat aliases of earlier releases are gone."""
+
     def test_shard_telemetry_carries_canonical_names(
         self, example1_tbox, example1_abox
     ):
@@ -550,11 +585,12 @@ class TestTelemetryAliases:
         ) as system:
             system.answer("q(x) <- supervisedBy(Damian, x)", strategy="sat")
             telemetry = system.backend.shard_telemetry()
-            for old_key, canonical in ShardedBackend.TELEMETRY_ALIASES.items():
-                if old_key in telemetry:
-                    assert telemetry[canonical] == telemetry[old_key]
-            assert telemetry["shards.count"] == telemetry["shards"] == 4
-            assert telemetry["shards.executions"] == telemetry["executions"]
+            assert all("." in key for key in telemetry)
+            assert telemetry["shards.count"] == 4
+            assert (
+                telemetry["shards.route.pruned"]
+                <= telemetry["shards.executions"]
+            )
 
     def test_batch_stats_carry_canonical_names(self, example1_tbox, example1_abox):
         with OBDASystem(
@@ -566,12 +602,21 @@ class TestTelemetryAliases:
                 max_workers=2,
             )
             stats = system.last_batch_stats
-            assert stats["serving.workers"] == stats["workers"] == 2
-            assert stats["serving.queries"] == stats["queries"] == 2
-            assert stats["serving.wall.seconds"] == stats["wall_seconds"]
-            assert stats["serving.substrate"] == stats["substrate"]
+            assert set(stats) == {
+                "serving.workers",
+                "serving.queries",
+                "serving.wall.seconds",
+                "serving.substrate",
+                "admission",
+                "shards",
+            }
+            assert stats["serving.workers"] == 2
+            assert stats["serving.queries"] == 2
+            assert stats["serving.wall.seconds"] > 0
             shards = stats["shards"]
-            assert shards["shards.executions"] == shards["executions"]
+            assert all("." in key for key in shards)
+            assert shards["shards.count"] == 4
+            assert "shards.executions" in shards
             counters = system.metrics()["counters"]
             assert counters["repro.serving.batches"] == 1
             assert counters["repro.serving.queries"] == 2

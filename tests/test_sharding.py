@@ -120,11 +120,11 @@ class TestRouting:
             backend.execute("SELECT DISTINCT s FROM c_a")
             backend.execute("SELECT a.s AS x FROM r_p a, c_a b WHERE a.o = b.s")
             telemetry = backend.shard_telemetry()
-            assert telemetry["executions"] == 3
-            assert telemetry["pruned"] == 1
-            assert telemetry["scatter"] == 1
-            assert telemetry["gather"] == 1
-            assert telemetry["shards"] == 2
+            assert telemetry["shards.executions"] == 3
+            assert telemetry["shards.route.pruned"] == 1
+            assert telemetry["shards.route.scatter"] == 1
+            assert telemetry["shards.route.gather"] == 1
+            assert telemetry["shards.count"] == 2
         finally:
             backend.close()
 
@@ -221,10 +221,10 @@ class TestSystemPruning:
             ] * 2
             system.answer_many(queries, strategy="sat", max_workers=2)
             shards = system.last_batch_stats["shards"]
-            assert shards["shards"] == 4
-            assert shards["executions"] == 4
-            assert shards["pruned"] >= 1
-            assert shards["scatter"] >= 1
+            assert shards["shards.count"] == 4
+            assert shards["shards.executions"] == 4
+            assert shards["shards.route.pruned"] >= 1
+            assert shards["shards.route.scatter"] >= 1
 
 
 class TestHintMatchesSQLAnalysis:
