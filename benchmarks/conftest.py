@@ -7,10 +7,14 @@ failures appear) match the paper. Override with::
 
     REPRO_BENCH_PAPER15M=medium REPRO_BENCH_PAPER100M=large \
         pytest benchmarks/ --benchmark-only
+
+Every benchmark test starts from a collected heap (autouse
+:func:`settled_heap`).
 """
 
 from __future__ import annotations
 
+import gc
 import os
 from pathlib import Path
 
@@ -40,6 +44,18 @@ elif _AT_TINY_SCALES:
     BASELINE_JSON = Path(__file__).parent / "baseline_engine_tiny.json"
 else:
     BASELINE_JSON = None
+
+
+@pytest.fixture(autouse=True)
+def settled_heap():
+    """Run one full collection before each benchmark test.
+
+    The tests that ran before leave cyclic garbage and a large heap
+    behind; collecting it costs tens of milliseconds — more than some
+    timed sections — and where it would land inside the next test is
+    luck. Paying it here keeps it out of every timed section.
+    """
+    gc.collect()
 
 
 @pytest.fixture(scope="session")

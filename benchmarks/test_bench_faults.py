@@ -34,9 +34,9 @@ import time
 
 import pytest
 
-from repro.engine.parallel import process_substrate_available
 from repro.storage.layouts import SimpleLayout
 from repro.storage.memory_backend import MemoryBackend
+from repro.storage.process_workers import process_substrate_available
 from repro.storage.sharded_backend import ShardedBackend
 from repro.storage.supervisor import SUPERVISE_ENV, SupervisedShardWorker
 
@@ -108,9 +108,9 @@ def test_supervision_overhead(tbox, abox_15m, engine_report, monkeypatch):
 
     oracle = MemoryBackend()
     monkeypatch.setenv(SUPERVISE_ENV, "0")
-    raw = ShardedBackend(SHARDS, substrate="process", workers=SHARDS)
+    raw = ShardedBackend(SHARDS, substrate="process")
     monkeypatch.setenv(SUPERVISE_ENV, "1")
-    supervised = ShardedBackend(SHARDS, substrate="process", workers=SHARDS)
+    supervised = ShardedBackend(SHARDS, substrate="process")
     assert all(
         isinstance(child, SupervisedShardWorker)
         for child in supervised.children

@@ -1,13 +1,14 @@
 """Process-substrate scaling: forked shard workers vs serial dispatch.
 
-Loads the Fig 3 workload into 4-shard :class:`~repro.storage.
-sharded_backend.ShardedBackend` instances on the ``process`` substrate
-and times a scatter statement with a 1-thread dispatch pool (shard
-workers drained one at a time) against the full 4-thread pool (all four
-forked workers evaluating simultaneously). Records into
+Loads the Fig 3 workload into a 4-shard :class:`~repro.storage.
+sharded_backend.ShardedBackend` on the ``process`` substrate and times a
+scatter statement issued to the shard workers one at a time from the
+benchmark's own thread (workers drained sequentially) against the
+backend's own scatter (all four forked workers evaluating
+simultaneously on its dispatch pool). Records into
 ``BENCH_engine.json`` (``extras.process_engine``):
 
-* scatter wall clock at 1 vs 4 dispatch workers (warm, min-of-N);
+* scatter wall clock serialized vs dispatched (warm, min-of-N);
 * the shared-memory exchange's transport mix (segments vs inline) and
   bytes moved.
 
@@ -28,9 +29,9 @@ import time
 
 import pytest
 
-from repro.engine.parallel import process_substrate_available
 from repro.storage.layouts import SimpleLayout
 from repro.storage.memory_backend import MemoryBackend
+from repro.storage.process_workers import process_substrate_available
 from repro.storage.sharded_backend import ShardedBackend
 
 TIMING_ROUNDS = 3
@@ -47,15 +48,28 @@ def _enough_cpus() -> bool:
     return (os.cpu_count() or 1) >= SHARDS
 
 
-def _best_of(backend, sql):
+def _best_of(execute, sql):
     best = None
     rows = None
     for _ in range(TIMING_ROUNDS):
         started = time.perf_counter()
-        rows = backend.execute(sql)
+        rows = execute(sql)
         elapsed = time.perf_counter() - started
         best = elapsed if best is None else min(best, elapsed)
     return best, rows
+
+
+def _serialized(backend):
+    """*backend*'s scatter legs, run one after another on this thread
+    and merged the way a deduplicating scatter merges them."""
+
+    def execute(sql):
+        rows = []
+        for child in backend.children:
+            rows.extend(child.execute(sql))
+        return list(dict.fromkeys(rows))
+
+    return execute
 
 
 @pytest.mark.skipif(
@@ -63,7 +77,7 @@ def _best_of(backend, sql):
     reason="fork start method unavailable",
 )
 def test_process_scatter_scaling(tbox, abox_15m, engine_report, monkeypatch):
-    """4 forked shard workers vs serialized dispatch over the same 4."""
+    """4 forked shard workers dispatched at once vs one at a time."""
     # Force the columnar segments into play even for modest result
     # sets — this bench prices the shm exchange, not the pipe-pickle
     # fallback (workers read the knob once, at fork).
@@ -80,18 +94,16 @@ def test_process_scatter_scaling(tbox, abox_15m, engine_report, monkeypatch):
     )
 
     oracle = MemoryBackend()
-    serialized = ShardedBackend(SHARDS, substrate="process", workers=1)
-    scattered = ShardedBackend(SHARDS, substrate="process", workers=SHARDS)
-    assert serialized.substrate == "process"
+    scattered = ShardedBackend(SHARDS, substrate="process")
     assert scattered.substrate == "process"
     try:
-        for backend in (oracle, serialized, scattered):
+        for backend in (oracle, scattered):
             backend.load(data)
             backend.execute(scatter_sql)  # warm plans + worker pipes
 
-        _, expected = _best_of(oracle, scatter_sql)
-        wall_1w, rows_1w = _best_of(serialized, scatter_sql)
-        wall_4w, rows_4w = _best_of(scattered, scatter_sql)
+        _, expected = _best_of(oracle.execute, scatter_sql)
+        wall_1w, rows_1w = _best_of(_serialized(scattered), scatter_sql)
+        wall_4w, rows_4w = _best_of(scattered.execute, scatter_sql)
         assert sorted(rows_1w) == sorted(expected)
         assert sorted(rows_4w) == sorted(expected)
         assert scattered.last_execution.route == "scatter"
@@ -137,7 +149,6 @@ def test_process_scatter_scaling(tbox, abox_15m, engine_report, monkeypatch):
             )
     finally:
         oracle.close()
-        serialized.close()
         scattered.close()
 
 
@@ -145,15 +156,15 @@ def test_process_scatter_scaling(tbox, abox_15m, engine_report, monkeypatch):
     not process_substrate_available(),
     reason="fork start method unavailable",
 )
-def test_process_answers_match_thread_substrate(tbox, abox_15m, queries):
+def test_process_answers_match_serial_substrate(tbox, abox_15m, queries):
     """Substrate independence on the real workload: process-shard
-    answers are byte-identical to the in-process thread shards'."""
+    answers are byte-identical to the in-process serial shards'."""
     layout = SimpleLayout()
     data = layout.build(abox_15m, tbox)
-    thread = ShardedBackend(2, substrate="thread")
+    serial = ShardedBackend(2, substrate="serial")
     process = ShardedBackend(2, substrate="process")
     try:
-        thread.load(data)
+        serial.load(data)
         process.load(data)
         role = next(
             spec for spec in data.tables
@@ -169,7 +180,7 @@ def test_process_answers_match_thread_substrate(tbox, abox_15m, queries):
             ),
         ]
         for sql in probes:
-            assert process.execute(sql) == thread.execute(sql), sql
+            assert process.execute(sql) == serial.execute(sql), sql
     finally:
-        thread.close()
+        serial.close()
         process.close()

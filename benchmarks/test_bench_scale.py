@@ -23,7 +23,6 @@ re-run at three orders of magnitude. Per scale tier this records into
 
 from __future__ import annotations
 
-import gc
 import os
 from dataclasses import asdict
 from time import perf_counter
@@ -40,11 +39,11 @@ from repro.bench.lubm import lubm_exists_tbox
 from repro.covers.reformulate import cover_based_reformulation
 from repro.covers.safety import root_cover
 from repro.dllite.parser import parse_query
-from repro.engine.parallel import process_substrate_available
 from repro.reformulation.perfectref import reformulate_to_ucq
 from repro.sql.translator import SQLTranslator
 from repro.storage.layouts import SimpleLayout
 from repro.storage.memory_backend import MemoryBackend
+from repro.storage.process_workers import process_substrate_available
 from repro.storage.sharded_backend import ShardedBackend
 
 SCALES = (1_000, 100_000, 1_000_000)
@@ -154,11 +153,6 @@ def _shard_timings(scale: int, tbox) -> dict:
 def test_scale_tier(scale, engine_report):
     """One full tier: generate, ingest both ways, query, calibrate."""
     tbox = lubm_exists_tbox()
-    # The benchmark files that ran before leave ~30k cyclic objects and a
-    # large heap behind; one full collection of that is ~50 ms, ten times
-    # the 1k tier's whole bulk load, and where it lands is a coin toss.
-    # Pay it here, before anything below is timed.
-    gc.collect()
     payload = {"scale": scale, "generator": _generator_throughput(scale)}
 
     backend = MemoryBackend()

@@ -99,7 +99,6 @@ def test_shard_scaling(tbox, abox_15m, engine_report):
             {
                 "table": role.name,
                 "table_rows": len(role.rows),
-                "shard_workers": sharded._parallel.workers,
                 **timings,
                 "pruned_speedup_vs_scatter_4sh": round(
                     timings["scatter_shards4_ms"]

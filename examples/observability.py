@@ -17,8 +17,8 @@ build artifact, so every change ships one full example trace.
 Run:  PYTHONPATH=src python examples/observability.py
 """
 
-from repro.engine.parallel import process_substrate_available
 from repro.obda.system import OBDASystem
+from repro.storage.process_workers import process_substrate_available
 
 TBOX = """
 role worksWith
@@ -41,7 +41,7 @@ QUERY = "q(x) <- Researcher(x)"
 
 
 def main() -> None:
-    executor = "process" if process_substrate_available() else "thread"
+    executor = "process" if process_substrate_available() else "serial"
     with OBDASystem.from_text(
         TBOX, ABOX, shards=4, executor=executor, trace=True
     ) as system:

@@ -22,7 +22,7 @@ per backend the way the paper calibrates "a few constant coefficients".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cost.statistics import DataStatistics
@@ -52,25 +52,6 @@ class ExternalCostParameters:
     output_per_row: float = 0.4
     dedup_per_row: float = 1.1
     materialize_per_row: float = 0.9
-    #: Degree of parallelism of the modeled backend's executor.
-    workers: int = 1
-    #: Fraction of linear scaling one extra worker actually delivers —
-    #: a *measured* quantity (see :meth:`ExternalCostModel.
-    #: learn_parallelism`), not an assumption: morsel scheduling, merge
-    #: barriers and (on CPython) the GIL keep it well below 1.
-    parallel_efficiency: float = 0.7
-    #: The execution substrate the modeled backend runs on (``thread``
-    #: / ``process`` / ``serial``). Learned efficiencies are keyed by
-    #: substrate, so only measurements taken on *this* substrate flow
-    #: into :attr:`parallel_efficiency`.
-    substrate: str = "thread"
-
-    def parallel_speedup(self) -> float:
-        """Discount factor for per-row work: ``1 + eff * (workers-1)``,
-        exactly 1.0 at one worker so serial costing is untouched."""
-        if self.workers <= 1:
-            return 1.0
-        return max(1.0, 1.0 + self.parallel_efficiency * (self.workers - 1))
 
 
 @dataclass
@@ -97,14 +78,6 @@ class ExternalCostModel:
     ) -> None:
         self.statistics = statistics
         self.parameters = parameters
-        #: Learned per-worker efficiencies by substrate name. Seeded
-        #: with the active substrate's configured value; only the entry
-        #: matching ``parameters.substrate`` is ever applied to
-        #: estimates, so a thread-mode (GIL-bound) calibration can't
-        #: poison process-mode costing or vice versa.
-        self.efficiency_by_substrate: Dict[str, float] = {
-            parameters.substrate: parameters.parallel_efficiency
-        }
 
     # ------------------------------------------------------------------
     # Public API
@@ -137,42 +110,6 @@ class ExternalCostModel:
     def estimated_rows(self, query: AnyQuery) -> float:
         """Estimated result cardinality of *query*."""
         return self._dispatch(query).rows
-
-    def learn_parallelism(
-        self,
-        workers: int,
-        observed_speedup: float,
-        substrate: Optional[str] = None,
-    ) -> float:
-        """Calibrate the parallelism discount from a measurement.
-
-        ``observed_speedup`` is the backend's measured serial/parallel
-        wall-clock ratio at *workers*, taken on *substrate* (default:
-        the active one). The per-worker efficiency that reproduces it
-        is recorded in :attr:`efficiency_by_substrate` and — only when
-        the measurement's substrate is the one this model actually
-        prices (``parameters.substrate``) — stored in
-        :attr:`parameters` (replacing the frozen dataclass), so
-        subsequent estimates use the *observed* discount rather than an
-        assumed-linear one. A measurement for a different substrate is
-        kept for the record without touching live estimates. Returns
-        the learned efficiency.
-        """
-        if workers <= 1:
-            efficiency = 0.0
-        else:
-            efficiency = max(
-                0.0, min(1.0, (observed_speedup - 1.0) / (workers - 1))
-            )
-        target = substrate or self.parameters.substrate
-        self.efficiency_by_substrate[target] = efficiency
-        if target == self.parameters.substrate:
-            self.parameters = replace(
-                self.parameters,
-                workers=workers,
-                parallel_efficiency=efficiency,
-            )
-        return efficiency
 
     # ------------------------------------------------------------------
     def _dispatch(self, query: AnyQuery) -> Estimate:
@@ -263,13 +200,12 @@ class ExternalCostModel:
         rows = cardinality
         for position in bound_positions:
             rows /= max(1.0, float(self.statistics.distinct(atom.predicate, position)))
-        speedup = params.parallel_speedup()
         if bound_positions:
             # An applicable index turns the scan into a probe (the
             # engine's planner routes such predicates to IndexScan).
-            cost = params.index_access + params.index_probe_per_row * rows / speedup
+            cost = params.index_access + params.index_probe_per_row * rows
         else:
-            cost = params.scan_per_row * cardinality / speedup
+            cost = params.scan_per_row * cardinality
         ndv: Dict[Variable, float] = {}
         for position, term in enumerate(atom.args):
             if is_variable(term):
@@ -312,19 +248,17 @@ class ExternalCostModel:
             # access cost plus linear join work) or an index-nested-loop
             # probing the atom's table once per current row (the simple
             # layout declares every one- and two-attribute index).
-            speedup = params.parallel_speedup()
-            hash_cost = (
-                other.cost
-                + params.join_per_row * (current.rows + other.rows) / speedup
+            hash_cost = other.cost + params.join_per_row * (
+                current.rows + other.rows
             )
             if shared:
-                index_cost = current.rows * params.index_access / speedup
+                index_cost = current.rows * params.index_access
             else:
                 index_cost = float("inf")  # no join key: cartesian, no index
             cost = (
                 current.cost
                 + min(hash_cost, index_cost)
-                + params.output_per_row * rows / speedup
+                + params.output_per_row * rows
             )
             ndv: Dict[Variable, float] = {}
             for source in (current.ndv, other.ndv):
@@ -339,9 +273,7 @@ class ExternalCostModel:
             if is_variable(term):
                 head_ndv_product *= current.ndv.get(term, current.rows or 1.0)
         distinct_rows = max(1.0, min(current.rows, head_ndv_product))
-        cost = current.cost + (
-            params.dedup_per_row * current.rows / params.parallel_speedup()
-        )
+        cost = current.cost + params.dedup_per_row * current.rows
         return Estimate(cost=cost, rows=distinct_rows, ndv=current.ndv)
 
     def _estimate_union_blocks(self, disjuncts: Sequence[CQ]) -> Estimate:
@@ -355,7 +287,7 @@ class ExternalCostModel:
         cost = 0.0
         for estimate in estimates:
             cost += estimate.cost
-        cost += params.dedup_per_row * rows / params.parallel_speedup()
+        cost += params.dedup_per_row * rows
         ndv: Dict[Variable, float] = {}
         for estimate in estimates:
             for variable, value in estimate.ndv.items():
@@ -371,12 +303,11 @@ class ExternalCostModel:
         materialize: bool = False,
     ) -> Estimate:
         params = self.parameters
-        speedup = params.parallel_speedup()
         current = components[0]
         current_vars = {t for t in component_heads[0] if is_variable(t)}
         cost = current.cost
         if materialize:
-            cost += params.materialize_per_row * current.rows / speedup
+            cost += params.materialize_per_row * current.rows
         current = Estimate(cost=cost, rows=current.rows, ndv=dict(current.ndv))
         for estimate, component_head_terms in zip(
             components[1:], component_heads[1:]
@@ -397,7 +328,6 @@ class ExternalCostModel:
                     + params.join_per_row * (current.rows + estimate.rows)
                     + params.output_per_row * rows
                 )
-                / speedup
             )
             ndv: Dict[Variable, float] = {}
             for source in (current.ndv, estimate.ndv):
@@ -413,7 +343,7 @@ class ExternalCostModel:
                 head_ndv *= current.ndv.get(term, current.rows or 1.0)
         distinct_rows = max(1.0, min(current.rows, head_ndv))
         return Estimate(
-            cost=current.cost + params.dedup_per_row * current.rows / speedup,
+            cost=current.cost + params.dedup_per_row * current.rows,
             rows=distinct_rows,
             ndv=current.ndv,
         )

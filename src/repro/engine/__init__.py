@@ -12,10 +12,8 @@ evaluation system): a complete, self-contained RDBMS with
 * a cost-based planner with greedy join ordering over hash joins
   (:mod:`planner`), exposing its estimates through ``EXPLAIN``
   (the "RDBMS cost estimation" the paper's GDL consumes);
-* a vectorized, **morsel-driven parallel** executor: columnar batches,
-  contiguous morsel partitioning over a shared worker pool, shared
-  hash-build barriers and per-worker dedup partials merged at pipeline
-  breakers (:mod:`operators`, :mod:`executor`, :mod:`parallel`);
+* a vectorized executor: columnar batches pulled through the operator
+  tree on the caller's thread (:mod:`operators`, :mod:`executor`);
 * DB2's documented *statement length limit* (2,000,000 characters),
   reproducing the "statement is too long or too complex" failures the
   paper observed on RDF-layout reformulations of Q9/Q10 (:mod:`errors`).
@@ -30,13 +28,11 @@ from repro.engine.errors import (
     UnknownTableError,
 )
 from repro.engine.executor import ExecutionStats
-from repro.engine.parallel import ParallelContext
 
 __all__ = [
     "EngineError",
     "ExecutionStats",
     "MiniRDBMS",
-    "ParallelContext",
     "PlanningError",
     "SQLSyntaxError",
     "StatementTooLongError",

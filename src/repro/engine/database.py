@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import replace
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.catalog import Catalog
@@ -27,7 +26,6 @@ from repro.engine.explain import (
     explain_plan_analyzed,
 )
 from repro.engine.operators import CostParameters, DEFAULT_COSTS
-from repro.engine.parallel import ParallelContext
 from repro.engine.planner import Plan, Planner
 from repro.engine.relation import Table
 from repro.engine.sqlparser import parse_sql
@@ -45,13 +43,8 @@ class MiniRDBMS:
 
     The public facade of :mod:`repro.engine`: DDL (``create_table`` /
     ``create_index`` / ``analyze``), row-level DML, and SQL execution
-    through a statement cache, a cost-based planner and a vectorized,
-    morsel-driven executor. ``workers`` (default from the
-    ``REPRO_WORKERS`` environment variable, else 1) sets the engine's
-    degree of parallelism: at 1 every statement runs the serial
-    vectorized path; above 1 pipelines are split into morsels executed
-    on a pool shared by all queries against this instance, and the cost
-    model discounts per-row work by the configured parallel efficiency.
+    through a statement cache, a cost-based planner and a vectorized
+    executor. A statement runs on the thread that submits it.
     """
 
     def __init__(
@@ -59,30 +52,10 @@ class MiniRDBMS:
         max_statement_length: int = DB2_STATEMENT_LIMIT,
         cost_parameters: CostParameters = DEFAULT_COSTS,
         plan_cache_size: int = 256,
-        workers: Optional[int] = None,
-        parallel_context: Optional[ParallelContext] = None,
-        substrate: Optional[str] = None,
     ) -> None:
         self.catalog = Catalog()
         self.max_statement_length = max_statement_length
-        #: The engine's worker pool and morsel scheduling policy. Shared
-        #: by every statement executed here, so the machine-wide thread
-        #: count stays bounded regardless of serving concurrency.
-        #: ``substrate`` selects its executor backend (default
-        #: ``REPRO_EXECUTOR`` / auto-detection).
-        self.parallel = parallel_context or ParallelContext(
-            workers, substrate=substrate
-        )
-        if cost_parameters.workers != self.parallel.workers:
-            # Keep the costed and the executed degree of parallelism in
-            # step without mutating the (possibly shared) input object.
-            cost_parameters = replace(
-                cost_parameters, workers=self.parallel.workers
-            )
         self.cost_parameters = cost_parameters
-        # Morsel scheduling must size by actual work, not by costs the
-        # model already discounted for parallelism.
-        self.parallel.cost_discount = cost_parameters.parallel_speedup()
         #: Counters from the most recent :meth:`execute` call.
         self.last_execution: Optional[ExecutionStats] = None
         # Dynamic statement cache (DB2's "package cache"): plans keyed by
@@ -162,7 +135,7 @@ class MiniRDBMS:
     def execute(self, sql: str) -> List[Row]:
         """Run a statement and return its rows."""
         stats = ExecutionStats()
-        rows = execute_plan(self.plan(sql), stats, parallel=self.parallel)
+        rows = execute_plan(self.plan(sql), stats)
         self.last_execution = stats
         return rows
 
@@ -175,15 +148,13 @@ class MiniRDBMS:
         straight into the per-column shared-memory wire format.
         """
         stats = ExecutionStats()
-        result = execute_plan_columns(
-            self.plan(sql), stats, parallel=self.parallel
-        )
+        result = execute_plan_columns(self.plan(sql), stats)
         self.last_execution = stats
         return result
 
     def explain(self, sql: str) -> ExplainResult:
         """The planner's cost estimate for a statement (no execution)."""
-        return explain_plan(self.plan(sql), workers=self.parallel.workers)
+        return explain_plan(self.plan(sql))
 
     def estimated_cost(self, sql: str) -> float:
         """Shortcut: the total estimated cost of a statement."""
@@ -196,9 +167,7 @@ class MiniRDBMS:
         The statement is planned **privately** — never through the
         shared statement cache — because the per-node instrumentation
         patches the operator instances, and a patched tree must not be
-        served to a concurrent plain execution. Execution is serial
-        (per-node times would be meaningless interleaved across
-        morsel workers), so the measured total is the serial wall time.
+        served to a concurrent plain execution.
         """
         self._check_length(sql)
         plan = Planner(self.catalog, self.cost_parameters).plan(parse_sql(sql))
@@ -208,45 +177,3 @@ class MiniRDBMS:
         return explain_plan_analyzed(
             plan, measurements, actual_rows=len(rows), actual_seconds=elapsed
         )
-
-    # ------------------------------------------------------------------
-    # Parallelism
-    # ------------------------------------------------------------------
-    @property
-    def workers(self) -> int:
-        """The engine's configured degree of parallelism."""
-        return self.parallel.workers
-
-    def learn_parallel_efficiency(
-        self, observed_speedup: float, substrate: Optional[str] = None
-    ) -> float:
-        """Calibrate the cost model from a *measured* parallel speedup.
-
-        Back-solves the per-worker efficiency that reproduces
-        ``observed_speedup`` at the current worker count (see
-        :meth:`~repro.engine.parallel.ParallelContext.learn`). The
-        measurement is recorded under *substrate* (default: the
-        context's own) and flows into :attr:`cost_parameters` — with
-        cached plans invalidated so later costing uses the truthful
-        discount — **only when it belongs to the substrate this engine
-        actually runs on**: a GIL-bound thread measurement handed in
-        for the record cannot poison process-substrate estimates, nor
-        vice versa. Returns the efficiency.
-        """
-        target = substrate or self.parallel.substrate
-        efficiency = self.parallel.learn(observed_speedup, substrate=target)
-        if target == self.parallel.substrate:
-            self.cost_parameters = replace(
-                self.cost_parameters, parallel_efficiency=efficiency
-            )
-            self.parallel.cost_discount = (
-                self.cost_parameters.parallel_speedup()
-            )
-            # Plans cache their cost annotations; force re-planning.
-            self._plan_cache.clear()
-            self._plan_cache_version = -1
-        return efficiency
-
-    def close(self) -> None:
-        """Release the worker pool (idempotent; the data stays usable)."""
-        self.parallel.close()

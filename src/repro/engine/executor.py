@@ -2,36 +2,17 @@
 
 The context maps each materialized CTE (user CTEs and planner-generated
 shared scans alike) to its list of **columnar batches**; the body's
-batches are flattened to row tuples only at the very end.
-
-With a :class:`~repro.engine.parallel.ParallelContext` of more than one
-worker, each root pipeline (every CTE materialization, then the body)
-runs **morsel-driven**: the root's ``prepare`` barrier builds shared
-hash tables and interior dedup results, the pipeline is split into
-contiguous morsels executed on the worker pool, and the morsel outputs
-are merged back in partition order — through a global seen-set when the
-pipeline's root deduplicates (per-worker dedup partials merged at the
-breaker), by plain concatenation otherwise. Answers are therefore
-identical to serial execution at any worker count: the same multiset
-for duplicate-preserving plans, the same set for deduplicating ones.
+batches are flattened to row tuples only at the very end. Execution
+is serial: one statement runs on its caller's thread.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine.operators import (
-    Batch,
-    Distinct,
-    Materialize,
-    Operator,
-    Union,
-    _dedup_batches,
-)
-from repro.engine.parallel import ParallelContext, aggregate_worker_counters
+from repro.engine.operators import Batch, Operator
 from repro.engine.planner import Plan
 
 Row = Tuple
@@ -39,85 +20,17 @@ Row = Tuple
 
 @dataclass
 class ExecutionStats:
-    """Counters from one plan execution (benchmark telemetry).
-
-    ``workers`` / ``morsels`` / ``per_worker`` are filled only by
-    parallel executions: ``per_worker`` holds one dict per pool thread
-    that actually ran a morsel (``worker``, ``morsels``, ``batches``,
-    ``rows`` — counted before the final merge).
-    """
+    """Counters from one plan execution (benchmark telemetry)."""
 
     batches: int = 0
     rows: int = 0
     materialized_ctes: int = 0
-    workers: int = 1
-    morsels: int = 0
-    per_worker: List[Dict] = field(default_factory=list)
 
 
-def _root_dedups(root: Operator) -> bool:
-    """Whether *root*'s partition streams need a cross-partition dedup.
-
-    True when the pipeline root (unwrapping transparent Materialize
-    nodes) is a deduplicating operator: its partitions are per-worker
-    locally-deduped partials, and rows surviving in two partitions must
-    be merged through one global seen-set.
-    """
-    while isinstance(root, Materialize):
-        root = root.child
-    if isinstance(root, Distinct):
-        return True
-    return isinstance(root, Union) and not root.all_rows
-
-
-def _run_root_parallel(
-    root: Operator,
-    context: Dict,
-    parallel: ParallelContext,
-    counters: List[Tuple[str, int, int]],
-) -> List[Batch]:
-    """Execute one root pipeline across the worker pool; merged batches.
-
-    The morsel count is proportional to the root's estimated work
-    (``partitions_for``): a pipeline smaller than one morsel runs
-    serially — per-task scheduling would dwarf it — so cheap CTEs in a
-    plan full of them cost nothing extra while heavy pipelines fan out.
-    """
-    parts = parallel.partitions_for(root.cost)
-    if parts <= 1:
-        return list(root.batches(context))
-    root.prepare(context, parallel, parts, top=True)
-
-    def morsel(part: int) -> Tuple[str, List[Batch], int]:
-        out = list(root.batches_partitioned(context, part, parts))
-        produced = sum(len(batch[0]) for batch in out)
-        return (threading.current_thread().name, out, produced)
-
-    results = parallel.map_partitions(morsel, parts)
-    for worker, out, produced in results:
-        counters.append((worker, len(out), produced))
-    if _root_dedups(root):
-        return list(
-            _dedup_batches(
-                (batch for _, out, _ in results for batch in out), set()
-            )
-        )
-    return [batch for _, out, _ in results for batch in out]
-
-
-def execute_plan(
-    plan: Plan,
-    stats: Optional[ExecutionStats] = None,
-    parallel: Optional[ParallelContext] = None,
-) -> List[Row]:
-    """Run *plan*: CTEs are materialized once, the body streams over them.
-
-    Pass a multi-worker *parallel* context for morsel-driven execution;
-    with ``parallel=None`` (or one worker) this is the unchanged serial
-    path — no pool, no partitioning, no merge overhead.
-    """
-    if parallel is not None and parallel.parallel:
-        return _execute_plan_parallel(plan, stats, parallel)
+def _materialize_ctes(
+    plan: Plan, stats: Optional[ExecutionStats]
+) -> Dict[str, List[Batch]]:
+    """Materialize *plan*'s CTEs in order; the body's execution context."""
     context: Dict[str, List[Batch]] = {}
     for name, materialize in plan.cte_plans:
         batches = list(materialize.batches(context))
@@ -125,6 +38,14 @@ def execute_plan(
         if stats is not None:
             stats.batches += len(batches)
             stats.materialized_ctes += 1
+    return context
+
+
+def execute_plan(
+    plan: Plan, stats: Optional[ExecutionStats] = None
+) -> List[Row]:
+    """Run *plan*: CTEs are materialized once, the body streams over them."""
+    context = _materialize_ctes(plan, stats)
     out: List[Row] = []
     if stats is not None:
         for batch in plan.body.batches(context):
@@ -135,45 +56,6 @@ def execute_plan(
         for batch in plan.body.batches(context):
             out.extend(zip(*batch))
     return out
-
-
-def _execute_plan_parallel(
-    plan: Plan,
-    stats: Optional[ExecutionStats],
-    parallel: ParallelContext,
-) -> List[Row]:
-    """The morsel-driven execution path (two or more workers)."""
-    body_batches = _body_batches_parallel(plan, stats, parallel)
-    out: List[Row] = []
-    for batch in body_batches:
-        out.extend(zip(*batch))
-    if stats is not None:
-        stats.rows = len(out)
-    return out
-
-
-def _body_batches_parallel(
-    plan: Plan,
-    stats: Optional[ExecutionStats],
-    parallel: ParallelContext,
-) -> List[Batch]:
-    """Materialize CTEs and collect the body's merged batches (the
-    shared core of the row-tuple and columnar parallel paths)."""
-    context: Dict = {}
-    counters: List[Tuple[str, int, int]] = []
-    for name, materialize in plan.cte_plans:
-        batches = _run_root_parallel(materialize, context, parallel, counters)
-        context[name] = batches
-        if stats is not None:
-            stats.batches += len(batches)
-            stats.materialized_ctes += 1
-    body_batches = _run_root_parallel(plan.body, context, parallel, counters)
-    if stats is not None:
-        stats.batches += len(body_batches)
-        stats.workers = parallel.workers
-        stats.morsels = len(counters)
-        stats.per_worker = aggregate_worker_counters(counters)
-    return body_batches
 
 
 def _instrument_operator(op: Operator, measurements: Dict[int, Dict]) -> None:
@@ -229,9 +111,7 @@ def execute_plan_analyzed(
     Returns ``(rows, measurements)`` where *measurements* maps
     ``id(operator)`` to ``{"rows", "batches", "seconds"}`` — the inputs
     :func:`repro.engine.explain.explain_plan_analyzed` renders next to
-    the planner's estimates. Always serial: per-morsel fan-out would
-    interleave several workers' pulls through one shared wrapper and
-    make per-node times meaningless. Answers are identical to
+    the planner's estimates. Answers are identical to
     :func:`execute_plan` (the wrapper re-yields batches untouched).
     """
     measurements: Dict[int, Dict] = {}
@@ -241,9 +121,7 @@ def execute_plan_analyzed(
             _instrument_operator(op, measurements)
     for op in _walk_operators(plan.body, seen):
         _instrument_operator(op, measurements)
-    context: Dict[str, List[Batch]] = {}
-    for name, materialize in plan.cte_plans:
-        context[name] = list(materialize.batches(context))
+    context = _materialize_ctes(plan, None)
     out: List[Row] = []
     for batch in plan.body.batches(context):
         out.extend(zip(*batch))
@@ -251,9 +129,7 @@ def execute_plan_analyzed(
 
 
 def execute_plan_columns(
-    plan: Plan,
-    stats: Optional[ExecutionStats] = None,
-    parallel: Optional[ParallelContext] = None,
+    plan: Plan, stats: Optional[ExecutionStats] = None
 ) -> Tuple[int, List[List]]:
     """Run *plan* and return ``(nrows, columns)`` — no row tuples built.
 
@@ -264,19 +140,10 @@ def execute_plan_columns(
     Column order and intra-column order match :func:`execute_plan`
     exactly; an empty result is ``(0, [])``.
     """
-    if parallel is not None and parallel.parallel:
-        body_batches = _body_batches_parallel(plan, stats, parallel)
-    else:
-        context: Dict[str, List[Batch]] = {}
-        for name, materialize in plan.cte_plans:
-            batches = list(materialize.batches(context))
-            context[name] = batches
-            if stats is not None:
-                stats.batches += len(batches)
-                stats.materialized_ctes += 1
-        body_batches = list(plan.body.batches(context))
-        if stats is not None:
-            stats.batches += len(body_batches)
+    context = _materialize_ctes(plan, stats)
+    body_batches = list(plan.body.batches(context))
+    if stats is not None:
+        stats.batches += len(body_batches)
     body_batches = [batch for batch in body_batches if len(batch[0])]
     if not body_batches:
         if stats is not None:

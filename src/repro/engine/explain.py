@@ -22,8 +22,6 @@ class ExplainResult:
     ``nodes`` counts the physical operators in the plan (CTE sections —
     including planner-generated shared scans — plus the body); with
     shared-scan unions this is often far below one-pipeline-per-arm.
-    ``workers`` is the degree of parallelism the statement executes at
-    (and that its costs were discounted for).
 
     For ``EXPLAIN ANALYZE`` (see :func:`explain_plan_analyzed`),
     ``actual_rows`` / ``actual_seconds`` carry the measured result size
@@ -35,7 +33,6 @@ class ExplainResult:
     est_rows: float
     text: str
     nodes: int = 0
-    workers: int = 1
     actual_rows: Optional[int] = None
     actual_seconds: Optional[float] = None
 
@@ -65,7 +62,7 @@ def _render(
     return count
 
 
-def explain_plan(plan: Plan, workers: int = 1) -> ExplainResult:
+def explain_plan(plan: Plan) -> ExplainResult:
     """Render *plan* and collect its planner estimates."""
     lines: List[str] = []
     nodes = 0
@@ -73,14 +70,11 @@ def explain_plan(plan: Plan, workers: int = 1) -> ExplainResult:
         nodes += _render(materialize, 0, lines)
     nodes += _render(plan.body, 0, lines)
     lines.append(f"Total estimated cost: {plan.total_cost:.1f}")
-    if workers > 1:
-        lines.append(f"Degree of parallelism: {workers}")
     return ExplainResult(
         total_cost=plan.total_cost,
         est_rows=plan.est_rows,
         text="\n".join(lines),
         nodes=nodes,
-        workers=workers,
     )
 
 
@@ -116,7 +110,6 @@ def explain_plan_analyzed(
         est_rows=plan.est_rows,
         text="\n".join(lines),
         nodes=nodes,
-        workers=1,
         actual_rows=actual_rows,
         actual_seconds=actual_seconds,
     )

@@ -17,47 +17,23 @@ Every operator exposes:
   materialized CTE name to its list of batches;
 * ``rows(context)`` — compatibility wrapper flattening the batches.
 
-**Morsel-driven parallel execution** adds two methods, driven by the
-executor (see :mod:`repro.engine.parallel` for the worker pool):
-
-* ``prepare(context, parallel, parts)`` — the pre-pipeline barrier:
-  hash joins build their shared hash table once (from per-worker partial
-  tables merged in partition order), cross joins materialize their inner
-  side, and *interior* deduplicating operators (a DISTINCT feeding a
-  duplicate-preserving parent) materialize their exact output. Shared
-  state lives in the per-execution ``context`` under ``id``-based keys,
-  never on the operator — plans are cached and executed concurrently.
-* ``batches_partitioned(context, part, parts)`` — partition ``part`` of
-  the operator's output. Sources slice contiguously; stateless operators
-  delegate to their child's partition; hash joins stream their partition
-  of the probe side through the shared build; dedup operators dedup
-  locally per partition (the executor or an interior barrier merges the
-  per-worker seen-sets). Concatenating all partitions in order equals
-  the serial output exactly — as a multiset below any dedup, as a set at
-  deduplicating roots.
-
 Cost constants live in :class:`CostParameters` so backends can be
 calibrated (Section 6.1 of the paper calibrates "a few constant
-coefficients" per system); its parallelism fields discount per-row work
-by the engine's *measured* (not assumed-linear) parallel speedup.
+coefficients" per system).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.engine.parallel import ParallelContext, slice_bounds
 from repro.engine.relation import Index, Table
 
 Row = Tuple
 #: A columnar batch: one sequence of values per column, equal lengths.
 Batch = Sequence[Sequence]
-#: Execution context: materialized CTE name -> list of batches, plus
-#: ``("_build" | "_cross" | "_breaker", id(op))`` keys for the shared
-#: state ``prepare`` sets up under parallel execution.
-Context = Dict[object, object]
+#: Execution context: materialized CTE name -> list of batches.
+Context = Dict[str, List[Batch]]
 
 
 @dataclass
@@ -77,29 +53,6 @@ class CostParameters:
     cross_join_penalty: float = 8.0
     #: Rows per columnar batch (execution tuning, not a cost).
     batch_size: int = 1024
-    #: Degree of parallelism the costed engine runs pipelines at.
-    workers: int = 1
-    #: Fraction of linear scaling one extra worker actually delivers
-    #: (morsel scheduling, merge barriers and — on CPython — the GIL make
-    #: this well below 1; calibrate with ``ParallelContext.learn``).
-    parallel_efficiency: float = 0.7
-    #: The execution substrate :attr:`parallel_efficiency` was measured
-    #: on (``serial`` / ``thread`` / ``process``). Substrate-keyed
-    #: calibration (``MiniRDBMS.learn_parallel_efficiency``) only
-    #: applies measurements matching the engine's live substrate, so a
-    #: GIL-bound thread figure never prices process-substrate scatter.
-    substrate: str = "thread"
-
-    def parallel_speedup(self) -> float:
-        """The factor per-row pipeline work is discounted by.
-
-        ``1 + efficiency * (workers - 1)`` — Amdahl-style with a learned
-        per-worker efficiency; exactly 1.0 at one worker, so serial
-        costing is untouched.
-        """
-        if self.workers <= 1:
-            return 1.0
-        return max(1.0, 1.0 + self.parallel_efficiency * (self.workers - 1))
 
 
 DEFAULT_COSTS = CostParameters()
@@ -141,38 +94,6 @@ class Operator:
         """One-line description for EXPLAIN output."""
         return type(self).__name__
 
-    # -- morsel-driven execution ---------------------------------------
-    def prepare(
-        self,
-        context: Context,
-        parallel: ParallelContext,
-        parts: int,
-        top: bool = False,
-    ) -> None:
-        """Set up shared per-execution state before partitioned streaming.
-
-        Runs in the coordinating thread, once per pipeline, *before* any
-        ``batches_partitioned`` morsel is scheduled — the pipeline
-        barrier. ``top`` marks the root of the parallel section: a
-        deduplicating root streams per-worker partials for the executor
-        to merge instead of materializing itself (see :class:`Distinct`
-        / :class:`Union`). The default recurses into the children.
-        """
-        for child in self.children():
-            child.prepare(context, parallel, parts)
-
-    def batches_partitioned(
-        self, context: Context, part: int, parts: int
-    ) -> Iterator[Batch]:
-        """Partition *part* (of *parts*) of this operator's output.
-
-        The base fallback serves the entire serial output as partition 0
-        — correct for any operator, parallel for none; every shipped
-        operator overrides it.
-        """
-        if part == 0:
-            yield from self.batches(context)
-
 
 class SeqScan(Operator):
     """Full scan of a base table, with optional pushed-down equality filters.
@@ -207,35 +128,20 @@ class SeqScan(Operator):
             self.est_ndv[f"{alias}.{column}"] = max(
                 1.0, min(ndv, self.est_rows or 1.0)
             )
-        self.cost = (
-            params.seq_scan_per_row * cardinality / params.parallel_speedup()
-        )
-
-    def _filtered_rows(self, rows: Iterable[Row]) -> List[Row]:
-        if len(self.filters) == 1:
-            position, value = self.filters[0]
-            return [r for r in rows if r[position] == value]
-        filters = self.filters
-        return [r for r in rows if all(r[p] == v for p, v in filters)]
+        self.cost = params.seq_scan_per_row * cardinality
 
     def batches(self, context: Context) -> Iterator[Batch]:
         if not self.filters:
             yield from self.table.column_batches(self._batch_size)
             return
-        yield from _chunked(self._filtered_rows(self.table.rows), self._batch_size)
-
-    def batches_partitioned(
-        self, context: Context, part: int, parts: int
-    ) -> Iterator[Batch]:
-        # Partitions are runs of the cached columnar batches: the rows
-        # themselves live in a dict, which cannot be sliced.
-        stored = self.table.column_batches(self._batch_size)
-        lo, hi = slice_bounds(len(stored), part, parts)
-        if not self.filters:
-            yield from stored[lo:hi]
-            return
-        rows = chain.from_iterable(zip(*batch) for batch in stored[lo:hi])
-        yield from _chunked(self._filtered_rows(rows), self._batch_size)
+        rows = self.table.rows
+        if len(self.filters) == 1:
+            position, value = self.filters[0]
+            matched = [r for r in rows if r[position] == value]
+        else:
+            filters = self.filters
+            matched = [r for r in rows if all(r[p] == v for p, v in filters)]
+        yield from _chunked(matched, self._batch_size)
 
     def label(self) -> str:
         rendered = f"SeqScan {self.table.name} AS {self.alias}"
@@ -286,29 +192,17 @@ class IndexScan(Operator):
                 1.0, min(ndv, self.est_rows or 1.0)
             )
         self.cost = params.index_probe + (
-            params.index_probe_per_row
-            * self.est_rows
-            / params.parallel_speedup()
+            params.index_probe_per_row * self.est_rows
         )
 
-    def _matched_rows(self) -> List[Row]:
+    def batches(self, context: Context) -> Iterator[Batch]:
         matched = self.index.lookup(self._key)
         if self.residual:
             residual = self.residual
             matched = [
                 r for r in matched if all(r[p] == v for p, v in residual)
             ]
-        return matched
-
-    def batches(self, context: Context) -> Iterator[Batch]:
-        yield from _chunked(self._matched_rows(), self._batch_size)
-
-    def batches_partitioned(
-        self, context: Context, part: int, parts: int
-    ) -> Iterator[Batch]:
-        matched = self._matched_rows()
-        lo, hi = slice_bounds(len(matched), part, parts)
-        yield from _chunked(matched[lo:hi], self._batch_size)
+        yield from _chunked(matched, self._batch_size)
 
     def label(self) -> str:
         conds = ", ".join(
@@ -349,14 +243,14 @@ class CTEScan(Operator):
         for out_label, src_label in zip(self.columns, cte_root.columns):
             ndv = cte_root.est_ndv.get(src_label, self.est_rows or 1.0)
             self.est_ndv[out_label] = max(1.0, min(ndv, self.est_rows or 1.0))
-        self.cost = (
-            params.seq_scan_per_row
-            * max(cte_root.est_rows, 0.0)
-            / params.parallel_speedup()
-        )
+        self.cost = params.seq_scan_per_row * max(cte_root.est_rows, 0.0)
 
-    def _filtered(self, stored: Iterable[Batch]) -> Iterator[Batch]:
+    def batches(self, context: Context) -> Iterator[Batch]:
+        stored = context[self.name]
         filters = self.filters
+        if not filters:
+            yield from stored
+            return
         for batch in stored:
             position, value = filters[0]
             column = batch[position]
@@ -370,23 +264,6 @@ class CTEScan(Operator):
                 yield batch
             else:
                 yield _gather(batch, selection)
-
-    def batches(self, context: Context) -> Iterator[Batch]:
-        stored = context[self.name]
-        if not self.filters:
-            yield from stored
-            return
-        yield from self._filtered(stored)
-
-    def batches_partitioned(
-        self, context: Context, part: int, parts: int
-    ) -> Iterator[Batch]:
-        stored = context[self.name]
-        lo, hi = slice_bounds(len(stored), part, parts)
-        if not self.filters:
-            yield from stored[lo:hi]
-            return
-        yield from self._filtered(stored[lo:hi])
 
     def label(self) -> str:
         return f"CTEScan {self.name} AS {self.alias}"
@@ -448,22 +325,12 @@ class Filter(Operator):
             return batch
         return _gather(batch, selection)
 
-    def _selected(self, source: Iterable[Batch]) -> Iterator[Batch]:
+    def batches(self, context: Context) -> Iterator[Batch]:
         select = self._select
-        for batch in source:
+        for batch in self.child.batches(context):
             selected = select(batch)
             if selected is not None:
                 yield selected
-
-    def batches(self, context: Context) -> Iterator[Batch]:
-        return self._selected(self.child.batches(context))
-
-    def batches_partitioned(
-        self, context: Context, part: int, parts: int
-    ) -> Iterator[Batch]:
-        return self._selected(
-            self.child.batches_partitioned(context, part, parts)
-        )
 
     def children(self) -> Sequence[Operator]:
         return (self.child,)
@@ -520,22 +387,12 @@ class ConstFilter(Operator):
             return batch
         return _gather(batch, selection)
 
-    def _selected(self, source: Iterable[Batch]) -> Iterator[Batch]:
+    def batches(self, context: Context) -> Iterator[Batch]:
         select = self._select
-        for batch in source:
+        for batch in self.child.batches(context):
             selected = select(batch)
             if selected is not None:
                 yield selected
-
-    def batches(self, context: Context) -> Iterator[Batch]:
-        return self._selected(self.child.batches(context))
-
-    def batches_partitioned(
-        self, context: Context, part: int, parts: int
-    ) -> Iterator[Batch]:
-        return self._selected(
-            self.child.batches_partitioned(context, part, parts)
-        )
 
     def children(self) -> Sequence[Operator]:
         return (self.child,)
@@ -642,16 +499,11 @@ class HashJoin(Operator):
         neither scanned nor hashed: pay only the probe side plus
         per-probe index lookups.
         """
-        speedup = params.parallel_speedup()
         if index_side is not None:
             probe = right if index_side == "left" else left
-            return (
-                probe.cost
-                + (
-                    params.hash_probe_per_row * probe.est_rows
-                    + params.output_per_row * est_rows
-                )
-                / speedup
+            return probe.cost + (
+                params.hash_probe_per_row * probe.est_rows
+                + params.output_per_row * est_rows
             )
         build_rows = min(left.est_rows, right.est_rows)
         probe_rows = max(left.est_rows, right.est_rows)
@@ -663,7 +515,6 @@ class HashJoin(Operator):
                 + params.hash_probe_per_row * probe_rows
                 + params.output_per_row * est_rows
             )
-            / speedup
         )
 
     def _build_spec(self) -> Tuple[bool, Operator, List[int], Operator, List[int]]:
@@ -701,48 +552,6 @@ class HashJoin(Operator):
                     key = tuple(row[p] for p in build_positions)
                     buckets.setdefault(key, []).append(row)
 
-    def prepare(
-        self,
-        context: Context,
-        parallel: ParallelContext,
-        parts: int,
-        top: bool = False,
-    ) -> None:
-        """The shared-build barrier: one hash table per execution.
-
-        Workers build per-partition *partial* hash tables from their
-        morsels of the build side; the partials are merged in partition
-        order (contiguous partitions, so every bucket's row order equals
-        the serial build's) and published in the execution context for
-        all probe morsels to share. Index joins have nothing to build —
-        the table's index is the build side already.
-        """
-        self.left.prepare(context, parallel, parts)
-        self.right.prepare(context, parallel, parts)
-        if self._index is not None:
-            return
-        _is_left, build_op, build_positions, _probe, _positions = self._build_spec()
-
-        def build_partial(part: int) -> Dict[object, List[Row]]:
-            partial: Dict[object, List[Row]] = {}
-            self._build_into(
-                partial,
-                build_op.batches_partitioned(context, part, parts),
-                build_positions,
-            )
-            return partial
-
-        partials = parallel.map_partitions(build_partial, parts)
-        buckets = partials[0]
-        for partial in partials[1:]:
-            for key, rows in partial.items():
-                existing = buckets.get(key)
-                if existing is None:
-                    buckets[key] = rows
-                else:
-                    existing.extend(rows)
-        context[("_build", id(self))] = buckets
-
     def batches(self, context: Context) -> Iterator[Batch]:
         if self._index is not None:
             probe_op, probe_positions, lookup, probe_is_left = (
@@ -761,39 +570,6 @@ class HashJoin(Operator):
             return
         yield from self._probe(
             probe_op.batches(context),
-            probe_positions,
-            buckets.get,
-            probe_op is self.left,
-        )
-
-    def batches_partitioned(
-        self, context: Context, part: int, parts: int
-    ) -> Iterator[Batch]:
-        if self._index is not None:
-            probe_op, probe_positions, lookup, probe_is_left = (
-                self._index_probe_spec()
-            )
-            yield from self._probe(
-                probe_op.batches_partitioned(context, part, parts),
-                probe_positions,
-                lookup,
-                probe_is_left,
-            )
-            return
-        buckets = context.get(("_build", id(self)))
-        if buckets is None:
-            # prepare() never ran (direct use outside the executor):
-            # degrade to correct serial execution in partition 0.
-            if part == 0:
-                yield from self.batches(context)
-            return
-        if not buckets:
-            return
-        _is_left, _build, _positions, probe_op, probe_positions = (
-            self._build_spec()
-        )
-        yield from self._probe(
-            probe_op.batches_partitioned(context, part, parts),
             probe_positions,
             buckets.get,
             probe_op is self.left,
@@ -893,26 +669,19 @@ class CrossJoin(Operator):
         self.cost = (
             left.cost
             + right.cost
-            + params.cross_join_penalty
-            * self.est_rows
-            / params.parallel_speedup()
+            + params.cross_join_penalty * self.est_rows
         )
 
-    def _collect_right(self, right_batches: Iterable[Batch]) -> List[List]:
+    def batches(self, context: Context) -> Iterator[Batch]:
         width = len(self.right.columns)
         right_cols: List[List] = [[] for _ in range(width)]
-        for batch in right_batches:
+        for batch in self.right.batches(context):
             for position in range(width):
                 right_cols[position].extend(batch[position])
-        return right_cols
-
-    def _emit(
-        self, left_batches: Iterable[Batch], right_cols: List[List]
-    ) -> Iterator[Batch]:
         if not right_cols or not right_cols[0]:
             return
         count = len(right_cols[0])
-        for batch in left_batches:
+        for batch in self.left.batches(context):
             left_out = [
                 [value for value in column for _ in range(count)]
                 for column in batch
@@ -920,41 +689,6 @@ class CrossJoin(Operator):
             size = len(batch[0])
             right_out = [column * size for column in right_cols]
             yield left_out + right_out
-
-    def prepare(
-        self,
-        context: Context,
-        parallel: ParallelContext,
-        parts: int,
-        top: bool = False,
-    ) -> None:
-        """Materialize the inner side once; morsels partition the outer."""
-        self.left.prepare(context, parallel, parts)
-        self.right.prepare(context, parallel, parts)
-
-        def collect(part: int) -> List[Batch]:
-            return list(self.right.batches_partitioned(context, part, parts))
-
-        partition_lists = parallel.map_partitions(collect, parts)
-        context[("_cross", id(self))] = self._collect_right(
-            batch for partition in partition_lists for batch in partition
-        )
-
-    def batches(self, context: Context) -> Iterator[Batch]:
-        right_cols = self._collect_right(self.right.batches(context))
-        yield from self._emit(self.left.batches(context), right_cols)
-
-    def batches_partitioned(
-        self, context: Context, part: int, parts: int
-    ) -> Iterator[Batch]:
-        right_cols = context.get(("_cross", id(self)))
-        if right_cols is None:
-            if part == 0:
-                yield from self.batches(context)
-            return
-        yield from self._emit(
-            self.left.batches_partitioned(context, part, parts), right_cols
-        )
 
     def children(self) -> Sequence[Operator]:
         return (self.left, self.right)
@@ -987,30 +721,16 @@ class Project(Operator):
                 self.est_ndv[label] = child.est_ndv.get(
                     child.columns[position], self.est_rows or 1.0
                 )
-        self.cost = child.cost + (
-            params.output_per_row
-            * child.est_rows
-            / params.parallel_speedup()
-        )
+        self.cost = child.cost + params.output_per_row * child.est_rows
 
-    def _projected(self, source: Iterable[Batch]) -> Iterator[Batch]:
+    def batches(self, context: Context) -> Iterator[Batch]:
         items = self.items
-        for batch in source:
+        for batch in self.child.batches(context):
             size = len(batch[0])
             yield [
                 batch[position] if position is not None else [value] * size
                 for position, value, _label in items
             ]
-
-    def batches(self, context: Context) -> Iterator[Batch]:
-        return self._projected(self.child.batches(context))
-
-    def batches_partitioned(
-        self, context: Context, part: int, parts: int
-    ) -> Iterator[Batch]:
-        return self._projected(
-            self.child.batches_partitioned(context, part, parts)
-        )
 
     def children(self) -> Sequence[Operator]:
         return (self.child,)
@@ -1039,43 +759,8 @@ def _dedup_batches(
             yield tuple(zip(*fresh))
 
 
-def _materialize_breaker(
-    op: "Operator", context: Context, parallel: ParallelContext, parts: int
-) -> None:
-    """Interior dedup barrier: compute *op*'s exact global output once.
-
-    An interior deduplicating operator (one whose parent preserves
-    duplicates — e.g. a DISTINCT subquery under a plain join) cannot
-    stream per-partition partials: a row surviving local dedup in two
-    partitions would reach the parent twice. So it is a hard pipeline
-    breaker — workers produce locally-deduped partials of the child,
-    the coordinator merges them through one global seen-set (first
-    occurrence in partition order wins, reproducing the serial content
-    exactly), and the materialized batches are re-partitioned for the
-    pipeline above.
-    """
-
-    def local(part: int) -> List[Batch]:
-        return list(op.batches_partitioned(context, part, parts))
-
-    partition_lists = parallel.map_partitions(local, parts)
-    merged = list(
-        _dedup_batches(
-            (b for partition in partition_lists for b in partition), set()
-        )
-    )
-    context[("_breaker", id(op))] = merged
-
-
 class Distinct(Operator):
-    """Hash-based duplicate elimination.
-
-    A pipeline breaker under parallel execution: partitions dedup
-    against per-worker seen-sets, and the cross-partition merge happens
-    either in the executor (when this operator is the pipeline's root)
-    or in :func:`_materialize_breaker` (when it feeds a
-    duplicate-preserving parent).
-    """
+    """Hash-based duplicate elimination."""
 
     def __init__(self, child: Operator, params: CostParameters) -> None:
         self.child = child
@@ -1085,39 +770,10 @@ class Distinct(Operator):
             ndv_product *= child.est_ndv.get(label, child.est_rows or 1.0)
         self.est_rows = max(1.0, min(child.est_rows, ndv_product))
         self.est_ndv = dict(child.est_ndv)
-        self.cost = child.cost + (
-            params.dedup_per_row
-            * child.est_rows
-            / params.parallel_speedup()
-        )
-
-    def prepare(
-        self,
-        context: Context,
-        parallel: ParallelContext,
-        parts: int,
-        top: bool = False,
-    ) -> None:
-        self.child.prepare(context, parallel, parts)
-        if not top:
-            _materialize_breaker(self, context, parallel, parts)
+        self.cost = child.cost + params.dedup_per_row * child.est_rows
 
     def batches(self, context: Context) -> Iterator[Batch]:
         yield from _dedup_batches(self.child.batches(context), set())
-
-    def batches_partitioned(
-        self, context: Context, part: int, parts: int
-    ) -> Iterator[Batch]:
-        stored = context.get(("_breaker", id(self)))
-        if stored is not None:
-            lo, hi = slice_bounds(len(stored), part, parts)
-            yield from stored[lo:hi]
-            return
-        # Root of the parallel section: locally-deduped partial stream;
-        # the executor merges partials through a global seen-set.
-        yield from _dedup_batches(
-            self.child.batches_partitioned(context, part, parts), set()
-        )
 
     def children(self) -> Sequence[Operator]:
         return (self.child,)
@@ -1128,11 +784,7 @@ class Union(Operator):
 
     Deduplication shares one seen-set across all arms, so duplicate
     answers produced by overlapping UCQ disjuncts are dropped the first
-    time a batch crosses the operator. Under parallel execution a
-    deduplicating Union is a pipeline breaker exactly like
-    :class:`Distinct` (per-partition seen-sets span the arms, merged at
-    the root or at an interior barrier); UNION ALL partitions are each
-    arm's partitions concatenated.
+    time a batch crosses the operator.
     """
 
     def __init__(
@@ -1151,23 +803,7 @@ class Union(Operator):
             self.est_ndv[label] = max(1.0, min(total, self.est_rows or 1.0))
         self.cost = sum(op.cost for op in inputs)
         if not all_rows:
-            self.cost += (
-                params.dedup_per_row
-                * self.est_rows
-                / params.parallel_speedup()
-            )
-
-    def prepare(
-        self,
-        context: Context,
-        parallel: ParallelContext,
-        parts: int,
-        top: bool = False,
-    ) -> None:
-        for op in self.inputs:
-            op.prepare(context, parallel, parts)
-        if not self.all_rows and not top:
-            _materialize_breaker(self, context, parallel, parts)
+            self.cost += params.dedup_per_row * self.est_rows
 
     def batches(self, context: Context) -> Iterator[Batch]:
         if self.all_rows:
@@ -1177,24 +813,6 @@ class Union(Operator):
         seen: set = set()
         for op in self.inputs:
             yield from _dedup_batches(op.batches(context), seen)
-
-    def batches_partitioned(
-        self, context: Context, part: int, parts: int
-    ) -> Iterator[Batch]:
-        if self.all_rows:
-            for op in self.inputs:
-                yield from op.batches_partitioned(context, part, parts)
-            return
-        stored = context.get(("_breaker", id(self)))
-        if stored is not None:
-            lo, hi = slice_bounds(len(stored), part, parts)
-            yield from stored[lo:hi]
-            return
-        seen: set = set()
-        for op in self.inputs:
-            yield from _dedup_batches(
-                op.batches_partitioned(context, part, parts), seen
-            )
 
     def children(self) -> Sequence[Operator]:
         return tuple(self.inputs)
@@ -1208,9 +826,6 @@ class Materialize(Operator):
 
     ``shared`` marks planner-introduced shared scans: identical
     scan+filter subtrees detected across UNION arms, evaluated once.
-    Transparent to partitioning: the executor materializes the CTE by
-    collecting this operator's partitions, so ``top`` passes through to
-    the child.
     """
 
     def __init__(
@@ -1226,28 +841,10 @@ class Materialize(Operator):
         self.columns = list(child.columns)
         self.est_rows = child.est_rows
         self.est_ndv = dict(child.est_ndv)
-        self.cost = child.cost + (
-            params.materialize_per_row
-            * child.est_rows
-            / params.parallel_speedup()
-        )
-
-    def prepare(
-        self,
-        context: Context,
-        parallel: ParallelContext,
-        parts: int,
-        top: bool = False,
-    ) -> None:
-        self.child.prepare(context, parallel, parts, top=top)
+        self.cost = child.cost + params.materialize_per_row * child.est_rows
 
     def batches(self, context: Context) -> Iterator[Batch]:
         return self.child.batches(context)
-
-    def batches_partitioned(
-        self, context: Context, part: int, parts: int
-    ) -> Iterator[Batch]:
-        return self.child.batches_partitioned(context, part, parts)
 
     def children(self) -> Sequence[Operator]:
         return (self.child,)

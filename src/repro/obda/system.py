@@ -83,7 +83,6 @@ from repro.dllite.kb import InconsistentKBError, KnowledgeBase
 from repro.dllite.parser import parse_abox, parse_query, parse_tbox
 from repro.dllite.saturation import ChaseTruncatedError, is_null
 from repro.dllite.tbox import TBox
-from repro.engine.database import DB2_STATEMENT_LIMIT
 from repro.materialize.router import RoutingDecision, SaturationRouter, pick
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import (
@@ -126,8 +125,7 @@ COST_MODES = ("ext", "rdbms")
 
 #: Environment knob: default shard count for systems constructed with a
 #: *named* backend and no explicit ``shards`` argument. Values below 2
-#: keep the plain single backend (the structurally unchanged serial
-#: path), mirroring ``REPRO_WORKERS=1``.
+#: keep the plain single backend.
 SHARDS_ENV = "REPRO_SHARDS"
 
 #: Environment knob: slow-query threshold in milliseconds. Any query
@@ -347,11 +345,10 @@ class OBDASystem:
     control and per-query deadlines), and :meth:`insert_facts` /
     :meth:`delete_facts` (the epoch-based write path; writes take an
     exclusive barrier that drains in-flight queries before the backend
-    mutates). Concurrency knobs: ``engine_workers`` sets the in-process
-    engine's morsel-parallel degree (memory backend only),
-    ``serving_workers`` the default ``answer_many`` thread count,
-    ``max_in_flight`` / ``query_timeout_seconds`` the admission bound
-    and per-query deadline every batch inherits.
+    mutates). Concurrency knobs: ``serving_workers`` sets the default
+    ``answer_many`` thread count, ``max_in_flight`` /
+    ``query_timeout_seconds`` the admission bound and per-query deadline
+    every batch inherits.
 
     Storage scaling: ``shards=N`` (or ``REPRO_SHARDS>=2`` in the
     environment) hash-partitions every table across N child backends of
@@ -359,13 +356,13 @@ class OBDASystem:
     ShardedBackend` — shard-key-bound queries prune to a single shard,
     co-partitioned queries scatter-gather, and everything else falls
     back to a gathered coordinator; answers are identical to the
-    unsharded system at any shard count. ``shard_workers`` bounds the
-    scatter fan-out pool. ``executor`` picks the execution substrate
-    (``"serial"`` / ``"thread"`` / ``"process"`` / ``"auto"``; default
-    ``REPRO_EXECUTOR``): on ``process``, a sharded memory/sqlite system
-    hosts each shard's engine in a long-lived forked worker and scatter
-    results return as columnar shared-memory batches — real parallelism
-    on stock CPython, with answers still byte-identical to serial.
+    unsharded system at any shard count. ``executor`` picks the
+    execution substrate under the shards (``"serial"`` / ``"process"``
+    / ``"auto"``; default ``REPRO_EXECUTOR``): on ``process``, a sharded
+    memory/sqlite system hosts each shard's engine in a long-lived forked
+    worker and scatter results return as columnar shared-memory batches
+    — real parallelism on stock CPython, with answers still
+    byte-identical to serial.
 
     Replicated serving: ``replicas=N`` (or ``REPRO_REPLICAS>=1``)
     builds N read-only replicas of the whole backend (same kind,
@@ -390,12 +387,10 @@ class OBDASystem:
         plan_cache_size: int = 256,
         materialize: bool = False,
         max_generations: int = 4,
-        engine_workers: Optional[int] = None,
         serving_workers: Optional[int] = None,
         max_in_flight: Optional[int] = None,
         query_timeout_seconds: Optional[float] = None,
         shards: Optional[int] = None,
-        shard_workers: Optional[int] = None,
         executor: Optional[str] = None,
         trace: Optional[bool] = None,
         slow_query_ms: Optional[float] = None,
@@ -429,44 +424,19 @@ class OBDASystem:
         if isinstance(backend, str):
             if shards is None:
                 shards = _env_shards()
-            if backend == "memory":
-                if shards:
-                    shard_count = shards
-
-                    def backend_factory() -> ShardedBackend:
-                        return ShardedBackend(
-                            shard_count,
-                            child_factory=lambda: MemoryBackend(
-                                workers=engine_workers
-                            ),
-                            workers=shard_workers,
-                            max_statement_length=DB2_STATEMENT_LIMIT,
-                            substrate=executor,
-                        )
-
-                else:
-
-                    def backend_factory() -> MemoryBackend:
-                        return MemoryBackend(
-                            workers=engine_workers, substrate=executor
-                        )
-
-            elif backend == "sqlite":
-                if shards:
-                    shard_count = shards
-
-                    def backend_factory() -> ShardedBackend:
-                        return ShardedBackend(
-                            shard_count,
-                            child="sqlite",
-                            workers=shard_workers,
-                            substrate=executor,
-                        )
-
-                else:
-                    backend_factory = SQLiteBackend
-            else:
+            if backend not in ("memory", "sqlite"):
                 raise ValueError(f"unknown backend {backend!r}")
+            if shards:
+
+                def backend_factory() -> ShardedBackend:
+                    return ShardedBackend(
+                        shards, child=backend, substrate=executor
+                    )
+
+            elif backend == "memory":
+                backend_factory = MemoryBackend
+            else:
+                backend_factory = SQLiteBackend
             self.backend = backend_factory()
         else:
             if shards is not None:
@@ -1334,13 +1304,7 @@ class OBDASystem:
             _set_finite(span, est_cost=choice.search.cost)
         execution = getattr(self.backend, "last_execution", None)
         if execution is not None:
-            for attribute in (
-                "batches",
-                "workers",
-                "morsels",
-                "materialized_ctes",
-                "route",
-            ):
+            for attribute in ("batches", "materialized_ctes", "route"):
                 value = getattr(execution, attribute, None)
                 if value:
                     span.set(**{attribute: value})

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.collector import paused
 from repro.engine.database import DB2_STATEMENT_LIMIT, MiniRDBMS
@@ -86,14 +86,10 @@ class MemoryBackend(Backend):
         self,
         max_statement_length: int = DB2_STATEMENT_LIMIT,
         cost_parameters: CostParameters = DEFAULT_COSTS,
-        workers: Optional[int] = None,
-        substrate: Optional[str] = None,
     ) -> None:
         self.db = MiniRDBMS(
             max_statement_length=max_statement_length,
             cost_parameters=cost_parameters,
-            workers=workers,
-            substrate=substrate,
         )
         self._lock = threading.RLock()
 
@@ -184,7 +180,3 @@ class MemoryBackend(Backend):
     def last_execution(self):
         """Counters from the most recent execute (benchmark telemetry)."""
         return self.db.last_execution
-
-    def close(self) -> None:
-        """Release the engine's worker pool (idempotent)."""
-        self.db.close()

@@ -101,6 +101,56 @@ def rpc_timeout_seconds() -> Optional[float]:
     return millis / 1000.0
 
 
+#: Environment knob: the execution substrate under a sharded backend
+#: (``auto`` / ``serial`` / ``process``) when no ``substrate`` argument
+#: is given. Unset or unrecognised values mean ``auto``.
+EXECUTOR_ENV = "REPRO_EXECUTOR"
+
+#: The recognised substrate names (``auto`` resolves to one of the
+#: other two).
+SUBSTRATES = ("auto", "serial", "process")
+
+
+def process_substrate_available() -> bool:
+    """Whether per-shard worker processes can be hosted here.
+
+    The process substrate forks long-lived workers (the ``fork`` start
+    method keeps worker startup at milliseconds and lets arbitrary
+    child factories cross the boundary without pickling); platforms
+    without it fall back to the serial substrate.
+    """
+    try:
+        import multiprocessing
+
+        return "fork" in multiprocessing.get_all_start_methods()
+    except Exception:  # pragma: no cover - exotic platforms
+        return False
+
+
+def resolve_substrate(substrate: Optional[str] = None) -> str:
+    """Resolve a requested substrate to ``"serial"`` or ``"process"``.
+
+    *substrate* ``None`` reads ``REPRO_EXECUTOR``. ``auto`` picks
+    ``process`` when workers can be forked and more than one CPU
+    exists, ``serial`` otherwise; an explicit ``process`` degrades to
+    ``serial`` where workers cannot be forked. Any other name raises
+    :class:`ValueError`.
+    """
+    if substrate is None:
+        raw = os.environ.get(EXECUTOR_ENV, "auto").strip().lower()
+        substrate = raw if raw in SUBSTRATES else "auto"
+    if substrate not in SUBSTRATES:
+        raise ValueError(
+            f"unknown execution substrate {substrate!r}; "
+            f"expected one of {SUBSTRATES}"
+        )
+    if substrate == "serial" or not process_substrate_available():
+        return "serial"
+    if substrate == "auto" and (os.cpu_count() or 1) <= 1:
+        return "serial"
+    return "process"
+
+
 class WorkerError(RuntimeError):
     """Base for coordinator-side worker RPC failures (the transport
     failed, not the query — see the subclasses). The supervision layer
@@ -379,11 +429,6 @@ def _worker_main(
                 else:
                     text = explain(sql)
                 conn.send(("ok", text))
-            elif cmd == "describe":
-                hosted_db = getattr(backend, "db", None)
-                conn.send(
-                    ("ok", {"workers": getattr(hosted_db, "workers", None)})
-                )
             else:
                 conn.send(("error", RuntimeError(f"unknown command {cmd!r}")))
         except (KeyboardInterrupt, SystemExit):
@@ -397,15 +442,6 @@ def _worker_main(
         backend.close()
     finally:
         conn.close()
-
-
-@dataclass
-class WorkerEngineInfo:
-    """A snapshot of the worker-hosted engine's configuration, shaped
-    like the ``db`` attribute in-process children expose (so callers
-    that introspect ``child.db.workers`` work across the substrate)."""
-
-    workers: Optional[int] = None
 
 
 @dataclass
@@ -454,13 +490,6 @@ class _WorkerBulkLoader(BulkLoader):
             # A dead/closed worker has nothing left to abort; the
             # supervision layer recycles it.
             pass
-
-
-def process_workers_supported() -> bool:
-    """Whether this platform can host forked shard workers."""
-    from repro.engine.parallel import process_substrate_available
-
-    return process_substrate_available()
 
 
 class ProcessShardWorker(Backend):
@@ -708,11 +737,6 @@ class ProcessShardWorker(Backend):
             attributes["shard"] = self.shard
             attributes["transport"] = transport
         return rows, span
-
-    @property
-    def db(self) -> WorkerEngineInfo:
-        """Engine configuration of the hosted backend, fetched live."""
-        return WorkerEngineInfo(**self._call("describe"))
 
     def estimated_cost(self, sql: str) -> float:
         """The hosted backend's own cost estimate for *sql*."""

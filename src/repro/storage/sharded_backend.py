@@ -13,29 +13,27 @@ statements):
 * **pruned** — an equality binds the shard key to a constant: the
   statement runs on exactly the shards those constants hash to;
 * **scatter** — every join is shard-key co-partitioned but unbound: the
-  statement runs on *all* shards over the PR 4 worker pool
-  (:class:`~repro.engine.parallel.ParallelContext`) and the per-shard
-  results merge — a global set-union when the statement's root
-  deduplicates, order-preserving concatenation (exact multiset)
-  otherwise;
+  statement runs on *all* shards and the per-shard results merge — a
+  global set-union when the statement's root deduplicates,
+  order-preserving concatenation (exact multiset) otherwise;
 * **gather** — some join is not on the shard key, so shard-local
   evaluation would miss cross-shard matches: the referenced tables are
-  pulled shard-parallel into a coordinator :class:`~repro.engine.
+  pulled from every shard into a coordinator :class:`~repro.engine.
   database.MiniRDBMS` (cached until the next write to those tables) and
   the statement executes there.
 
 The **execution substrate** under the shards is pluggable
-(``substrate`` argument / ``REPRO_EXECUTOR``): with ``serial`` or
-``thread`` every child lives in the coordinator process and fan-out
-runs inline or on the thread pool; with ``process`` each child is
-hosted by a long-lived forked worker
-(:class:`~repro.storage.process_workers.ProcessShardWorker`) and
-scatter legs are dispatch threads blocking on worker IPC with the GIL
-released — shard pipelines then truly run in parallel on stock
-CPython, and results return as dictionary-encoded columnar batches
-over shared memory (:mod:`repro.storage.shm_exchange`) instead of
-per-row pickles. ``auto`` prefers ``process`` exactly when it pays:
-stock-GIL CPython on a multi-core box.
+(``substrate`` argument / ``REPRO_EXECUTOR``): with ``serial`` every
+child lives in the coordinator process and fan-out is a plain loop on
+the calling thread; with ``process`` each child is hosted by a
+long-lived forked worker
+(:class:`~repro.storage.process_workers.ProcessShardWorker`) and the
+legs of a multi-shard fan-out run on a dispatch pool of one thread per
+shard, each blocking on worker IPC with the GIL released — shard
+pipelines then truly run in parallel on stock CPython, and results
+return as dictionary-encoded columnar batches over shared memory
+(:mod:`repro.storage.shm_exchange`) instead of per-row pickles.
+``auto`` picks ``process`` on a multi-core box that can fork.
 
 On the process substrate every worker sits behind a
 :class:`~repro.storage.supervisor.SupervisedShardWorker` by default
@@ -63,17 +61,16 @@ scatter fan-out are priced against the child estimates plus
 
 from __future__ import annotations
 
-import os
 import threading
 import zlib
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.catalog import TableStats
 from repro.engine.database import MiniRDBMS
 from repro.engine.errors import StatementTooLongError, UnknownTableError
-from repro.engine.parallel import ParallelContext, resolve_substrate
 from repro.engine.planner import ShardRoute, analyze_shard_route
 from repro.engine.sqlparser import parse_sql
 from repro.faults import FaultInjector, FaultPlan
@@ -83,17 +80,13 @@ from repro.serving.concurrency import ReadWriteBarrier, current_deadline
 from repro.storage.base import Backend, BulkLoader, Row
 from repro.storage.layouts import LayoutData, TableSpec
 from repro.storage.memory_backend import MemoryBackend
-from repro.storage.process_workers import ProcessShardWorker
+from repro.storage.process_workers import ProcessShardWorker, resolve_substrate
 from repro.storage.sqlite_backend import SQLiteBackend
 from repro.storage.supervisor import (
     ShardSupervisor,
     SupervisionConfig,
     supervision_enabled,
 )
-
-#: Environment knob: thread count for scatter/gather fan-out (default:
-#: one thread per shard, capped at the CPU count).
-SHARD_WORKERS_ENV = "REPRO_SHARD_WORKERS"
 
 #: Statements whose routes we keep (keyed by exact SQL text).
 ROUTE_CACHE_SIZE = 512
@@ -124,31 +117,13 @@ class ShardExecutionStats:
 
     route: str = "scatter"
     #: The execution substrate the shards ran on.
-    substrate: str = "thread"
+    substrate: str = "serial"
     shards_touched: Tuple[int, ...] = ()
     shard_count: int = 1
     rows: int = 0
     batches: int = 0
-    workers: int = 1
-    morsels: int = 0
-    per_worker: List[Dict] = field(default_factory=list)
     #: One ``{"shard", "rows"}`` dict per shard that executed.
     per_shard: List[Dict] = field(default_factory=list)
-
-
-def _env_workers(shards: int, substrate: str = "thread") -> int:
-    raw = os.environ.get(SHARD_WORKERS_ENV)
-    if raw is not None:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    if substrate == "process":
-        # Dispatch threads only block on worker IPC (GIL released in
-        # recv), so give every shard its own — capping at the CPU count
-        # would idle workers behind the dispatch pool.
-        return max(1, shards)
-    return max(1, min(shards, os.cpu_count() or 1))
 
 
 class _ShardedBulkLoader(BulkLoader):
@@ -160,14 +135,13 @@ class _ShardedBulkLoader(BulkLoader):
     ingest throughput is independent of the caller's chunk size (many
     small appends coalesce into few large transfers, which is what
     amortizes the per-call RPC cost on the process substrate). On the
-    process substrate the per-shard sessions are driven from the fan-out
-    pool, so N worker processes append — and, at finish, dedup, build
-    indexes, and collect statistics — **concurrently**; with in-process
-    children dispatch stays on the calling thread (their loaders pin the
-    backend lock to it, and pure-Python index builds would serialize on
-    the GIL anyway). The coordinator holds the exclusive write barrier
-    for the whole session and publishes schema + merged statistics once,
-    at finish.
+    process substrate the per-shard sessions are driven from the
+    dispatch pool, so N worker processes append — and, at finish, dedup,
+    build indexes, and collect statistics — **concurrently**; in-process
+    children are visited in a loop on the calling thread (their loaders
+    pin the backend lock to it). The coordinator holds the exclusive
+    write barrier for the whole session and publishes schema + merged
+    statistics once, at finish.
     """
 
     #: Pending rows buffered across tables before a fan-out flush — the
@@ -180,7 +154,6 @@ class _ShardedBulkLoader(BulkLoader):
         #: table -> one pending row list per shard.
         self._pending: Dict[str, List[List[Row]]] = {}
         self._pending_rows = 0
-        self._dispatch_parallel = backend.substrate == "process"
         backend._barrier.acquire_write()
         try:
             self._children = [child.bulk_load() for child in backend.children]
@@ -189,12 +162,7 @@ class _ShardedBulkLoader(BulkLoader):
             raise
 
     def _each(self, op: Callable[[int], object]) -> None:
-        backend: "ShardedBackend" = self._backend
-        if self._dispatch_parallel:
-            backend._parallel.map_partitions(op, backend.shards)
-        else:
-            for shard in range(backend.shards):
-                op(shard)
+        self._backend._map(op, self._backend.shards)
 
     def create_table(self, name, columns, indexes=(), shard_key=None) -> None:
         """Declare one table on every shard's session."""
@@ -296,14 +264,11 @@ class ShardedBackend(Backend):
 
     ``child`` names the child kind (``"memory"`` or ``"sqlite"``);
     ``child_factory`` overrides it with a zero-argument callable for
-    custom children. ``workers`` bounds the scatter/gather fan-out pool
-    (default ``REPRO_SHARD_WORKERS``, else one thread per shard —
-    capped at the CPU count on the thread substrate; 1 keeps fan-out
-    sequential). ``substrate`` picks where the children live: in-process
-    (``"serial"`` / ``"thread"``) or one forked worker process per
-    shard (``"process"``); default ``REPRO_EXECUTOR``, else
-    auto-detection (see :func:`repro.engine.parallel.
-    resolve_substrate`).
+    custom children. ``substrate`` picks where the children live:
+    in-process (``"serial"``) or one forked worker process per shard
+    (``"process"``, fanned out by a dispatch pool of one thread per
+    shard); default ``REPRO_EXECUTOR``, else auto-detection (see
+    :func:`repro.storage.process_workers.resolve_substrate`).
     """
 
     def __init__(
@@ -311,7 +276,6 @@ class ShardedBackend(Backend):
         shards: int,
         child: str = "memory",
         child_factory: Optional[Callable[[], Backend]] = None,
-        workers: Optional[int] = None,
         max_statement_length: Optional[int] = None,
         cost_parameters: ShardCostParameters = DEFAULT_SHARD_COSTS,
         substrate: Optional[str] = None,
@@ -333,7 +297,7 @@ class ShardedBackend(Backend):
                 max_statement_length = DB2_STATEMENT_LIMIT
         self.shards = shards
         #: The resolved execution substrate under the shards.
-        self.substrate = resolve_substrate(substrate, prefer_processes=True)
+        self.substrate = resolve_substrate(substrate)
         self._supervisor: Optional[ShardSupervisor] = None
         if self.substrate == "process":
             # One long-lived forked engine worker per shard; the child
@@ -366,11 +330,15 @@ class ShardedBackend(Backend):
         self.name = f"sharded[{shards}x{self.children[0].name}]"
         self.max_statement_length = max_statement_length
         self.cost_parameters = cost_parameters
-        self._parallel = ParallelContext(
-            workers
-            if workers is not None
-            else _env_workers(shards, self.substrate),
-            substrate="serial" if self.substrate == "serial" else "thread",
+        #: Dispatch pool for fan-out to worker processes: its legs only
+        #: block on pipe IPC (GIL released), so every shard gets its own
+        #: thread. In-process children are visited in a plain loop.
+        self._pool: Optional[ThreadPoolExecutor] = (
+            ThreadPoolExecutor(
+                max_workers=shards, thread_name_prefix="repro-shard"
+            )
+            if self.substrate == "process"
+            else None
         )
         #: Coordinator engine: full schema + merged statistics always;
         #: gathered row copies only on demand (cross-shard joins).
@@ -418,6 +386,13 @@ class ShardedBackend(Backend):
     # ------------------------------------------------------------------
     # Partitioning
     # ------------------------------------------------------------------
+    def _map(self, task: Callable[[int], object], parts: int) -> List[object]:
+        """``task(0) .. task(parts-1)``, results in order: on the dispatch
+        pool when there is one and more than one leg, else inline."""
+        if self._pool is None or parts <= 1:
+            return [task(part) for part in range(parts)]
+        return list(self._pool.map(task, range(parts)))
+
     def shard_of(self, value: object) -> int:
         """The shard a home-key value hashes to (stable across runs)."""
         if isinstance(value, int):
@@ -474,7 +449,7 @@ class ShardedBackend(Backend):
                             shard_key=spec.shard_key,
                         )
                     )
-            self._parallel.map_partitions(
+            self._map(
                 lambda shard: self.children[shard].load(
                     LayoutData(tables=per_child[shard])
                 ),
@@ -707,7 +682,7 @@ class ShardedBackend(Backend):
                 span.set(rows=len(rows), batches=batches)
             return shard, rows, batches
 
-        results = self._parallel.map_partitions(one, len(targets))
+        results = self._map(one, len(targets))
         if len(results) == 1:
             merged = results[0][1]
         elif route.dedup_root:
@@ -731,7 +706,6 @@ class ShardedBackend(Backend):
             shards_touched=tuple(targets),
             rows=len(merged),
             batches=sum(batches for _shard, _rows, batches in results),
-            workers=self._parallel.workers,
             per_shard=[
                 {"shard": shard, "rows": len(rows)}
                 for shard, rows, _batches in results
@@ -778,7 +752,7 @@ class ShardedBackend(Backend):
                 continue
             with parent.child("gather.table", table=name) as span:
                 scan = f"SELECT {', '.join(columns)} FROM {name}"
-                slices = self._parallel.map_partitions(
+                slices = self._map(
                     lambda shard: self.children[shard].execute(scan),
                     self.shards,
                 )
@@ -942,7 +916,7 @@ class ShardedBackend(Backend):
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the children, the coordinator and the pool. Idempotent."""
+        """Release the children and the dispatch pool. Idempotent."""
         self._closed = True
         if self._supervisor is not None:
             # Stops the monitor thread before the workers go down, then
@@ -951,8 +925,8 @@ class ShardedBackend(Backend):
             self._supervisor.close()
         for child in self.children:
             child.close()
-        self._coordinator.close()
-        self._parallel.close()
+        if self._pool is not None:
+            self._pool.shutdown()
 
     def _check_length(self, sql: str) -> None:
         if self._closed:

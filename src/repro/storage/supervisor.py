@@ -26,7 +26,7 @@ worker death:
   routing.
 * **Retry** — idempotent commands (execute / stats / cost / explain)
   retry with deterministic exponential backoff
-  (:class:`~repro.engine.parallel.Backoff`). Writes are
+  (:class:`Backoff`). Writes are
   **replay-safe**: a write is recorded into the shard state only after
   the worker acknowledged it, so a crash mid-write rebuilds the worker
   to the *pre-write* epoch and re-applies the write exactly once —
@@ -60,7 +60,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.engine.parallel import Backoff
 from repro.faults import FaultInjector, TransientWorkerFault
 from repro.lifecycle import interpreter_exiting
 from repro.obs.metrics import get_registry
@@ -106,6 +105,36 @@ def _env_int(name: str, default: int) -> int:
         return max(1, int(raw))
     except ValueError:
         return default
+
+
+class Backoff:
+    """A deterministic exponential backoff schedule.
+
+    ``delay(attempt)`` is ``initial * factor**attempt`` capped at *cap*
+    — deliberately jitter-free: retry timing feeds the fault-injection
+    harness (:mod:`repro.faults`), where a failing chaos run must replay
+    identically. The shard workers backing off are per-shard singletons,
+    not a thundering herd, so jitter buys nothing here.
+    """
+
+    def __init__(
+        self, initial: float = 0.05, factor: float = 2.0, cap: float = 1.0
+    ) -> None:
+        if initial < 0 or factor < 1 or cap < 0:
+            raise ValueError("backoff wants initial >= 0, factor >= 1, cap >= 0")
+        self.initial = initial
+        self.factor = factor
+        self.cap = cap
+
+    def delay(self, attempt: int) -> float:
+        """The sleep before retry *attempt* (0-based), in seconds."""
+        return min(self.cap, self.initial * self.factor ** max(0, attempt))
+
+    def sleep(self, attempt: int, sleeper: Callable[[float], None] = None) -> None:
+        """Sleep out retry *attempt*'s delay (injectable for tests)."""
+        seconds = self.delay(attempt)
+        if seconds > 0:
+            (sleeper or time.sleep)(seconds)
 
 
 class WorkerRespawnError(WorkerError):
@@ -964,15 +993,6 @@ class SupervisedShardWorker(Backend):
             lambda backend: {
                 name: backend.table_statistics(name) for name in names
             },
-        )
-
-    @property
-    def db(self):
-        """The hosted engine's configuration snapshot (live worker or
-        degraded fallback)."""
-        return self._read(
-            lambda worker, _timeout: worker.db,
-            lambda backend: getattr(backend, "db", None),
         )
 
     def metrics_snapshot(self) -> Optional[Dict]:

@@ -7,15 +7,20 @@ smoke tier) or ``large`` (~1M, the acceptance tier). Tests marked
 ``@pytest.mark.scale("medium")`` / ``("large")`` are skipped below
 their tier, so the default suite stays fast.
 
-One autouse leak fixture rides along for every test: whatever a test
-does, it must leave the cyclic collector running and no
-:func:`repro.collector.paused` scope open.
+Autouse leak fixtures ride along for every test: whatever a test does,
+it must leave the cyclic collector running and no
+:func:`repro.collector.paused` scope open, and every thread and child
+process it started must be gone by the time its module's fixtures are
+torn down.
 """
 
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import os
+import threading
+import time
 
 import pytest
 
@@ -25,6 +30,10 @@ from repro.dllite.axioms import ConceptInclusion, RoleInclusion
 from repro.dllite.tbox import TBox
 from repro.dllite.vocabulary import AtomicConcept as C
 from repro.dllite.vocabulary import Exists, Role
+
+#: How long a test's threads and child processes get to finish, once the
+#: fixtures of its module are torn down, before they count as leaked.
+LEAK_GRACE_SECONDS = 0.5
 
 #: Fact budget per scale tier (generator scale factors).
 SCALE_FACTS = {"tiny": 1_000, "medium": 100_000, "large": 1_000_000}
@@ -83,6 +92,55 @@ def collector_left_running(request):
             f"state: gc.isenabled()={gc.isenabled()}, "
             f"paused depth={collector.depth()}"
         )
+
+
+def _running() -> set:
+    """The live threads and child processes of this interpreter."""
+    return {*threading.enumerate(), *multiprocessing.active_children()}
+
+
+def _alive(item) -> bool:
+    """Whether a thread or child process is still running."""
+    try:
+        return item.is_alive()
+    except ValueError:  # a closed Process object: its process is gone
+        return False
+
+
+@pytest.fixture(scope="module", autouse=True)
+def module_left_no_threads_or_children():
+    """Fail the module whose tests left a thread or child process
+    running once its fixtures are torn down.
+
+    The check waits for the module's end, not the test's, because a
+    thread or child a test starts may belong to a longer-lived fixture
+    (a dispatch thread started on first use, a shard worker respawned
+    after an injected crash) that stops it at its own teardown. The
+    failure names the test that started each survivor.
+    """
+    started = []  # (test node id, thread or process)
+    yield started
+    deadline = time.monotonic() + LEAK_GRACE_SECONDS
+    leaked = [(test, item) for test, item in started if _alive(item)]
+    while leaked and time.monotonic() < deadline:
+        time.sleep(0.01)
+        leaked = [(test, item) for test, item in leaked if _alive(item)]
+    if leaked:
+        pytest.fail(
+            "left running: "
+            + ", ".join(sorted(f"{item.name} (from {test})" for test, item in leaked))
+        )
+
+
+@pytest.fixture(autouse=True)
+def threads_and_children_started(request, module_left_no_threads_or_children):
+    """Record the threads and child processes a test leaves running, for
+    :func:`module_left_no_threads_or_children` to check."""
+    before = _running()
+    yield
+    module_left_no_threads_or_children.extend(
+        (request.node.nodeid, item) for item in _running() - before
+    )
 
 
 @pytest.fixture(scope="session")

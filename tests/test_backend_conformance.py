@@ -21,10 +21,10 @@ from backend_conformance import (
     check_replica_consistency,
     clone_abox,
 )
-from repro.engine.parallel import process_substrate_available
 from repro.obda.system import OBDASystem
 from repro.storage.layouts import RDFLayout, SimpleLayout
 from repro.storage.memory_backend import MemoryBackend
+from repro.storage.process_workers import process_substrate_available
 from repro.storage.sharded_backend import ShardedBackend
 from repro.storage.sqlite_backend import SQLiteBackend
 

@@ -179,14 +179,14 @@ class TestHarness:
 
         tbox = lubm_exists_tbox()
         abox = generate_abox("tiny")
-        system = OBDASystem(tbox, abox, backend="sqlite")
-        result = evaluation_experiment(
-            system,
-            {"Q12": query("Q12")},
-            variants=(("UCQ", "ucq", None), ("GDL/ext", "gdl", "ext")),
-        )
-        assert len(result.rows) == 2
-        statuses = {row["status"] for row in result.rows}
-        assert statuses == {"ok"}
-        answer_counts = {row["answers"] for row in result.rows}
-        assert len(answer_counts) == 1  # both variants agree
+        with OBDASystem(tbox, abox, backend="sqlite") as system:
+            result = evaluation_experiment(
+                system,
+                {"Q12": query("Q12")},
+                variants=(("UCQ", "ucq", None), ("GDL/ext", "gdl", "ext")),
+            )
+            assert len(result.rows) == 2
+            statuses = {row["status"] for row in result.rows}
+            assert statuses == {"ok"}
+            answer_counts = {row["answers"] for row in result.rows}
+            assert len(answer_counts) == 1  # both variants agree

@@ -28,9 +28,9 @@ from repro.bench.datagen import (
     load_generated,
     stream_batches,
 )
-from repro.engine.parallel import process_substrate_available
 from repro.storage.layouts import LayoutData, TableSpec
 from repro.storage.memory_backend import MemoryBackend
+from repro.storage.process_workers import process_substrate_available
 from repro.storage.sharded_backend import ShardedBackend
 from repro.storage.sqlite_backend import SQLiteBackend
 

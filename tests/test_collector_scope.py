@@ -29,13 +29,13 @@ from backend_conformance import (
 from repro import collector
 from repro.collector import YOUNG_DEBT_LIMIT, paused
 from repro.cost.statistics import DataStatistics
-from repro.engine.parallel import process_substrate_available
 from repro.materialize.saturator import Saturator
 from repro.obda.system import OBDASystem
 from repro.obs.metrics import get_registry
 from repro.serving.http import ServingEndpoint
 from repro.storage.base import Backend
 from repro.storage.memory_backend import MemoryBackend
+from repro.storage.process_workers import process_substrate_available
 
 needs_processes = pytest.mark.skipif(
     not process_substrate_available(),

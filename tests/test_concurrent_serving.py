@@ -16,7 +16,6 @@ import time
 import pytest
 
 from repro.dllite.abox import ABox
-from repro.engine.parallel import process_substrate_available
 from repro.obda.system import OBDASystem
 from repro.serving.concurrency import (
     AdmissionController,
@@ -24,6 +23,7 @@ from repro.serving.concurrency import (
     ReadWriteBarrier,
 )
 from repro.storage.memory_backend import MemoryBackend
+from repro.storage.process_workers import process_substrate_available
 
 QUERY = "q(x) <- Researcher(x)"
 
@@ -241,33 +241,6 @@ class TestAnswerManyDeterminism:
             assert len(reports) == len(self.QUERIES)
             assert system.last_batch_stats is not None
             assert system.last_batch_stats["serving.workers"] == 4
-
-    def test_engine_workers_flow_into_the_memory_backend(
-        self, example1_tbox, example1_abox
-    ):
-        def engine_workers(system):
-            # Under REPRO_SHARDS the memory backend sits behind a
-            # ShardedBackend; the knob must reach every child engine.
-            backend = system.backend
-            engines = [
-                child.db for child in getattr(backend, "children", [backend])
-            ]
-            counts = {engine.workers for engine in engines}
-            assert len(counts) == 1
-            return counts.pop()
-
-        with OBDASystem(
-            example1_tbox, example1_abox, engine_workers=4
-        ) as parallel, OBDASystem(
-            example1_tbox, example1_abox, engine_workers=1
-        ) as serial:
-            assert engine_workers(parallel) == 4
-            assert engine_workers(serial) == 1
-            for query in self.QUERIES:
-                assert (
-                    parallel.answer(query).answers
-                    == serial.answer(query).answers
-                )
 
 
 class TestAdmissionControl:

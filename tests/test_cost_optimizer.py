@@ -490,53 +490,53 @@ class TestOBDASystem:
     def test_all_strategies_agree(self, strategy, backend):
         from repro.obda.system import OBDASystem
 
-        system = OBDASystem.from_text(self.TBOX, self.ABOX, backend=backend)
-        report = system.answer(
-            "q(x) <- PhDStudent(x), worksWith(y, x)", strategy=strategy
-        )
-        assert report.answers == {("Damian",)}
+        with OBDASystem.from_text(self.TBOX, self.ABOX, backend=backend) as system:
+            report = system.answer(
+                "q(x) <- PhDStudent(x), worksWith(y, x)", strategy=strategy
+            )
+            assert report.answers == {("Damian",)}
 
     def test_rdbms_cost_mode(self):
         from repro.obda.system import OBDASystem
 
-        system = OBDASystem.from_text(self.TBOX, self.ABOX)
-        report = system.answer(
-            "q(x) <- PhDStudent(x), worksWith(y, x)",
-            strategy="gdl",
-            cost="rdbms",
-        )
-        assert report.answers == {("Damian",)}
+        with OBDASystem.from_text(self.TBOX, self.ABOX) as system:
+            report = system.answer(
+                "q(x) <- PhDStudent(x), worksWith(y, x)",
+                strategy="gdl",
+                cost="rdbms",
+            )
+            assert report.answers == {("Damian",)}
 
     def test_rdf_layout_end_to_end(self):
         from repro.obda.system import OBDASystem
 
-        system = OBDASystem.from_text(
+        with OBDASystem.from_text(
             self.TBOX, self.ABOX, layout="rdf", rdf_width=4
-        )
-        report = system.answer(
-            "q(x) <- PhDStudent(x), worksWith(y, x)", strategy="ucq"
-        )
-        assert report.answers == {("Damian",)}
+        ) as system:
+            report = system.answer(
+                "q(x) <- PhDStudent(x), worksWith(y, x)", strategy="ucq"
+            )
+            assert report.answers == {("Damian",)}
 
     def test_uscq_reformulation_mode(self):
         from repro.obda.system import OBDASystem
 
-        system = OBDASystem.from_text(self.TBOX, self.ABOX)
-        report = system.answer(
-            "q(x) <- PhDStudent(x), worksWith(y, x)",
-            strategy="croot",
-            use_uscq=True,
-        )
-        assert report.answers == {("Damian",)}
+        with OBDASystem.from_text(self.TBOX, self.ABOX) as system:
+            report = system.answer(
+                "q(x) <- PhDStudent(x), worksWith(y, x)",
+                strategy="croot",
+                use_uscq=True,
+            )
+            assert report.answers == {("Damian",)}
 
     def test_boolean_query(self):
         from repro.obda.system import OBDASystem
 
-        system = OBDASystem.from_text(self.TBOX, self.ABOX)
-        positive = system.answer("q() <- PhDStudent(Damian)", strategy="ucq")
-        assert positive.answers == {()}
-        negative = system.answer("q() <- PhDStudent(Ioana)", strategy="ucq")
-        assert negative.answers == set()
+        with OBDASystem.from_text(self.TBOX, self.ABOX) as system:
+            positive = system.answer("q() <- PhDStudent(Damian)", strategy="ucq")
+            assert positive.answers == {()}
+            negative = system.answer("q() <- PhDStudent(Ioana)", strategy="ucq")
+            assert negative.answers == set()
 
     def test_consistency_gate(self):
         from repro.dllite.kb import InconsistentKBError
@@ -549,10 +549,10 @@ class TestOBDASystem:
     def test_report_carries_timings_and_sql(self):
         from repro.obda.system import OBDASystem
 
-        system = OBDASystem.from_text(self.TBOX, self.ABOX)
-        report = system.answer(
-            "q(x) <- PhDStudent(x), worksWith(y, x)", strategy="gdl"
-        )
-        assert report.choice.sql.startswith(("WITH", "SELECT"))
-        assert report.total_seconds >= 0
-        assert report.choice.search is not None
+        with OBDASystem.from_text(self.TBOX, self.ABOX) as system:
+            report = system.answer(
+                "q(x) <- PhDStudent(x), worksWith(y, x)", strategy="gdl"
+            )
+            assert report.choice.sql.startswith(("WITH", "SELECT"))
+            assert report.total_seconds >= 0
+            assert report.choice.search is not None

@@ -1,11 +1,10 @@
 """The pluggable execution substrate: resolution, workers, exchange.
 
-Covers the :class:`~repro.engine.parallel.ExecutorBackend` abstraction
-(serial / thread / process selection via argument and ``REPRO_EXECUTOR``,
-auto-detection rules), the process substrate's worker lifecycle (close
-teardown, error propagation, write replication), the shared-memory
-columnar wire format, and the substrate-keyed efficiency learning that
-keeps GIL-bound thread measurements out of process-mode cost estimates.
+Covers substrate selection (serial / process via argument and
+``REPRO_EXECUTOR``, auto-detection rules), the process substrate's
+worker lifecycle (close teardown, error propagation, write
+replication), its dispatch pool, and the shared-memory columnar wire
+format.
 """
 
 import os
@@ -13,22 +12,16 @@ import pickle
 
 import pytest
 
-from repro.cost.model import ExternalCostModel, ExternalCostParameters
-from repro.cost.statistics import DataStatistics
-from repro.engine.database import MiniRDBMS
 from repro.engine.errors import StatementTooLongError, UnknownTableError
-from repro.engine.parallel import (
+from repro.engine.operators import CostParameters
+from repro.storage.layouts import LayoutData, TableSpec
+from repro.storage.memory_backend import MemoryBackend
+from repro.storage.process_workers import (
     EXECUTOR_ENV,
-    ParallelContext,
-    SerialExecutor,
-    ThreadExecutor,
-    gil_enabled,
+    ProcessShardWorker,
     process_substrate_available,
     resolve_substrate,
 )
-from repro.storage.layouts import LayoutData, TableSpec
-from repro.storage.memory_backend import MemoryBackend
-from repro.storage.process_workers import ProcessShardWorker
 from repro.storage.sharded_backend import ShardedBackend
 from repro.storage.shm_exchange import (
     pack_columns,
@@ -76,100 +69,27 @@ QUERIES = [
 class TestResolution:
     def test_explicit_names_resolve_to_themselves(self):
         assert resolve_substrate("serial") == "serial"
-        assert resolve_substrate("thread") == "thread"
+        if process_substrate_available():
+            assert resolve_substrate("process") == "process"
 
     def test_unknown_substrate_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_substrate("fiber")
+        for name in ("fiber", "thread"):
+            with pytest.raises(ValueError):
+                resolve_substrate(name)
 
     def test_env_garbage_falls_back_to_auto(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "nonsense")
-        assert resolve_substrate(None) in ("serial", "thread", "process")
+        for raw in ("nonsense", "thread"):
+            monkeypatch.setenv(EXECUTOR_ENV, raw)
+            assert resolve_substrate(None) == resolve_substrate("auto")
 
     def test_env_selects_substrate(self, monkeypatch):
         monkeypatch.setenv(EXECUTOR_ENV, "serial")
         assert resolve_substrate(None) == "serial"
 
-    def test_auto_prefers_threads_without_process_preference(self):
-        if gil_enabled():
-            assert resolve_substrate("auto") == "thread"
-
     @needs_processes
     def test_auto_with_process_preference_depends_on_cpus(self):
-        resolved = resolve_substrate("auto", prefer_processes=True)
-        if not gil_enabled():
-            assert resolved == "thread"
-        elif (os.cpu_count() or 1) > 1:
-            assert resolved == "process"
-        else:
-            assert resolved == "thread"
-
-    def test_engine_context_maps_process_to_thread(self):
-        # Morsels share one address space: an engine-level "process"
-        # request runs on the thread executor (the process substrate
-        # lives at the shard boundary).
-        context = ParallelContext(workers=2, substrate="process")
-        try:
-            assert context.substrate == "thread"
-            assert isinstance(context.executor, ThreadExecutor)
-        finally:
-            context.close()
-
-    def test_one_worker_is_always_serial(self):
-        context = ParallelContext(workers=1, substrate="thread")
-        assert context.substrate == "serial"
-        assert isinstance(context.executor, SerialExecutor)
-        assert not context.parallel
-
-    def test_serial_substrate_disables_partitioning(self):
-        context = ParallelContext(workers=4, substrate="serial")
-        assert not context.parallel
-        assert context.partitions_for(10_000_000) == 1
-        assert context.map_partitions(lambda i: i * i, 3) == [0, 1, 4]
-
-
-# ----------------------------------------------------------------------
-# Substrate-keyed efficiency learning
-# ----------------------------------------------------------------------
-class TestLearnKeying:
-    def test_context_records_per_substrate(self):
-        context = ParallelContext(workers=4, substrate="thread")
-        try:
-            context.learn(1.0)  # GIL-bound thread measurement: eff 0
-            context.learn(3.4, substrate="process")
-            assert context.efficiency_by_substrate["thread"] == 0.0
-            assert context.efficiency_by_substrate["process"] == (
-                pytest.approx(0.8)
-            )
-        finally:
-            context.close()
-
-    def test_engine_ignores_foreign_substrate_measurement(self):
-        db = MiniRDBMS(workers=4, substrate="thread")
-        try:
-            before = db.cost_parameters.parallel_efficiency
-            # A process-substrate measurement is recorded but must not
-            # touch this thread-substrate engine's live discount.
-            db.learn_parallel_efficiency(4.0, substrate="process")
-            assert db.cost_parameters.parallel_efficiency == before
-            assert db.parallel.efficiency_by_substrate["process"] == 1.0
-            # A matching-substrate measurement does apply.
-            db.learn_parallel_efficiency(1.0)
-            assert db.cost_parameters.parallel_efficiency == 0.0
-        finally:
-            db.close()
-
-    def test_external_model_keys_by_substrate(self):
-        model = ExternalCostModel(
-            DataStatistics(),
-            ExternalCostParameters(workers=4, substrate="process"),
-        )
-        before = model.parameters.parallel_efficiency
-        model.learn_parallelism(4, 1.0, substrate="thread")
-        assert model.parameters.parallel_efficiency == before
-        assert model.efficiency_by_substrate["thread"] == 0.0
-        model.learn_parallelism(4, 3.4, substrate="process")
-        assert model.parameters.parallel_efficiency == pytest.approx(0.8)
+        expected = "process" if (os.cpu_count() or 1) > 1 else "serial"
+        assert resolve_substrate("auto") == expected
 
 
 # ----------------------------------------------------------------------
@@ -210,9 +130,11 @@ class TestWireFormat:
 # Columnar engine results
 # ----------------------------------------------------------------------
 class TestExecuteColumns:
-    @pytest.mark.parametrize("workers", (1, 4))
-    def test_columns_equal_rows(self, workers):
-        backend = MemoryBackend(workers=workers)
+    @pytest.mark.parametrize("batch_size", (1, 4))
+    def test_columns_equal_rows(self, batch_size):
+        backend = MemoryBackend(
+            cost_parameters=CostParameters(batch_size=batch_size)
+        )
         try:
             backend.load(_layout())
             for sql in QUERIES:
@@ -330,7 +252,7 @@ class TestShardedProcess:
             oracle.close()
 
     def test_write_replication_under_routes(self):
-        oracle = ShardedBackend(3, substrate="thread")
+        oracle = ShardedBackend(3, substrate="serial")
         backend = ShardedBackend(3, substrate="process")
         try:
             data = _layout(rows=500)
@@ -367,9 +289,16 @@ class TestShardedProcess:
     def test_dispatch_pool_defaults_to_one_thread_per_shard(self):
         backend = ShardedBackend(6, substrate="process")
         try:
-            assert backend._parallel.workers == 6
+            assert backend._pool._max_workers == 6
+            assert backend._pool._thread_name_prefix == "repro-shard"
+            backend.load(_layout(rows=50))
+            backend.execute("SELECT DISTINCT s FROM c_a")
+            threads = set(backend._pool._threads)
+            assert threads
         finally:
             backend.close()
+        # close() stops the pool while the backend is still referenced.
+        assert not any(thread.is_alive() for thread in threads)
 
     def test_explain_and_cost_proxy_through_workers(self):
         backend = ShardedBackend(2, substrate="process")

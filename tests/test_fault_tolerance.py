@@ -19,7 +19,6 @@ import time
 
 import pytest
 
-from repro.engine.parallel import process_substrate_available
 from repro.faults import (
     FAULTS_ENV,
     FaultInjector,
@@ -38,6 +37,7 @@ from repro.storage.process_workers import (
     WorkerCrashedError,
     WorkerTimeoutError,
     _worker_main,
+    process_substrate_available,
 )
 from repro.storage.sharded_backend import ShardedBackend
 from repro.storage.supervisor import (

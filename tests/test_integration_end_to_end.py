@@ -26,17 +26,22 @@ def abox():
 
 @pytest.fixture(scope="module")
 def sqlite_system(tbox, abox):
-    return OBDASystem(tbox, abox, backend="sqlite", layout="simple")
+    with OBDASystem(tbox, abox, backend="sqlite", layout="simple") as system:
+        yield system
 
 
 @pytest.fixture(scope="module")
 def memory_system(tbox, abox):
-    return OBDASystem(tbox, abox, backend="memory", layout="simple")
+    with OBDASystem(tbox, abox, backend="memory", layout="simple") as system:
+        yield system
 
 
 @pytest.fixture(scope="module")
 def rdf_system(tbox, abox):
-    return OBDASystem(tbox, abox, backend="memory", layout="rdf", rdf_width=4)
+    with OBDASystem(
+        tbox, abox, backend="memory", layout="rdf", rdf_width=4
+    ) as system:
+        yield system
 
 
 class TestStrategiesAgree:

@@ -330,11 +330,11 @@ class TestSatAndAutoStrategies:
         assert routing.reformulation_cost >= 0
 
     def test_sat_requires_simple_layout(self, lubm_tbox):
-        system = OBDASystem(
+        with OBDASystem(
             lubm_tbox, generate_abox("tiny", seed=5), layout="rdf"
-        )
-        with pytest.raises(ValueError, match="simple layout"):
-            system.answer("q(x) <- Professor(x)", strategy="sat")
+        ) as system:
+            with pytest.raises(ValueError, match="simple layout"):
+                system.answer("q(x) <- Professor(x)", strategy="sat")
 
 
 # ---------------------------------------------------------------------------
@@ -428,19 +428,19 @@ class TestDataEpoch:
     def test_consistency_checked_writes_roll_back(self, lubm_tbox):
         from repro.dllite.kb import InconsistentKBError
 
-        system = OBDASystem(
+        with OBDASystem(
             lubm_tbox,
             generate_abox("tiny", seed=4),
             check_consistency=True,
             materialize=True,
-        )
-        epoch = system.data_epoch
-        # Person and Publication are disjoint in the LUBM∃ TBox.
-        with pytest.raises(InconsistentKBError):
-            system.insert_facts([("Person", "janus"), ("Publication", "janus")])
-        assert system.data_epoch == epoch
-        assert ("janus",) not in system.kb.abox.concept_facts("Person")
-        assert system.kb.is_consistent()
+        ) as system:
+            epoch = system.data_epoch
+            # Person and Publication are disjoint in the LUBM∃ TBox.
+            with pytest.raises(InconsistentKBError):
+                system.insert_facts([("Person", "janus"), ("Publication", "janus")])
+            assert system.data_epoch == epoch
+            assert ("janus",) not in system.kb.abox.concept_facts("Person")
+            assert system.kb.is_consistent()
 
     def test_duplicate_inputs_count_once(self, system):
         assert system.insert_facts(
@@ -486,18 +486,18 @@ class TestDataEpoch:
         assert report.answers == {("someone",)}, strategy
 
     def test_failed_write_mutates_nothing(self, lubm_tbox):
-        system = OBDASystem(
+        with OBDASystem(
             lubm_tbox, generate_abox("tiny", seed=9), layout="rdf"
-        )
-        epoch = system.data_epoch
-        with pytest.raises(ValueError, match="simple layout"):
-            system.insert_facts([("Professor", "ghost")])
-        # The rejected write left no trace: the ABox, the epoch and a
-        # retry all behave as if it never happened.
-        assert ("ghost",) not in system.kb.abox.concept_facts("Professor")
-        assert system.data_epoch == epoch
-        with pytest.raises(ValueError, match="simple layout"):
-            system.insert_facts([("Professor", "ghost")])
+        ) as system:
+            epoch = system.data_epoch
+            with pytest.raises(ValueError, match="simple layout"):
+                system.insert_facts([("Professor", "ghost")])
+            # The rejected write left no trace: the ABox, the epoch and a
+            # retry all behave as if it never happened.
+            assert ("ghost",) not in system.kb.abox.concept_facts("Professor")
+            assert system.data_epoch == epoch
+            with pytest.raises(ValueError, match="simple layout"):
+                system.insert_facts([("Professor", "ghost")])
 
 
 # ---------------------------------------------------------------------------
@@ -587,19 +587,19 @@ class TestChaseTruncation:
 
     def test_sat_refuses_truncated_saturation_and_auto_reroutes(self):
         kb = self._cyclic_kb()
-        system = OBDASystem(
+        with OBDASystem(
             kb.tbox, kb.abox, materialize=True, max_generations=1
-        )
-        assert system._saturator.truncated
-        query = "q(x) <- Boss(x), manages(x, y)"
-        # sat would under-approximate — it must refuse, like the oracle.
-        with pytest.raises(ChaseTruncatedError):
-            system.answer(query, strategy="sat")
-        # auto must fall back to the (complete) reformulation side.
-        report = system.answer(query, strategy="auto")
-        assert report.choice.routing.routed_to == "gdl"
-        assert report.answers == system.answer(query, strategy="gdl").answers
-        assert report.answers == {("root",)}
+        ) as system:
+            assert system._saturator.truncated
+            query = "q(x) <- Boss(x), manages(x, y)"
+            # sat would under-approximate — it must refuse, like the oracle.
+            with pytest.raises(ChaseTruncatedError):
+                system.answer(query, strategy="sat")
+            # auto must fall back to the (complete) reformulation side.
+            report = system.answer(query, strategy="auto")
+            assert report.choice.routing.routed_to == "gdl"
+            assert report.answers == system.answer(query, strategy="gdl").answers
+            assert report.answers == {("root",)}
 
     def test_cached_sat_plan_does_not_outlive_truncation(self):
         # A sat plan cached while the chase was complete must refuse to
@@ -612,18 +612,18 @@ class TestChaseTruncation:
                 ConceptInclusion(Exists(manages.inverted()), C("Boss")),
             ]
         )
-        system = OBDASystem(tbox, ABox(), materialize=True, max_generations=1)
-        query = "q(x) <- Boss(x)"
-        assert system.answer(query, strategy="sat").answers == set()
-        system.insert_facts([("Boss", "root")])  # now truncated
-        assert system._saturator.truncated
-        with pytest.raises(ChaseTruncatedError):
-            system.answer(query, strategy="sat")
-        # ...and deleting the truncating fact un-truncates: the flag is
-        # recomputed from live suppressions, never sticky.
-        system.delete_facts([("Boss", "root")])
-        assert not system._saturator.truncated
-        assert system.answer(query, strategy="sat").answers == set()
+        with OBDASystem(tbox, ABox(), materialize=True, max_generations=1) as system:
+            query = "q(x) <- Boss(x)"
+            assert system.answer(query, strategy="sat").answers == set()
+            system.insert_facts([("Boss", "root")])  # now truncated
+            assert system._saturator.truncated
+            with pytest.raises(ChaseTruncatedError):
+                system.answer(query, strategy="sat")
+            # ...and deleting the truncating fact un-truncates: the flag is
+            # recomputed from live suppressions, never sticky.
+            system.delete_facts([("Boss", "root")])
+            assert not system._saturator.truncated
+            assert system.answer(query, strategy="sat").answers == set()
 
 
 # ---------------------------------------------------------------------------

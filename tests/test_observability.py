@@ -22,7 +22,6 @@ import os
 import pytest
 
 from repro.engine.database import MiniRDBMS
-from repro.engine.parallel import process_substrate_available
 from repro.obda.system import OBDASystem
 from repro.obs.metrics import (
     DEFAULT_BUCKET_BOUNDS,
@@ -42,6 +41,7 @@ from repro.obs.trace import (
     trace_enabled_default,
 )
 from repro.storage.memory_backend import MemoryBackend
+from repro.storage.process_workers import process_substrate_available
 from repro.storage.sharded_backend import ShardedBackend
 from repro.storage.sqlite_backend import SQLiteBackend
 
@@ -276,7 +276,6 @@ def _assert_tree_integrity(trace):
 
 SUBSTRATES = [
     pytest.param("serial", id="serial"),
-    pytest.param("thread", id="thread"),
     pytest.param("process", id="process", marks=needs_processes),
 ]
 

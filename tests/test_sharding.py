@@ -404,14 +404,6 @@ class TestSystemWiring:
             report = system.answer("q(x) <- Researcher(x)", strategy="gdl")
             assert ("Ioana",) in report.answers
 
-    def test_shard_workers_bound_the_fanout_pool(
-        self, example1_tbox, example1_abox
-    ):
-        with OBDASystem(
-            example1_tbox, example1_abox, shards=4, shard_workers=2
-        ) as system:
-            assert system.backend._parallel.workers == 2
-
     def test_statement_length_limit_enforced_before_routing(self):
         from repro.engine.errors import StatementTooLongError
 
