@@ -1,7 +1,7 @@
 """Supervision overhead: the no-faults path must cost under 5%.
 
 The robustness contract (docs/ROBUSTNESS.md) is that worker
-supervision — on by default for the process substrate — adds under 5%
+supervision — every forked shard worker runs behind it — adds under 5%
 to statement latency when nothing fails. On the healthy path the
 :class:`~repro.storage.supervisor.SupervisedShardWorker` wrapper adds a
 fixed set of operations per shard RPC: an RLock acquire, a liveness
@@ -10,20 +10,20 @@ copied and no extra process hops occur.
 
 This benchmark prices that contract from two directions:
 
-* **supervised vs. raw wall clock** (warm min-of-N over a scatter
-  batch): the same 4-shard process-substrate workload behind supervised
-  workers and behind bare :class:`~repro.storage.process_workers.
-  ProcessShardWorker` children (``REPRO_SUPERVISE=0``). The ratio is
+* **supervised vs. raw wall clock** (warm min-of-N over a batch): one
+  bare :class:`~repro.storage.process_workers.ProcessShardWorker` and
+  one :class:`SupervisedShardWorker`, each constructed directly and
+  loaded with the same table, run the same statement. The ratio is
   recorded for information — at millisecond statement latencies it is
   dominated by scheduler noise, not by the wrapper.
 * **supervision microbenchmark**: the healthy-path wrapper cost is
   measured directly — time a no-op pass through the retry/deadline
   wrapper, charge a generous overcount of wrapper passes per statement
-  and express it as a fraction of the measured per-statement scatter
-  latency. This is the number the <5% contract (and the
+  and express it as a fraction of the measured per-statement latency.
+  This is the number the <5% contract (and the
   ``check_engine_regressions.py`` gate) applies to.
 
-Answers are asserted identical between the supervised and raw backends
+Answers are asserted identical between the supervised and raw workers
 unconditionally — supervision must never change results. Both numbers
 land in ``BENCH_engine.json`` under ``extras.fault_tolerance``.
 """
@@ -34,19 +34,18 @@ import time
 
 import pytest
 
-from repro.storage.layouts import SimpleLayout
+from repro.storage.layouts import LayoutData, SimpleLayout
 from repro.storage.memory_backend import MemoryBackend
-from repro.storage.process_workers import process_substrate_available
-from repro.storage.sharded_backend import ShardedBackend
-from repro.storage.supervisor import SUPERVISE_ENV, SupervisedShardWorker
+from repro.storage.process_workers import (
+    ProcessShardWorker,
+    process_substrate_available,
+)
+from repro.storage.supervisor import SupervisedShardWorker
 
 TIMING_ROUNDS = 3
 
-SHARDS = 4
-
-#: Statements per timed round — a scatter statement is ~1ms on the
-#: process substrate; a batch keeps the wall measurement comfortably
-#: above timer resolution.
+#: Statements per timed round — a statement is ~1ms on a worker; a
+#: batch keeps the wall measurement comfortably above timer resolution.
 STATEMENTS_PER_ROUND = 10
 
 #: Ceiling on the healthy-path supervision overhead fraction (0.05 =
@@ -54,10 +53,9 @@ STATEMENTS_PER_ROUND = 10
 SUPERVISION_OVERHEAD_CEILING = 0.05
 
 #: Wrapper passes charged per statement by the microbenchmark. A
-#: scatter statement crosses the supervision wrapper once per shard
-#: (4); 2x is a generous overcount covering the coordinator's deadline
-#: capture and ``supports_deadline`` dispatch per leg.
-WRAPPER_PASSES_PER_STATEMENT = SHARDS * 2
+#: statement crosses the supervision wrapper once; 2x is a generous
+#: overcount covering the context reads (deadline, span) per call.
+WRAPPER_PASSES_PER_STATEMENT = 2
 
 
 def _time_batch(backend, sql):
@@ -96,55 +94,48 @@ def test_supervision_overhead(tbox, abox_15m, engine_report, monkeypatch):
     contract and record the supervised/raw wall ratio for information."""
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     layout = SimpleLayout()
-    data = layout.build(abox_15m, tbox)
     role = max(
-        (spec for spec in data.tables if spec.name.startswith("r_") and spec.rows),
+        (
+            spec
+            for spec in layout.build(abox_15m, tbox).tables
+            if spec.name.startswith("r_") and spec.rows
+        ),
         key=lambda spec: len(spec.rows),
     )
-    scatter_sql = (
+    data = LayoutData(tables=[role])
+    sql = (
         f"SELECT DISTINCT a.s AS x FROM {role.name} a, {role.name} b "
         "WHERE a.s = b.s"
     )
 
     oracle = MemoryBackend()
-    monkeypatch.setenv(SUPERVISE_ENV, "0")
-    raw = ShardedBackend(SHARDS, substrate="process")
-    monkeypatch.setenv(SUPERVISE_ENV, "1")
-    supervised = ShardedBackend(SHARDS, substrate="process")
-    assert all(
-        isinstance(child, SupervisedShardWorker)
-        for child in supervised.children
-    )
-    assert not any(
-        isinstance(child, SupervisedShardWorker) for child in raw.children
-    )
+    raw = ProcessShardWorker(MemoryBackend)
+    supervised = SupervisedShardWorker(MemoryBackend)
     try:
         for backend in (oracle, raw, supervised):
             backend.load(data)
-            backend.execute(scatter_sql)  # warm plans + worker pipes
+            backend.execute(sql)  # warm plans + worker pipes
 
-        expected = oracle.execute(scatter_sql)
-        assert sorted(raw.execute(scatter_sql)) == sorted(expected)
-        assert sorted(supervised.execute(scatter_sql)) == sorted(expected)
+        expected = oracle.execute(sql)
+        assert sorted(raw.execute(sql)) == sorted(expected)
+        assert sorted(supervised.execute(sql)) == sorted(expected)
 
-        raw_wall = _time_batch(raw, scatter_sql)
-        supervised_wall = _time_batch(supervised, scatter_sql)
+        raw_wall = _time_batch(raw, sql)
+        supervised_wall = _time_batch(supervised, sql)
         per_statement = supervised_wall / STATEMENTS_PER_ROUND
         wrapper_cost = (
-            _wrapper_pass_seconds(supervised.children[0])
-            * WRAPPER_PASSES_PER_STATEMENT
+            _wrapper_pass_seconds(supervised) * WRAPPER_PASSES_PER_STATEMENT
         )
         overhead = wrapper_cost / max(per_statement, 1e-12)
         wall_ratio = supervised_wall / max(raw_wall, 1e-9)
 
-        telemetry = supervised.shard_telemetry()
-        assert telemetry.get("worker.restarts", 0) == 0
-        assert telemetry.get("worker.degraded.executions", 0) == 0
+        assert supervised.restarts == 0
+        assert supervised.degraded_executions == 0
 
         engine_report.extra(
             "fault_tolerance",
             {
-                "shards": SHARDS,
+                "shards": 1,
                 "table": role.name,
                 "table_rows": len(role.rows),
                 "statements_per_round": STATEMENTS_PER_ROUND,
@@ -166,7 +157,7 @@ def test_supervision_overhead(tbox, abox_15m, engine_report, monkeypatch):
             f"({overhead:.2%} of a {per_statement * 1e6:.0f}us statement)"
         )
         assert overhead < SUPERVISION_OVERHEAD_CEILING, (
-            f"healthy-path supervision costs {overhead:.1%} of a scatter "
+            f"healthy-path supervision costs {overhead:.1%} of a "
             f"statement (ceiling {SUPERVISION_OVERHEAD_CEILING:.0%})"
         )
     finally:

@@ -1,4 +1,5 @@
-"""Interpreter-shutdown detection for fork-happy subsystems.
+"""Interpreter-shutdown detection and the exit backstop for fork-happy
+subsystems.
 
 The process substrate forks shard workers and the replica healer
 rebuilds whole backends from daemon threads. Both are safe while the
@@ -10,25 +11,37 @@ with **no timeout** — never sees the process table drain. The result is
 an interpreter that prints its final line and then hangs forever in
 ``waitpid`` while daemon threads churn fresh processes underneath it.
 
-The cure is a single process-wide latch. The atexit backstops that
-close leaked workers and replica sets (registered lazily at first use,
-so LIFO ordering runs them *before* ``multiprocessing``'s own exit
-hook) flip it as their first action; every code path that would fork a
-new process or rebuild a replica checks it and refuses instead of
-forking. Supervisors then fail their respawn attempts fast, circuit
-breakers trip, healers go quiet, and exit completes.
+The cure is a single process-wide latch. The exit backstop
+(:func:`close_at_exit`, registered lazily at first use and after
+``multiprocessing``'s own hook, so LIFO ordering runs it *first*) flips
+it as its first action, then closes every object a caller forgot to;
+every code path that would fork a new process or rebuild a replica
+checks it and refuses instead of forking. Supervisors then fail their
+respawn attempts fast, circuit breakers trip, healers go quiet, and
+exit completes.
 """
 
 from __future__ import annotations
 
+import atexit
+import itertools
 import sys
 import threading
+import weakref
 
 _exiting = False
 
+#: Objects to close at exit, keyed by registration order (weak: a
+#: collected object has already closed or leaked, and daemon flags
+#: cover a leak).
+_LIVE: "weakref.WeakValueDictionary[int, object]" = weakref.WeakValueDictionary()
+_ORDER = itertools.count()
+_REGISTER_LOCK = threading.Lock()
+_registered = False
+
 
 def mark_interpreter_exiting() -> None:
-    """Latch shutdown: called by the atexit backstops before teardown."""
+    """Latch shutdown: called by the exit backstop before teardown."""
     global _exiting
     _exiting = True
 
@@ -36,8 +49,8 @@ def mark_interpreter_exiting() -> None:
 def interpreter_exiting() -> bool:
     """Whether forking a new process now would outlive the interpreter.
 
-    True once any teardown backstop has run, once CPython finalization
-    has begun, or once the main thread has finished — from that point a
+    True once the exit backstop has run, once CPython finalization has
+    begun, or once the main thread has finished — from that point a
     daemon thread must shut down rather than spawn replacement work.
     """
     return (
@@ -45,3 +58,33 @@ def interpreter_exiting() -> bool:
         or sys.is_finalizing()
         or not threading.main_thread().is_alive()
     )
+
+
+def close_at_exit(obj) -> None:
+    """Have *obj* closed at interpreter exit unless it is collected
+    first. ``close()`` must be idempotent: it may already have run."""
+    global _registered
+    with _REGISTER_LOCK:
+        if not _registered:
+            # Imported for its side effect: multiprocessing registers its
+            # exit hook (which joins children untimed) on import, so ours,
+            # registered after it, runs before it.
+            import multiprocessing.util  # noqa: F401
+
+            atexit.register(_close_live)
+            _registered = True
+        _LIVE[next(_ORDER)] = obj
+
+
+def _close_live() -> None:
+    """The exit backstop: latch shutdown, then close every live object
+    newest-first (a replica set before the workers it was built on)."""
+    mark_interpreter_exiting()
+    for key in sorted(_LIVE.keys(), reverse=True):
+        obj = _LIVE.get(key)
+        if obj is None:
+            continue
+        try:
+            obj.close()
+        except Exception:  # pragma: no cover - best-effort teardown
+            pass

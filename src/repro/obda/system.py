@@ -116,7 +116,7 @@ from repro.serving.replicas import ReplicaSet
 from repro.sql.translator import SQLTranslator
 from repro.storage.layouts import LayoutData, RDFLayout, SimpleLayout, TableSpec
 from repro.storage.memory_backend import MemoryBackend
-from repro.storage.replication import EpochDelta, ReplicationLog
+from repro.storage.epoch_log import EpochDelta, EpochLog
 from repro.storage.sharded_backend import ShardedBackend
 from repro.storage.sqlite_backend import SQLiteBackend
 
@@ -367,7 +367,7 @@ class OBDASystem:
     Replicated serving: ``replicas=N`` (or ``REPRO_REPLICAS>=1``)
     builds N read-only replicas of the whole backend (same kind,
     shards and substrate), fed asynchronously by the write path's
-    epoch-tagged deltas through a bounded replication log, and routes
+    epoch-tagged deltas (healed from a folded epoch log), and routes
     every read across them with least-loaded selection and per-replica
     admission control. Session consistency rides epoch tokens
     (:meth:`epoch_token`, ``answer(..., min_epoch=tok)``); the default
@@ -456,13 +456,13 @@ class OBDASystem:
 
         # Replicated serving (see repro.serving.replicas): N read-only
         # replica backends fed asynchronously by the write path's
-        # epoch-tagged deltas through a bounded replication log. The
-        # log is bootstrapped from the same LayoutData the primary
-        # loaded, at epoch 0 — exactly the primary's starting state.
+        # epoch-tagged deltas, rebuilt from an epoch log that starts
+        # from the same LayoutData the primary loaded, at epoch 0 —
+        # exactly the primary's starting state.
         replicas_explicit = replicas is not None
         if replicas is None:
             replicas = _env_replicas()
-        self._replication_log: Optional[ReplicationLog] = None
+        self._epoch_log: Optional[EpochLog] = None
         self._replicas: Optional[ReplicaSet] = None
         if replicas and backend_factory is None:
             # An explicit request is a hard error; the env knob is a
@@ -476,12 +476,11 @@ class OBDASystem:
                 )
             replicas = 0
         if replicas:
-            self._replication_log = ReplicationLog()
-            self._replication_log.bootstrap(data, epoch=0)
+            self._epoch_log = EpochLog(data.tables)
             self._replicas = ReplicaSet(
                 replicas,
                 backend_factory,
-                self._replication_log,
+                self._epoch_log,
                 max_in_flight=(
                     replica_max_in_flight
                     if replica_max_in_flight is not None
@@ -740,7 +739,7 @@ class OBDASystem:
             touched = self._refresh_statistics(added, removed)
             refreshed = time.perf_counter()
             self.data_epoch += 1
-            if self._replication_log is not None:
+            if self._epoch_log is not None:
                 # Delta shipping: record the write (created tables plus
                 # both row deltas) under its resulting epoch, then fan
                 # it out to the replica queues. Recording happens under
@@ -749,11 +748,11 @@ class OBDASystem:
                 # returns without waiting for any replica.
                 delta = EpochDelta(
                     epoch=self.data_epoch,
-                    new_tables=tuple(new_tables),
+                    tables=tuple(new_tables),
                     inserts=inserts,
                     deletes=deletes,
                 )
-                self._replication_log.record(delta)
+                self._epoch_log.record(delta)
                 self._replicas.publish(delta)
         registry.observe("repro.write.apply_changes.seconds", applied - started)
         registry.observe("repro.write.stats_refresh.seconds", refreshed - applied)

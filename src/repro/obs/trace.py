@@ -14,15 +14,17 @@ Design constraints, in order:
    are tracer-local integers, parents link children, and every span
    records start/end offsets on one monotonic clock (the tracer's
    ``perf_counter`` origin), so parent-child containment is checkable.
-3. **Cross-thread and cross-process composition.** Work fanned out to
-   pool threads (serving workers, shard scatter legs) attaches to the
-   trace by *explicit parent hand-off* — the dispatching thread captures
-   its span and workers call ``parent.child(...)`` — because context
-   variables do not flow into pool threads. Spans are append-locked, so
-   concurrent children are safe. Work done in a forked shard worker is
-   traced by a worker-local tracer and shipped home as a plain dict
-   (:meth:`Span.graft`), marked ``clock: "worker"`` since a child
-   process's monotonic clock is not comparable to the coordinator's.
+3. **Cross-thread and cross-process composition.** Context variables
+   do not flow into pool threads by themselves: serving workers attach
+   to the trace by *explicit parent hand-off* (the dispatching thread
+   captures its span and workers call ``parent.child(...)``), and the
+   sharded backend runs each fan-out leg in a copy of the caller's
+   context. Spans are append-locked, so concurrent children are safe.
+   Work done in a forked shard worker is traced by a worker-local
+   tracer and shipped home as a plain dict (:meth:`Span.graft`) under
+   the span active where the RPC was issued, marked
+   ``clock: "worker"`` since a child process's monotonic clock is not
+   comparable to the coordinator's.
 
 The contextvar (:func:`current_span` / :func:`activate`) exists so
 deep layers — the sharded backend, notably — can attach child spans

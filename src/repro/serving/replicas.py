@@ -9,9 +9,10 @@ traffic between them:
 
 * each :class:`Replica` is a full backend of the primary's kind
   (memory, sqlite, or sharded over any substrate), bootstrapped from
-  the :class:`~repro.storage.replication.ReplicationLog`'s folded
-  snapshot and caught up delta-by-delta by its own **applier thread** —
-  writes on the primary return without waiting for any replica;
+  the primary's :class:`~repro.storage.epoch_log.EpochLog` (one folded
+  snapshot at an epoch) and caught up delta-by-delta by its own
+  **applier thread** — writes on the primary return without waiting
+  for any replica;
 * the :class:`ReplicaSet` routes each read to a live replica with
   **least-loaded selection** (fewest in-flight queries wins, among
   replicas already at the required epoch) under **per-replica admission
@@ -31,11 +32,11 @@ traffic between them:
   must equal the sequential oracle at precisely its reported epoch
   ``≥ t``.
 
-Failure handling mirrors the PR 8 supervisor: a replica whose applier
+Failure handling mirrors the shard supervisor: a replica whose applier
 (or read) fails is marked dead, routed around, and **healed** — rebuilt
-from the replication log's current folded snapshot, exactly the
-base-snapshot rebuild a crashed supervised worker gets — by a
-background healer thread (or synchronously when no live replica
+by :meth:`~repro.storage.epoch_log.EpochLog.restore`, the same routine
+that rebuilds a crashed supervised worker — by a background healer
+thread (or synchronously when no live replica
 remains). The deterministic chaos knobs (``replica_kill_p``,
 ``replica_lag_p`` / ``replica_lag_ms`` in :mod:`repro.faults`) drive
 these paths in the chaos suite.
@@ -43,18 +44,16 @@ these paths in the chaos suite.
 
 from __future__ import annotations
 
-import atexit
 import logging
 import threading
 import time
-import weakref
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import random
 
 from repro.faults import FaultPlan
-from repro.lifecycle import interpreter_exiting, mark_interpreter_exiting
+from repro.lifecycle import close_at_exit, interpreter_exiting
 from repro.obs.metrics import get_registry
 from repro.obs.trace import current_span
 from repro.serving.concurrency import (
@@ -63,7 +62,7 @@ from repro.serving.concurrency import (
     ReadWriteBarrier,
     remaining_deadline,
 )
-from repro.storage.replication import EpochDelta, ReplicationLog, apply_delta
+from repro.storage.epoch_log import EpochDelta, EpochLog
 
 logger = logging.getLogger("repro.replicas")
 
@@ -71,37 +70,6 @@ logger = logging.getLogger("repro.replicas")
 #: shedding to the next replica (seconds). Small on purpose: the point
 #: of having siblings is not to queue behind a busy one.
 ADMISSION_SHED_SECONDS = 0.05
-
-#: Live replica sets, for the atexit backstop (weak: a collected set
-#: was closed or will be caught by the shutdown latch in its healer).
-_LIVE_SETS: "weakref.WeakSet[ReplicaSet]" = weakref.WeakSet()
-_ATEXIT_REGISTERED = False
-_ATEXIT_LOCK = threading.Lock()
-
-
-def _close_live_sets() -> None:
-    """atexit backstop: close any replica set a caller leaked.
-
-    Latches interpreter shutdown first so an in-flight heal stops
-    forking replacement backends while exit hooks drain the process
-    table (see :mod:`repro.lifecycle`), then tears each leaked set
-    down — stopping its healer and applier threads and closing every
-    replica backend, process workers included.
-    """
-    mark_interpreter_exiting()
-    for replica_set in list(_LIVE_SETS):
-        try:
-            replica_set.close()
-        except Exception:  # pragma: no cover - best-effort teardown
-            pass
-
-
-def _register_atexit() -> None:
-    global _ATEXIT_REGISTERED
-    with _ATEXIT_LOCK:
-        if not _ATEXIT_REGISTERED:
-            atexit.register(_close_live_sets)
-            _ATEXIT_REGISTERED = True
 
 
 class ReplicaLagTimeoutError(QueryTimeoutError):
@@ -145,7 +113,7 @@ class Replica:
         index: int,
         generation: int,
         backend_factory: Callable,
-        log: ReplicationLog,
+        log: EpochLog,
         max_in_flight: int = 8,
         fault_plan: Optional[FaultPlan] = None,
         kill_armed: bool = True,
@@ -181,15 +149,14 @@ class Replica:
 
     # -- bootstrap -----------------------------------------------------
     def bootstrap(self) -> None:
-        """Load the log's folded snapshot and open for reads.
+        """Restore the log's folded snapshot and open for reads.
 
         Runs outside the set's registration lock (a snapshot load can
         be slow); concurrent publishes land in :attr:`_pending` and the
         applier's epoch guard drops the already-folded ones.
         """
         backend = self._factory()
-        data, epoch = self._log.snapshot()
-        backend.load(data)
+        epoch = self._log.restore(backend)
         with self._cond:
             if not self._closed:
                 self.backend = backend
@@ -250,7 +217,7 @@ class Replica:
         # Exclusive vs in-flight reads: a read observes the whole delta
         # or none of it, and the epoch it reports matches its rows.
         with self._barrier.exclusive():
-            apply_delta(self.backend, delta)
+            delta.apply_to(self.backend)
             with self._cond:
                 self.applied_epoch = delta.epoch
                 self._cond.notify_all()
@@ -346,14 +313,14 @@ class ReplicaSet:
     read, and return ``(rows, epoch observed, replica index)``. Dead
     replicas are routed around and healed off the read path; when no
     live replica remains, the read heals one synchronously — degraded
-    service, never an outage (the replication log can always rebuild).
+    service, never an outage (the epoch log can always rebuild).
     """
 
     def __init__(
         self,
         count: int,
         backend_factory: Callable,
-        log: ReplicationLog,
+        log: EpochLog,
         max_in_flight: int = 8,
         lag_timeout_seconds: float = 5.0,
         fault_plan: Optional[FaultPlan] = None,
@@ -382,8 +349,7 @@ class ReplicaSet:
             target=self._heal_loop, name="repro-replica-healer", daemon=True
         )
         self._healer.start()
-        _LIVE_SETS.add(self)
-        _register_atexit()
+        close_at_exit(self)
         get_registry().set_gauge("repro.replica.count", count)
 
     def _new_replica(self, index: int) -> Replica:
@@ -596,7 +562,7 @@ class ReplicaSet:
 
     def kill(self, index: int) -> None:
         """Crash one replica (chaos/testing): it stops serving and the
-        healer rebuilds it from the replication log."""
+        healer rebuilds it from the epoch log."""
         self.replica(index).die()
         self._heal_needed.set()
 
@@ -657,7 +623,6 @@ class ReplicaSet:
                 return
             self._closed = True
             replicas = list(self._replicas)
-        _LIVE_SETS.discard(self)
         self._heal_needed.set()
         self._healer.join(timeout=5.0)
         for replica in replicas:

@@ -104,7 +104,12 @@ class BulkLoader:
         self._rows[table].extend(rows)
 
     def _finish(self) -> None:
-        tables = [
+        self._backend.load(LayoutData(tables=self._tables()))
+
+    def _tables(self) -> List[TableSpec]:
+        """The declared tables holding every appended row (duplicates
+        included)."""
+        return [
             TableSpec(
                 name=spec.name,
                 columns=spec.columns,
@@ -114,7 +119,6 @@ class BulkLoader:
             )
             for spec in self._specs.values()
         ]
-        self._backend.load(LayoutData(tables=tables))
 
     def _abort(self) -> None:
         self._rows.clear()

@@ -13,14 +13,15 @@ Workers are forked at construction (the ``fork`` start method keeps
 startup at milliseconds and lets arbitrary ``child_factory`` callables
 cross without pickling — the backend itself is built *inside* the
 worker, never shipped), run a strict request/reply loop, and live until
-:meth:`ProcessShardWorker.close` — which sends ``close``, joins, and
+:meth:`ProcessShardWorker.close` — which sends ``close``, waits, and
 escalates to ``terminate`` only if the worker does not exit in time.
-Workers are daemonic and additionally registered with an ``atexit``
-backstop, so an interpreter that forgets to close a backend still never
-hangs at exit or leaks shared memory: segments are created and unlinked
-only in the coordinator process (see :mod:`repro.storage.shm_exchange`),
-and the parent's ``resource_tracker`` is started *before* the first
-fork so every worker shares it.
+Workers are daemonic and additionally registered with the exit backstop
+(:func:`repro.lifecycle.close_at_exit`), so an interpreter that forgets
+to close a backend still never hangs at exit or leaks shared memory:
+segments are created and unlinked only in the coordinator process (see
+:mod:`repro.storage.shm_exchange`), and the parent's
+``resource_tracker`` is started *before* the first fork so every worker
+shares it.
 
 Failure handling
 ----------------
@@ -39,7 +40,9 @@ Result transport
 use the shared-memory handshake: the worker offers ``(nbytes, meta)``,
 the coordinator creates a segment and replies with its name, the worker
 attaches, writes the packed columns, closes, and acks — after which the
-coordinator decodes rows out of the segment and unlinks it. Errors are
+coordinator decodes rows out of the segment and unlinks it. When the
+caller's context carries an active trace span, the same RPC asks the
+worker for its span subtree and grafts it under that span. Errors are
 pre-checked for picklability in the worker (falling back to a
 ``RuntimeError`` carrying the repr), so a failing shard surfaces the
 real exception type at the coordinator whenever it can cross the wire.
@@ -47,19 +50,17 @@ real exception type at the coordinator whenever it can cross the wire.
 
 from __future__ import annotations
 
-import atexit
 import os
 import pickle
 import threading
 import time
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.faults import FaultRuntime, TransientWorkerFault, WorkerFaultConfig
-from repro.lifecycle import interpreter_exiting, mark_interpreter_exiting
+from repro.lifecycle import close_at_exit, interpreter_exiting
 from repro.obs.metrics import get_registry, reset_registry
-from repro.obs.trace import Tracer
+from repro.obs.trace import Tracer, current_span
 from repro.storage.base import Backend, BulkLoader, Row
 from repro.storage.layouts import LayoutData
 from repro.storage.shm_exchange import (
@@ -177,36 +178,6 @@ class WorkerTimeoutError(WorkerError):
         )
         self.cmd = cmd
         self.seconds = seconds
-
-#: Live workers, for the atexit backstop (weak: a collected proxy has
-#: already closed or leaked its process, and its daemon flag covers us).
-_LIVE_WORKERS: "weakref.WeakSet[ProcessShardWorker]" = weakref.WeakSet()
-_ATEXIT_REGISTERED = False
-_ATEXIT_LOCK = threading.Lock()
-
-
-def _close_live_workers() -> None:
-    """atexit backstop: close any worker a caller forgot to.
-
-    Latches interpreter shutdown first so supervisors and replica
-    healers stop forking replacements while the process table drains —
-    otherwise ``multiprocessing``'s own exit hook (which joins children
-    without a timeout) can wait forever on a churn of fresh forks.
-    """
-    mark_interpreter_exiting()
-    for worker in list(_LIVE_WORKERS):
-        try:
-            worker.close()
-        except Exception:  # pragma: no cover - best-effort teardown
-            pass
-
-
-def _register_atexit() -> None:
-    global _ATEXIT_REGISTERED
-    with _ATEXIT_LOCK:
-        if not _ATEXIT_REGISTERED:
-            atexit.register(_close_live_workers)
-            _ATEXIT_REGISTERED = True
 
 
 def _sendable(exc: BaseException) -> BaseException:
@@ -365,11 +336,8 @@ def _worker_main(
             continue
         try:
             if cmd == "execute":
-                _serve_execute(conn, backend, payload, min_cells, faults=faults)
-            elif cmd == "execute_traced":
-                _serve_execute(
-                    conn, backend, payload, min_cells, traced=True, faults=faults
-                )
+                sql, traced = payload
+                _serve_execute(conn, backend, sql, min_cells, traced, faults)
             elif cmd == "metrics":
                 conn.send(("ok", get_registry().snapshot()))
             elif cmd == "load":
@@ -557,13 +525,13 @@ class ProcessShardWorker(Backend):
         self.shm_results = 0
         self.shm_bytes = 0
         self.inline_results = 0
-        tag, value = self._recv(timeout=self.rpc_timeout, cmd="startup")
-        if tag != "ok":  # factory failed inside the worker
-            self._abandon()
-            raise value
+        try:
+            _tag, value = self._recv(timeout=self.rpc_timeout, cmd="startup")
+        except BaseException:  # the factory failed inside the worker
+            self._stop(handshake=False)
+            raise
         self.name = f"worker[{value}]"
-        _register_atexit()
-        _LIVE_WORKERS.add(self)
+        close_at_exit(self)
 
     # ------------------------------------------------------------------
     # RPC plumbing
@@ -661,22 +629,13 @@ class ProcessShardWorker(Backend):
 
     def execute(self, sql: str, timeout: Optional[float] = None) -> List[Row]:
         """Evaluate *sql* in the worker; decode the columnar reply.
-        *timeout* overrides the per-RPC deadline for this statement."""
-        rows, _span = self._execute_rpc("execute", sql, timeout)
-        return rows
 
-    def execute_traced(
-        self, sql: str, timeout: Optional[float] = None
-    ) -> Tuple[List[Row], Optional[Dict]]:
-        """Evaluate *sql* with a worker-local trace; returns the rows
-        plus the worker's span subtree as a plain dict (``None`` only if
-        the worker produced none), ready for :meth:`repro.obs.trace.
-        Span.graft` into the coordinator's trace."""
-        return self._execute_rpc("execute_traced", sql, timeout)
-
-    def _execute_rpc(
-        self, cmd: str, sql: str, timeout: Optional[float] = None
-    ) -> Tuple[List[Row], Optional[Dict]]:
+        *timeout* overrides the per-RPC deadline for this statement.
+        When the caller's context has an active trace span, the worker
+        traces the statement too and its ``shard.worker`` subtree is
+        grafted under that span.
+        """
+        parent = current_span()
         self._check_usable()
         if timeout is None:
             timeout = self.rpc_timeout
@@ -689,8 +648,8 @@ class ProcessShardWorker(Backend):
             return None if expiry is None else expiry - time.monotonic()
 
         with self._lock:
-            self._send((cmd, sql))
-            tag, payload = self._recv(timeout=remaining(), cmd=cmd)
+            self._send(("execute", (sql, parent.enabled)))
+            tag, payload = self._recv(timeout=remaining(), cmd="execute")
             if tag == "rows":
                 rows, batches, span = payload
                 transport = "inline"
@@ -717,7 +676,7 @@ class ProcessShardWorker(Backend):
                     # unlinked even when the worker dies or times out
                     # between create and attach — segments must never
                     # outlive the RPC that allocated them.
-                    self._recv(timeout=remaining(), cmd=cmd)
+                    self._recv(timeout=remaining(), cmd="execute")
                     rows = unpack_rows(segment.buf, meta)
                 finally:
                     segment.close()
@@ -736,7 +695,8 @@ class ProcessShardWorker(Backend):
             attributes = span.setdefault("attributes", {})
             attributes["shard"] = self.shard
             attributes["transport"] = transport
-        return rows, span
+            parent.graft(span)
+        return rows
 
     def estimated_cost(self, sql: str) -> float:
         """The hosted backend's own cost estimate for *sql*."""
@@ -782,19 +742,6 @@ class ProcessShardWorker(Backend):
         return self._call("metrics")
 
     # ------------------------------------------------------------------
-    def _abandon(self) -> None:
-        """Tear down without the close handshake (startup failure)."""
-        self._closed = True
-        try:
-            self._conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        self._process.join(timeout=CLOSE_TIMEOUT)
-        if self._process.is_alive():  # pragma: no cover
-            self._process.terminate()
-            self._process.join(timeout=1.0)
-        self._process.close()
-
     def kill(self) -> None:
         """Hard teardown without the close handshake. Idempotent.
 
@@ -803,63 +750,60 @@ class ProcessShardWorker(Backend):
         the ``close`` exchange, and a wedged worker would make the
         graceful path wait out :data:`CLOSE_TIMEOUT` for nothing.
         """
-        if self._closed:
-            return
-        self._closed = True
-        self._broken = True
-        try:
-            self._process.terminate()
-        except (ValueError, OSError):  # pragma: no cover - already gone
-            pass
-        self._process.join(timeout=CLOSE_TIMEOUT)
-        if self._process.is_alive():  # pragma: no cover - unkillable
-            self._process.kill()
-            self._process.join(timeout=1.0)
-        try:
-            self._conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        self.exit_code = self._process.exitcode
-        self._process.close()
-        _LIVE_WORKERS.discard(self)
+        self._stop(handshake=False)
 
     def close(self) -> None:
         """Stop the worker deterministically. Idempotent.
 
-        Sends ``close`` and joins; a worker that fails to exit within
+        Sends ``close`` and waits; a worker that fails to exit within
         :data:`CLOSE_TIMEOUT` is terminated. A proxy whose stream broke
         (crash / missed deadline) skips the handshake and goes straight
         to the hard path. Safe to call from atexit.
         """
+        self._stop(handshake=True)
+
+    def _stop(self, handshake: bool) -> None:
+        """The one teardown: optional ``close`` handshake, then
+        terminate -> kill until the process exits, then release the pipe
+        and the process handle.
+
+        Exit is judged by the process sentinel, not by ``waitpid``:
+        ``multiprocessing`` reaps finished children from any thread
+        (``Process.start()`` and ``active_children()`` both do), and a
+        child reaped there reports no exit code here until that thread
+        stores it — closing the handle before then raises.
+        """
+        from multiprocessing.connection import wait
+
         if self._closed:
             return
-        if self._broken:
-            self.kill()
-            return
         self._closed = True
-        try:
-            with self._lock:
-                self._conn.send(("close", None))
-                try:
+        process = self._process
+        escalation = [process.terminate, process.kill]
+        if handshake and not self._broken:
+            try:
+                with self._lock:
+                    self._conn.send(("close", None))
                     # Bounded ack wait: a wedged worker must not stall
-                    # interpreter exit; the join below escalates to
-                    # terminate anyway.
+                    # interpreter exit; the escalation below follows.
                     if self._conn.poll(CLOSE_TIMEOUT):
                         self._conn.recv()
-                except EOFError:
-                    pass
-        except (BrokenPipeError, OSError):
-            pass
-        self._process.join(timeout=CLOSE_TIMEOUT)
-        if self._process.is_alive():  # pragma: no cover - stuck worker
-            self._process.terminate()
-            self._process.join(timeout=1.0)
+            except (EOFError, OSError):
+                pass
+        else:
+            escalation.pop(0)()
+        self._broken = True
+        while not wait([process.sentinel], CLOSE_TIMEOUT) and escalation:
+            escalation.pop(0)()
         try:
             self._conn.close()
         except OSError:  # pragma: no cover
             pass
+        deadline = time.monotonic() + CLOSE_TIMEOUT
+        while process.exitcode is None and time.monotonic() < deadline:
+            time.sleep(0.001)  # let the reaping thread store the code
         #: The worker's exit code (0 for a clean shutdown), kept past
         #: the process handle's release.
-        self.exit_code = self._process.exitcode
-        self._process.close()
-        _LIVE_WORKERS.discard(self)
+        self.exit_code = process.exitcode
+        if self.exit_code is not None:
+            process.close()

@@ -36,14 +36,16 @@ return as dictionary-encoded columnar batches over shared memory
 ``auto`` picks ``process`` on a multi-core box that can fork.
 
 On the process substrate every worker sits behind a
-:class:`~repro.storage.supervisor.SupervisedShardWorker` by default
-(``REPRO_SUPERVISE``): worker death is detected, the worker respawned
-and rebuilt to the shard's current epoch, RPCs carry deadlines
-(``REPRO_RPC_TIMEOUT_MS``) with bounded retries, and a shard whose
-respawns keep failing degrades to in-coordinator execution behind a
-circuit breaker — identical answers, louder telemetry. See
-``docs/ROBUSTNESS.md`` and the deterministic fault harness in
-:mod:`repro.faults`.
+:class:`~repro.storage.supervisor.SupervisedShardWorker`: worker death
+is detected, the worker respawned and rebuilt to the shard's current
+epoch, RPCs carry deadlines (``REPRO_RPC_TIMEOUT_MS``) with bounded
+retries, and a shard whose respawns keep failing degrades to
+in-coordinator execution behind a circuit breaker — identical answers,
+louder telemetry. See ``docs/ROBUSTNESS.md`` and the deterministic
+fault harness in :mod:`repro.faults`. Each fan-out leg runs in a copy
+of the caller's context, so the serving deadline and the active trace
+span reach every shard RPC: a traced statement grafts each worker's
+``shard.worker`` subtree under the span that issued it.
 
 Writes route per shard: ``apply_changes`` splits each table's delta by
 the shard key and applies every child's slice under one exclusive
@@ -61,6 +63,7 @@ scatter fan-out are priced against the child estimates plus
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import zlib
 from collections import OrderedDict
@@ -76,17 +79,13 @@ from repro.engine.sqlparser import parse_sql
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import NO_SPAN, activate, current_span
-from repro.serving.concurrency import ReadWriteBarrier, current_deadline
+from repro.serving.concurrency import ReadWriteBarrier
 from repro.storage.base import Backend, BulkLoader, Row
 from repro.storage.layouts import LayoutData, TableSpec
 from repro.storage.memory_backend import MemoryBackend
-from repro.storage.process_workers import ProcessShardWorker, resolve_substrate
+from repro.storage.process_workers import resolve_substrate
 from repro.storage.sqlite_backend import SQLiteBackend
-from repro.storage.supervisor import (
-    ShardSupervisor,
-    SupervisionConfig,
-    supervision_enabled,
-)
+from repro.storage.supervisor import ShardSupervisor, SupervisionConfig
 
 #: Statements whose routes we keep (keyed by exact SQL text).
 ROUTE_CACHE_SIZE = 512
@@ -268,7 +267,9 @@ class ShardedBackend(Backend):
     in-process (``"serial"``) or one forked worker process per shard
     (``"process"``, fanned out by a dispatch pool of one thread per
     shard); default ``REPRO_EXECUTOR``, else auto-detection (see
-    :func:`repro.storage.process_workers.resolve_substrate`).
+    :func:`repro.storage.process_workers.resolve_substrate`). Every
+    forked worker is supervised; ``supervision`` tunes it (``None``
+    reads :meth:`SupervisionConfig.from_env`).
     """
 
     def __init__(
@@ -299,47 +300,33 @@ class ShardedBackend(Backend):
         #: The resolved execution substrate under the shards.
         self.substrate = resolve_substrate(substrate)
         self._supervisor: Optional[ShardSupervisor] = None
+        #: Dispatch pool for fan-out to worker processes: its legs only
+        #: block on pipe IPC (GIL released), so every shard gets its own
+        #: thread. In-process children are visited in a plain loop.
+        self._pool: Optional[ThreadPoolExecutor] = None
         if self.substrate == "process":
-            # One long-lived forked engine worker per shard; the child
-            # backend is built *inside* its worker, never coordinator-
-            # side, so shard tables live only in worker memory. By
-            # default each worker sits behind a SupervisedShardWorker
-            # (respawn on death, RPC retry, circuit-breaker
-            # degradation); REPRO_SUPERVISE=0 opts back into raw
-            # workers, where any crash is the caller's problem.
-            if supervision is not None or supervision_enabled():
-                injector = fault_injector
-                if injector is None:
-                    plan = FaultPlan.from_env()
-                    if plan is not None and plan.enabled:
-                        injector = FaultInjector(plan)
-                self._supervisor = ShardSupervisor(
-                    child_factory,
-                    shards,
-                    config=supervision,
-                    injector=injector,
-                )
-                self.children: List[Backend] = list(self._supervisor.workers)
-            else:
-                self.children = [
-                    ProcessShardWorker(child_factory, shard)
-                    for shard in range(shards)
-                ]
+            # One long-lived forked engine worker per shard, each behind
+            # a SupervisedShardWorker (respawn on death, RPC retry,
+            # circuit-breaker degradation); the child backend is built
+            # *inside* its worker, never coordinator-side, so shard
+            # tables live only in worker memory.
+            injector = fault_injector
+            if injector is None:
+                plan = FaultPlan.from_env()
+                if plan is not None and plan.enabled:
+                    injector = FaultInjector(plan)
+            self._supervisor = ShardSupervisor(
+                child_factory, shards, config=supervision, injector=injector
+            )
+            self.children: List[Backend] = list(self._supervisor.workers)
+            self._pool = ThreadPoolExecutor(
+                max_workers=shards, thread_name_prefix="repro-shard"
+            )
         else:
             self.children = [child_factory() for _ in range(shards)]
         self.name = f"sharded[{shards}x{self.children[0].name}]"
         self.max_statement_length = max_statement_length
         self.cost_parameters = cost_parameters
-        #: Dispatch pool for fan-out to worker processes: its legs only
-        #: block on pipe IPC (GIL released), so every shard gets its own
-        #: thread. In-process children are visited in a plain loop.
-        self._pool: Optional[ThreadPoolExecutor] = (
-            ThreadPoolExecutor(
-                max_workers=shards, thread_name_prefix="repro-shard"
-            )
-            if self.substrate == "process"
-            else None
-        )
         #: Coordinator engine: full schema + merged statistics always;
         #: gathered row copies only on demand (cross-shard joins).
         self._coordinator = MiniRDBMS(
@@ -388,10 +375,17 @@ class ShardedBackend(Backend):
     # ------------------------------------------------------------------
     def _map(self, task: Callable[[int], object], parts: int) -> List[object]:
         """``task(0) .. task(parts-1)``, results in order: on the dispatch
-        pool when there is one and more than one leg, else inline."""
+        pool when there is one and more than one leg, else inline. Each
+        pool leg runs in its own copy of the caller's context, so the
+        current span and the serving deadline reach it."""
         if self._pool is None or parts <= 1:
             return [task(part) for part in range(parts)]
-        return list(self._pool.map(task, range(parts)))
+        contexts = [contextvars.copy_context() for _ in range(parts)]
+        return list(
+            self._pool.map(
+                contextvars.Context.run, contexts, [task] * parts, range(parts)
+            )
+        )
 
     def shard_of(self, value: object) -> int:
         """The shard a home-key value hashes to (stable across runs)."""
@@ -610,11 +604,6 @@ class ShardedBackend(Backend):
         self._check_length(sql)
         if route is None:
             route = self.plan_route(sql)
-        # The serving deadline rides the *caller's* contextvar; capture
-        # it here (same thread) so fan-out legs on pool threads — where
-        # contextvars do not flow — can cap their worker RPC waits at
-        # min(rpc_timeout, remaining).
-        deadline = current_deadline()
         with self._barrier.shared():
             with current_span().child(
                 "shards.execute",
@@ -625,9 +614,7 @@ class ShardedBackend(Backend):
                 if route.kind == "gather":
                     rows, stats = self._execute_gather(sql, route, span)
                 else:
-                    rows, stats = self._execute_shards(
-                        sql, route, span, deadline
-                    )
+                    rows, stats = self._execute_shards(sql, route, span)
                 span.set(rows=len(rows), batches=stats.batches)
         stats.shard_count = self.shards
         stats.substrate = self.substrate
@@ -641,42 +628,16 @@ class ShardedBackend(Backend):
         return rows
 
     def _execute_shards(
-        self,
-        sql: str,
-        route: ShardRoute,
-        parent=NO_SPAN,
-        deadline: Optional[Tuple[float, float]] = None,
+        self, sql: str, route: ShardRoute, parent=NO_SPAN
     ) -> Tuple[List[Row], ShardExecutionStats]:
         targets = route.shards
 
-        # *parent* is captured explicitly: the fan-out legs run on pool
-        # threads, where the coordinator's contextvar does not flow.
         def one(index: int) -> Tuple[int, List[Row], int]:
             shard = targets[index]
             child = self.children[shard]
-            # Children advertising ``supports_deadline`` (supervised
-            # workers) take the captured serving deadline per call.
-            extra = (
-                {"deadline": deadline}
-                if deadline is not None
-                and getattr(child, "supports_deadline", False)
-                else {}
-            )
             with parent.child("shard.execute", shard=shard) as span:
                 with activate(span):
-                    traced = (
-                        getattr(child, "execute_traced", None)
-                        if span.enabled
-                        else None
-                    )
-                    if traced is not None:
-                        # Process-substrate child: the worker builds its
-                        # own span subtree and ships it back over the
-                        # pipe RPC.
-                        rows, worker_span = traced(sql, **extra)
-                        span.graft(worker_span)
-                    else:
-                        rows = child.execute(sql, **extra)
+                    rows = child.execute(sql)
                 execution = getattr(child, "last_execution", None)
                 batches = getattr(execution, "batches", 0) if execution else 0
                 span.set(rows=len(rows), batches=batches)
@@ -752,10 +713,11 @@ class ShardedBackend(Backend):
                 continue
             with parent.child("gather.table", table=name) as span:
                 scan = f"SELECT {', '.join(columns)} FROM {name}"
-                slices = self._map(
-                    lambda shard: self.children[shard].execute(scan),
-                    self.shards,
-                )
+                with activate(span):
+                    slices = self._map(
+                        lambda shard: self.children[shard].execute(scan),
+                        self.shards,
+                    )
                 self._coordinator.create_table(name, columns)
                 for slice_rows in slices:
                     self._coordinator.insert_many(name, slice_rows)
@@ -893,9 +855,8 @@ class ShardedBackend(Backend):
                 ("shards.inline.results", "inline_results"),
             ):
                 snapshot[key] = sum(
-                    getattr(child, attribute, 0) for child in self.children
+                    getattr(child, attribute) for child in self.children
                 )
-        if self._supervisor is not None:
             snapshot.update(self._supervisor.telemetry())
         return snapshot
 
@@ -918,15 +879,13 @@ class ShardedBackend(Backend):
     def close(self) -> None:
         """Release the children and the dispatch pool. Idempotent."""
         self._closed = True
-        if self._supervisor is not None:
-            # Stops the monitor thread before the workers go down, then
-            # closes every supervised worker (their own close is
-            # idempotent, so the loop below is harmless).
+        if self.substrate == "process":
+            # Stops the monitor thread before the workers go down.
             self._supervisor.close()
-        for child in self.children:
-            child.close()
-        if self._pool is not None:
             self._pool.shutdown()
+        else:
+            for child in self.children:
+                child.close()
 
     def _check_length(self, sql: str) -> None:
         if self._closed:

@@ -16,14 +16,12 @@ worker death:
   retryable in place); additionally the :class:`ShardSupervisor`'s
   monitor thread polls process sentinels so an *idle* worker's death is
   healed off the query path.
-* **Rebuild** — the coordinator keeps each shard's :class:`ShardState`:
-  an epoch-tagged base snapshot (the shard's ``LayoutData`` slice,
-  folded) plus a bounded write log (``REPRO_WRITE_LOG``; overflow folds
-  oldest-first into the base, so memory stays bounded and the epoch
-  counter never lies). A respawned worker is loaded from the base,
-  replays the log, and must pass **epoch/row-count verification**
-  (per-table cardinalities vs the folded expectation) before it rejoins
-  routing.
+* **Rebuild** — the coordinator mirrors each shard's data in an
+  :class:`~repro.storage.epoch_log.EpochLog`: one folded snapshot at
+  the shard's epoch, every acknowledged write folded in as it is
+  recorded. A respawned worker loads that snapshot and must pass
+  **epoch/row-count verification** (per-table cardinalities vs the
+  mirror) before it rejoins routing.
 * **Retry** — idempotent commands (execute / stats / cost / explain)
   retry with deterministic exponential backoff
   (:class:`Backoff`). Writes are
@@ -33,15 +31,15 @@ worker death:
   partial application inside the dead worker is discarded wholesale.
 * **Degradation** — after ``REPRO_WORKER_RESTARTS`` consecutive respawn
   failures the shard's circuit breaker trips OPEN: its work executes
-  **in-coordinator** on a fallback child built from the folded shard
-  state (identical answers, a WARNING and metrics record the
+  **in-coordinator** on a fallback child loaded from the same snapshot
+  (identical answers, a WARNING and metrics record the
   degradation). Every ``probe_after_ops`` operations a half-open probe
   attempts one respawn; success closes the circuit and drops the
   fallback.
 
-Deadlines from the serving layer (:func:`repro.serving.concurrency.
-current_deadline`) cap each execute RPC at ``min(rpc_timeout,
-remaining)`` and surface as :class:`~repro.serving.concurrency.
+The serving deadline in the caller's context (:func:`repro.serving.
+concurrency.current_deadline`) caps each read RPC at ``min(rpc_timeout,
+remaining)`` and surfaces as :class:`~repro.serving.concurrency.
 QueryTimeoutError` once blown, so shard RPCs never outlive the query
 that issued them by more than one poll interval.
 
@@ -56,17 +54,17 @@ import logging
 import os
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.faults import FaultInjector, TransientWorkerFault
 from repro.lifecycle import interpreter_exiting
 from repro.obs.metrics import get_registry
 from repro.obs.trace import current_span
-from repro.serving.concurrency import QueryTimeoutError
+from repro.serving.concurrency import QueryTimeoutError, current_deadline
 from repro.storage.base import Backend, BulkLoader, Row
-from repro.storage.layouts import LayoutData, TableSpec
+from repro.storage.epoch_log import EpochDelta, EpochLog
+from repro.storage.layouts import LayoutData
 from repro.storage.process_workers import (
     ProcessShardWorker,
     WorkerCrashedError,
@@ -77,24 +75,10 @@ from repro.storage.process_workers import (
 
 logger = logging.getLogger("repro.supervisor")
 
-#: Environment knob: supervision on the process substrate (default on;
-#: ``0`` / ``false`` / ``off`` / ``no`` fall back to raw workers).
-SUPERVISE_ENV = "REPRO_SUPERVISE"
-
 #: Environment knob: K — consecutive respawn failures before a shard's
 #: circuit breaker trips and the shard degrades to in-coordinator
 #: execution.
 RESTARTS_ENV = "REPRO_WORKER_RESTARTS"
-
-#: Environment knob: bound on the per-shard write log; older entries
-#: fold into the base snapshot.
-WRITE_LOG_ENV = "REPRO_WRITE_LOG"
-
-
-def supervision_enabled() -> bool:
-    """Whether ``REPRO_SUPERVISE`` leaves supervision on (the default)."""
-    raw = os.environ.get(SUPERVISE_ENV, "1").strip().lower()
-    return raw not in ("0", "false", "off", "no")
 
 
 def _env_int(name: str, default: int) -> int:
@@ -155,8 +139,6 @@ class SupervisionConfig:
     max_respawns: int = 3
     #: Bounded retries per failing RPC (idempotent reads and writes).
     max_rpc_retries: int = 2
-    #: Write-log bound; overflow folds into the base snapshot.
-    max_write_log: int = 256
     backoff_initial_s: float = 0.05
     backoff_cap_s: float = 1.0
     #: Operations on an OPEN circuit between half-open recovery probes.
@@ -173,170 +155,30 @@ class SupervisionConfig:
         return cls(
             rpc_timeout_s=rpc_timeout_seconds(),
             max_respawns=_env_int(RESTARTS_ENV, 3),
-            max_write_log=_env_int(WRITE_LOG_ENV, 256),
         )
-
-
-class _TableState:
-    """One table's slice of a shard's base snapshot: schema plus an
-    insertion-ordered row set (``dict`` keys), mirroring the child
-    backends' set-semantics writes so a rebuilt worker's row *order*
-    matches what an uninterrupted worker would hold."""
-
-    __slots__ = ("name", "columns", "indexes", "shard_key", "rows")
-
-    def __init__(self, spec: TableSpec) -> None:
-        self.name = spec.name
-        self.columns = tuple(spec.columns)
-        self.indexes = tuple(spec.indexes)
-        self.shard_key = spec.shard_key
-        self.rows: Dict[Row, None] = dict.fromkeys(
-            tuple(row) for row in spec.rows
-        )
-
-    def copy(self) -> "_TableState":
-        """A row-level copy (spec fields are shared, rows are not)."""
-        clone = _TableState.__new__(_TableState)
-        clone.name = self.name
-        clone.columns = self.columns
-        clone.indexes = self.indexes
-        clone.shard_key = self.shard_key
-        clone.rows = dict(self.rows)
-        return clone
-
-    def spec(self) -> TableSpec:
-        """This table as a loadable :class:`TableSpec`."""
-        return TableSpec(
-            name=self.name,
-            columns=self.columns,
-            rows=list(self.rows),
-            indexes=self.indexes,
-            shard_key=self.shard_key,
-        )
-
-
-def _apply_entry(tables: Dict[str, _TableState], entry: Tuple) -> None:
-    """Fold one write-log *entry* into a base-snapshot table dict,
-    reproducing the child backends' write semantics: inserts are
-    set-semantics appends, deletes remove present rows, ``apply``
-    performs inserts before deletes (the :meth:`repro.storage.base.
-    Backend.apply_changes` order)."""
-    kind = entry[0]
-    if kind == "load":
-        for spec in entry[1].tables:
-            tables[spec.name.lower()] = _TableState(spec)
-    elif kind == "insert":
-        rows = tables[entry[1].lower()].rows
-        for row in entry[2]:
-            rows.setdefault(row, None)
-    elif kind == "delete":
-        rows = tables[entry[1].lower()].rows
-        for row in entry[2]:
-            rows.pop(row, None)
-    elif kind == "apply":
-        for name, new_rows in entry[1].items():
-            rows = tables[name.lower()].rows
-            for row in new_rows:
-                rows.setdefault(row, None)
-        for name, dead_rows in entry[2].items():
-            rows = tables[name.lower()].rows
-            for row in dead_rows:
-                rows.pop(row, None)
-    else:  # pragma: no cover - log corruption
-        raise ValueError(f"unknown shard-state entry {kind!r}")
-
-
-class ShardState:
-    """The coordinator's mirror of one shard's data: an epoch-tagged
-    base snapshot plus a bounded write log.
-
-    The **epoch** is ``base_epoch + len(log)`` — every recorded write
-    (or load) advances it by one. Keeping recent writes as log entries
-    (rather than folding eagerly) lets a rebuild replay them through the
-    worker's real write RPCs; the bound (*max_log*) folds overflow
-    oldest-first into the base so memory stays proportional to the
-    shard's data, not its write history.
-    """
-
-    def __init__(self, max_log: int = 256) -> None:
-        self.tables: Dict[str, _TableState] = {}
-        self.log: Deque[Tuple] = deque()
-        self.base_epoch = 0
-        self.max_log = max(0, max_log)
-
-    @property
-    def epoch(self) -> int:
-        """The shard's current data epoch (writes since creation)."""
-        return self.base_epoch + len(self.log)
-
-    def record(self, entry: Tuple) -> None:
-        """Append one acknowledged write, folding overflow into the
-        base."""
-        self.log.append(entry)
-        while len(self.log) > self.max_log:
-            _apply_entry(self.tables, self.log.popleft())
-            self.base_epoch += 1
-
-    def snapshot(self) -> LayoutData:
-        """The base snapshot as loadable ``LayoutData``."""
-        return LayoutData(
-            tables=[state.spec() for state in self.tables.values()]
-        )
-
-    def entries(self) -> List[Tuple]:
-        """The logged writes after the base snapshot, oldest first."""
-        return list(self.log)
-
-    def folded_tables(self) -> Dict[str, _TableState]:
-        """Base ⊕ log: the shard's *current* tables (fresh copies)."""
-        tables = {name: state.copy() for name, state in self.tables.items()}
-        for entry in self.log:
-            _apply_entry(tables, entry)
-        return tables
-
-    def folded_layout(self) -> LayoutData:
-        """The shard's current data as loadable ``LayoutData`` (the
-        degraded in-coordinator fallback is built from this)."""
-        return LayoutData(
-            tables=[state.spec() for state in self.folded_tables().values()]
-        )
-
-    def expected_counts(self) -> Dict[str, int]:
-        """Per-table row counts at the current epoch — what a correctly
-        rebuilt worker's catalog cardinalities must report."""
-        return {
-            state.name: len(state.rows)
-            for state in self.folded_tables().values()
-        }
 
 
 class _SupervisedBulkLoader(BulkLoader):
-    """Bulk load through a supervised worker, folded into the **base
-    snapshot** — never the bounded write log.
+    """Bulk load through a supervised worker, recorded as **one** epoch.
 
-    A bulk load is millions of rows; recording it as a log entry would
-    make every post-load crash replay the whole dataset through write
-    RPCs (and the log bound would fold it anyway, entry by entry). So
-    the loader streams into the target's own bulk session while
-    mirroring the declared tables coordinator-side, and on finish:
-    drains any older log entries into the base (preserving write
-    order), installs the mirrored tables as base state, and advances
-    ``base_epoch`` by one — the bulk load is a single write, and a
-    rebuilt worker reloads it as one snapshot with an **empty** log.
+    The loader streams into the target's own bulk session while keeping
+    the appended rows coordinator-side; on finish the declared tables
+    replace their namesakes in the shard's :class:`EpochLog` in one
+    epoch step, so a rebuilt worker reloads the whole load as part of
+    one snapshot.
 
     The session is **replay-safe**: shard state mutates only in
-    ``finish``, after the target acknowledged the whole load, so a
-    worker death mid-bulk fails the session and the next operation
-    rebuilds the worker at the untouched pre-bulk epoch. Locking is
-    per-operation (not per-session) so the sharded backend may drive
-    sibling shards' sessions from pool threads; a worker recycled
-    between operations (monitor heal) surfaces as a failed session,
-    never as a half-applied load.
+    ``finish``, after the target acknowledged (and, on a worker,
+    verified) the whole load, so a worker death mid-bulk fails the
+    session and the next operation rebuilds the worker at the untouched
+    pre-bulk epoch. Locking is per-operation (not per-session) so the
+    sharded backend may drive sibling shards' sessions from pool
+    threads; a worker recycled between operations (monitor heal)
+    surfaces as a failed session, never as a half-applied load.
     """
 
     def __init__(self, supervised: "SupervisedShardWorker") -> None:
         super().__init__(supervised)
-        self._pending: Dict[str, _TableState] = {}
         with supervised._lock:
             if supervised._closed:
                 raise RuntimeError("SupervisedShardWorker is closed")
@@ -371,59 +213,28 @@ class _SupervisedBulkLoader(BulkLoader):
     def create_table(self, name, columns, indexes=(), shard_key=None) -> None:
         """Declare one table (mirrored coordinator-side for rebuilds)."""
         super().create_table(name, columns, indexes, shard_key)
-        self._pending[name.lower()] = _TableState(
-            TableSpec(
-                name=name,
-                columns=tuple(columns),
-                rows=[],
-                indexes=tuple(tuple(ix) for ix in indexes),
-                shard_key=shard_key,
-            )
-        )
         self._guarded(
             lambda: self._inner.create_table(name, columns, indexes, shard_key)
         )
 
     def _append(self, table: str, rows: List[Row]) -> None:
-        mirror = self._pending[table.lower()].rows
-        for row in rows:
-            mirror.setdefault(row, None)
+        super()._append(table, rows)
         self._guarded(lambda: self._inner.append(table, rows))
 
     def _finish(self) -> None:
         supervised: "SupervisedShardWorker" = self._backend
+        tables = self._tables()
 
         def commit():
             self._inner.finish()
             if self._via_worker:
                 # The load's one statistics build doubles as the
-                # rebuild-style verification: the worker's cardinality
-                # per table must match the coordinator mirror.
-                expected = {
-                    state.name: len(state.rows)
-                    for state in self._pending.values()
-                }
-                stats = supervised._worker.statistics_many(list(expected))
-                for name, count in expected.items():
-                    cardinality = getattr(
-                        stats.get(name), "cardinality", None
-                    )
-                    if cardinality is not None and cardinality != count:
-                        supervised._discard_worker_locked()
-                        raise WorkerRespawnError(
-                            f"bulk load verification failed (shard "
-                            f"{supervised.shard}): table {name!r} holds "
-                            f"{cardinality} rows, expected {count}"
-                        )
-            # Fold: drain older writes into the base in order, then
-            # install the bulk tables; the whole load is one epoch step.
-            state = supervised._state
-            while state.log:
-                _apply_entry(state.tables, state.log.popleft())
-                state.base_epoch += 1
-            for name, table_state in self._pending.items():
-                state.tables[name] = table_state
-            state.base_epoch += 1
+                # rebuild-style verification.
+                supervised._verify_locked(
+                    supervised._worker,
+                    {spec.name: len(set(spec.rows)) for spec in tables},
+                )
+            supervised._log.replace(tables)
 
         self._guarded(commit)
 
@@ -453,18 +264,13 @@ class SupervisedShardWorker(Backend):
     """One shard's fault-tolerant worker: a live
     :class:`ProcessShardWorker` plus the state to replace it.
 
-    Presents the same duck surface the sharded backend expects from a
-    raw worker (``execute_traced``, ``statistics_many``, transport
-    counters, ``db``), so supervision is invisible to routing and merge
-    semantics. All telemetry counters (``restarts``, ``rpc_retries``,
-    ``deadline_exceeded``, ``circuit_trips``, ``circuit_recoveries``,
-    ``degraded_executions``, shm/inline transport counts) accumulate
-    across worker generations.
+    Presents the same duck surface as a raw worker (``execute``,
+    ``statistics_many``, transport counters), so supervision is
+    invisible to routing and merge semantics. All telemetry counters
+    (``restarts``, ``rpc_retries``, ``deadline_exceeded``,
+    ``circuit_trips``, ``circuit_recoveries``, ``degraded_executions``,
+    shm/inline transport counts) accumulate across worker generations.
     """
-
-    #: ``ShardedBackend.execute`` threads the serving deadline into
-    #: children advertising this.
-    supports_deadline = True
 
     def __init__(
         self,
@@ -485,7 +291,8 @@ class SupervisedShardWorker(Backend):
             else (raw_timeout if raw_timeout > 0 else None)
         )
         self._lock = threading.RLock()
-        self._state = ShardState(max_log=self._config.max_write_log)
+        #: The coordinator's mirror of this shard's data.
+        self._log = EpochLog()
         self._backoff = Backoff(
             initial=self._config.backoff_initial_s,
             cap=self._config.backoff_cap_s,
@@ -529,7 +336,7 @@ class SupervisedShardWorker(Backend):
     @property
     def epoch(self) -> int:
         """The shard's current data epoch."""
-        return self._state.epoch
+        return self._log.epoch
 
     @property
     def shm_results(self) -> int:
@@ -584,40 +391,24 @@ class SupervisedShardWorker(Backend):
         worker.kill()
 
     def _rebuild_locked(self, worker: ProcessShardWorker) -> None:
-        """Load the base snapshot, replay the write log through real
-        write RPCs, then verify the result (raises
-        :class:`WorkerRespawnError` on divergence)."""
-        snapshot = self._state.snapshot()
-        if snapshot.tables:
-            worker.load(snapshot)
-        for entry in self._state.entries():
-            kind = entry[0]
-            if kind == "load":
-                worker.load(entry[1])
-            elif kind == "insert":
-                worker.insert_rows(entry[1], list(entry[2]))
-            elif kind == "delete":
-                worker.delete_rows(entry[1], list(entry[2]))
-            elif kind == "apply":
-                worker.apply_changes(
-                    {name: list(rows) for name, rows in entry[1].items()},
-                    {name: list(rows) for name, rows in entry[2].items()},
-                )
-        self._verify_locked(worker)
+        """Load the shard's folded snapshot, then verify the result
+        (raises :class:`WorkerRespawnError` on divergence)."""
+        self._log.restore(worker)
+        self._verify_locked(worker, self._log.counts())
 
-    def _verify_locked(self, worker: ProcessShardWorker) -> None:
-        expected = self._state.expected_counts()
+    def _verify_locked(self, worker: Backend, expected: Dict[str, int]) -> None:
+        """Raise :class:`WorkerRespawnError` unless *worker*'s catalog
+        cardinalities match the *expected* rows per table."""
         if not expected:
             return
         stats = worker.statistics_many(list(expected))
         for name, count in expected.items():
-            table_stats = stats.get(name)
-            cardinality = getattr(table_stats, "cardinality", None)
+            cardinality = getattr(stats.get(name), "cardinality", None)
             if cardinality is not None and cardinality != count:
                 raise WorkerRespawnError(
-                    f"rebuild verification failed (shard {self.shard}): "
-                    f"table {name!r} holds {cardinality} rows where epoch "
-                    f"{self._state.epoch} expects {count}"
+                    f"verification failed (shard {self.shard}): table "
+                    f"{name!r} holds {cardinality} rows where the mirror "
+                    f"at epoch {self._log.epoch} expects {count}"
                 )
 
     def _respawn_cycle_locked(self, reason: str = "death") -> bool:
@@ -667,11 +458,11 @@ class SupervisedShardWorker(Backend):
         self._worker = worker
         self.restarts += 1
         get_registry().inc("repro.worker.restarts")
-        span.set(outcome="respawned", epoch=self._state.epoch)
+        span.set(outcome="respawned", epoch=self._log.epoch)
         logger.warning(
             "shard %d worker respawned at epoch %d (generation %d)",
             self.shard,
-            self._state.epoch,
+            self._log.epoch,
             self._generation,
         )
 
@@ -718,7 +509,7 @@ class SupervisedShardWorker(Backend):
         logger.warning(
             "shard %d circuit breaker CLOSED: worker recovered at epoch %d",
             self.shard,
-            self._state.epoch,
+            self._log.epoch,
         )
         if self._fallback is not None:
             self._fallback.close()
@@ -728,9 +519,7 @@ class SupervisedShardWorker(Backend):
     def _ensure_fallback_locked(self) -> Backend:
         if self._fallback is None:
             backend = self._factory()
-            data = self._state.folded_layout()
-            if data.tables:
-                backend.load(data)
+            self._log.restore(backend)
             self._fallback = backend
         return self._fallback
 
@@ -777,14 +566,14 @@ class SupervisedShardWorker(Backend):
         self,
         attempt: Callable[[ProcessShardWorker, Optional[float]], object],
         fallback: Callable[[Backend], object],
-        deadline: Optional[Tuple[float, float]] = None,
     ):
         """Run one idempotent command with retries: transient faults
         retry in place with backoff; crashes and missed deadlines
-        recycle the worker first. Fail-fast on a blown serving
-        deadline."""
+        recycle the worker first. Fail-fast on a blown serving deadline
+        (the caller's :func:`~repro.serving.concurrency.current_deadline`)."""
         if self._closed:
             raise RuntimeError("SupervisedShardWorker is closed")
+        deadline = current_deadline()
         with self._lock:
             transient = 0
             failures = 0
@@ -806,11 +595,7 @@ class SupervisedShardWorker(Backend):
                     self.deadline_exceeded += 1
                     get_registry().inc("repro.rpc.deadline_exceeded")
                     self._discard_worker_locked()
-                    if (
-                        deadline is not None
-                        and deadline[0] - time.monotonic() <= 0
-                    ):
-                        raise QueryTimeoutError(deadline[1])
+                    self._check_deadline(deadline)
                     failures += 1
                     if failures > self._config.max_rpc_retries:
                         raise
@@ -824,15 +609,16 @@ class SupervisedShardWorker(Backend):
 
     def _write(
         self,
-        entry: Tuple,
         attempt: Callable[[ProcessShardWorker], object],
         fallback: Callable[[Backend], object],
+        **change,
     ):
-        """Run one write with replay-safe acknowledgment: the write is
-        recorded into the shard state only after the target applied it,
-        so a crash mid-write rebuilds the worker to the pre-write epoch
-        and re-applies exactly once (partial application inside the dead
-        worker is discarded wholesale by the rebuild)."""
+        """Run one write with replay-safe acknowledgment: the *change*
+        (:class:`EpochDelta` fields) is recorded into the shard's mirror
+        only after the target applied it, so a crash mid-write rebuilds
+        the worker to the pre-write epoch and re-applies exactly once
+        (partial application inside the dead worker is discarded
+        wholesale by the rebuild)."""
         if self._closed:
             raise RuntimeError("SupervisedShardWorker is closed")
         with self._lock:
@@ -841,25 +627,24 @@ class SupervisedShardWorker(Backend):
                 target = self._target_locked()
                 if target is not self._worker:
                     result = fallback(target)
-                    self._state.record(entry)
-                    return result
-                try:
-                    result = attempt(target)
-                except (TransientWorkerFault, WorkerError) as exc:
-                    # A failed write leaves the worker's applied state
-                    # unknown (even a "transient" error may have landed
-                    # after a partial multi-table apply) — recycle and
-                    # rebuild rather than guess.
-                    if isinstance(exc, WorkerTimeoutError):
-                        self.deadline_exceeded += 1
-                        get_registry().inc("repro.rpc.deadline_exceeded")
-                    self._discard_worker_locked()
-                    failures += 1
-                    if failures > self._config.max_rpc_retries:
-                        raise
-                    self._count_retry()
-                    continue
-                self._state.record(entry)
+                else:
+                    try:
+                        result = attempt(target)
+                    except (TransientWorkerFault, WorkerError) as exc:
+                        # A failed write leaves the worker's applied
+                        # state unknown (even a "transient" error may
+                        # have landed after a partial multi-table apply)
+                        # — recycle and rebuild rather than guess.
+                        if isinstance(exc, WorkerTimeoutError):
+                            self.deadline_exceeded += 1
+                            get_registry().inc("repro.rpc.deadline_exceeded")
+                        self._discard_worker_locked()
+                        failures += 1
+                        if failures > self._config.max_rpc_retries:
+                            raise
+                        self._count_retry()
+                        continue
+                self._log.record(EpochDelta(self._log.epoch + 1, **change))
                 return result
 
     # ------------------------------------------------------------------
@@ -868,96 +653,61 @@ class SupervisedShardWorker(Backend):
     def load(self, data: LayoutData) -> None:
         """Load the shard's layout slice (recorded for rebuilds)."""
         self._write(
-            ("load", data),
             lambda worker: worker.load(data),
             lambda backend: backend.load(data),
+            tables=tuple(data.tables),
         )
 
     def bulk_load(self) -> BulkLoader:
-        """A bulk-ingest session that folds into the base snapshot (not
-        the write log), so a post-load crash rebuilds from one snapshot
-        instead of replaying millions of rows."""
+        """A bulk-ingest session recorded as one epoch, so a post-load
+        crash rebuilds from one snapshot."""
         return _SupervisedBulkLoader(self)
 
     def insert_rows(self, table: str, rows: List[Row]) -> None:
         """Insert rows (set semantics), replay-safe on worker death."""
-        frozen = tuple(tuple(row) for row in rows)
         self._write(
-            ("insert", table, frozen),
-            lambda worker: worker.insert_rows(table, list(frozen)),
-            lambda backend: backend.insert_rows(table, list(frozen)),
+            lambda worker: worker.insert_rows(table, rows),
+            lambda backend: backend.insert_rows(table, rows),
+            inserts={table: rows},
         )
 
     def delete_rows(self, table: str, rows: List[Row]) -> int:
         """Delete rows; the removed count always comes from a backend
         that applied the delete exactly once (rebuild restores the
         pre-delete epoch before any retry)."""
-        frozen = tuple(tuple(row) for row in rows)
         return self._write(
-            ("delete", table, frozen),
-            lambda worker: worker.delete_rows(table, list(frozen)),
-            lambda backend: backend.delete_rows(table, list(frozen)),
+            lambda worker: worker.delete_rows(table, rows),
+            lambda backend: backend.delete_rows(table, rows),
+            deletes={table: rows},
         )
 
     def apply_changes(self, inserts, deletes) -> None:
         """Apply a multi-table delta, replay-safe on worker death."""
-        frozen_inserts = {
-            name: tuple(tuple(row) for row in rows)
-            for name, rows in inserts.items()
-        }
-        frozen_deletes = {
-            name: tuple(tuple(row) for row in rows)
-            for name, rows in deletes.items()
-        }
         self._write(
-            ("apply", frozen_inserts, frozen_deletes),
             lambda worker: worker.apply_changes(inserts, deletes),
             lambda backend: backend.apply_changes(inserts, deletes),
+            inserts=inserts,
+            deletes=deletes,
         )
 
-    def execute(
-        self,
-        sql: str,
-        deadline: Optional[Tuple[float, float]] = None,
-    ) -> List[Row]:
-        """Evaluate *sql* with supervision (respawn/retry/degrade);
-        *deadline* is the serving layer's ``(expiry, budget)`` pair."""
-        rows, _span = self._execute("execute", sql, deadline)
-        return rows
-
-    def execute_traced(
-        self,
-        sql: str,
-        deadline: Optional[Tuple[float, float]] = None,
-    ) -> Tuple[List[Row], Optional[Dict]]:
-        """Evaluate *sql* with a worker-local trace (``None`` span dict
-        on the degraded in-coordinator path)."""
-        return self._execute("execute_traced", sql, deadline)
-
-    def _execute(
-        self,
-        cmd: str,
-        sql: str,
-        deadline: Optional[Tuple[float, float]],
-    ) -> Tuple[List[Row], Optional[Dict]]:
-        traced = cmd == "execute_traced"
+    def execute(self, sql: str) -> List[Row]:
+        """Evaluate *sql* with supervision (respawn/retry/degrade), under
+        the caller's serving deadline; a traced caller gets the worker's
+        spans grafted by :meth:`ProcessShardWorker.execute`."""
 
         def attempt(worker: ProcessShardWorker, timeout: Optional[float]):
-            if traced:
-                rows, span = worker.execute_traced(sql, timeout=timeout)
-            else:
-                rows, span = worker.execute(sql, timeout=timeout), None
+            rows = worker.execute(sql, timeout=timeout)
             self.last_execution = worker.last_execution
-            return rows, span
+            return rows
 
         def fallback(backend: Backend):
             rows = backend.execute(sql)
             self.last_execution = getattr(backend, "last_execution", None)
             self.degraded_executions += 1
             get_registry().inc("repro.worker.degraded.executions")
-            return rows, None
+            return rows
 
-        return self._read(attempt, fallback, deadline)
+        return self._read(attempt, fallback)
 
     def estimated_cost(self, sql: str) -> float:
         """The shard's own cost estimate (idempotent, retried)."""

@@ -5,12 +5,15 @@ deterministic fault harness (:mod:`repro.faults`): workers are killed
 mid-query and on the Nth RPC of seeded randomized workloads, replies are
 delayed, dropped, and shm attaches failed — and every answer must stay
 byte-identical to a serial/unsharded oracle. Also covers the fault-plan
-grammar, the coordinator-side shard state (epoch, bounded write log,
-fold), RPC deadlines and serving-deadline propagation, circuit-breaker
-degradation and half-open recovery, the shm crash/abort paths, and the
-worker loop's clean KeyboardInterrupt/SystemExit exit.
+grammar, the coordinator-side shard mirror (epoch, fold-on-record, and
+a property test against the write log it replaced), RPC deadlines and
+serving-deadline propagation, circuit-breaker degradation and half-open
+recovery, the shm crash/abort paths, worker teardown racing
+``multiprocessing``'s own reaping, and the worker loop's clean
+KeyboardInterrupt/SystemExit exit.
 """
 
+import multiprocessing
 import os
 import random
 import signal
@@ -18,6 +21,10 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from legacy_epoch_log import ShardState, bulk_replace
 
 from repro.faults import (
     FAULTS_ENV,
@@ -30,6 +37,7 @@ from repro.serving.concurrency import (
     current_deadline,
     deadline_scope,
 )
+from repro.storage.epoch_log import EpochDelta, EpochLog
 from repro.storage.layouts import LayoutData, TableSpec
 from repro.storage.memory_backend import MemoryBackend
 from repro.storage.process_workers import (
@@ -42,12 +50,9 @@ from repro.storage.process_workers import (
 from repro.storage.sharded_backend import ShardedBackend
 from repro.storage.supervisor import (
     RESTARTS_ENV,
-    SUPERVISE_ENV,
-    ShardState,
     SupervisedShardWorker,
     SupervisionConfig,
     WorkerRespawnError,
-    supervision_enabled,
 )
 
 needs_processes = pytest.mark.skipif(
@@ -66,7 +71,6 @@ def _isolate_fault_env(monkeypatch):
     knobs re-set them via ``monkeypatch`` after this runs."""
     monkeypatch.delenv(FAULTS_ENV, raising=False)
     monkeypatch.delenv("REPRO_RPC_TIMEOUT_MS", raising=False)
-    monkeypatch.delenv(SUPERVISE_ENV, raising=False)
     monkeypatch.delenv(RESTARTS_ENV, raising=False)
 
 
@@ -196,63 +200,126 @@ class TestFaultPlan:
 
 
 # ----------------------------------------------------------------------
-# Coordinator-side shard state: epoch, bounded log, fold
+# Coordinator-side shard mirror: epoch, fold on record
 # ----------------------------------------------------------------------
+def _spec(rows, name="t"):
+    return TableSpec(
+        name=name, columns=("s", "o"), rows=rows, indexes=(("s",),)
+    )
+
+
+def _record(log, tables=(), inserts=None, deletes=None):
+    log.record(
+        EpochDelta(log.epoch + 1, tuple(tables), inserts or {}, deletes or {})
+    )
+
+
+def _dump(data):
+    return [
+        (spec.name, spec.columns, list(spec.rows), spec.indexes, spec.shard_key)
+        for spec in data.tables
+    ]
+
+
+#: Table names the legacy-oracle writes draw from ("T1" replaces "t1").
+_NAMES = ("t0", "t1", "t2", "T1")
+_ROWS = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8
+)
+
+
 class TestShardState:
-    def _spec(self, rows):
-        return TableSpec(
-            name="t", columns=("s", "o"), rows=rows, indexes=(("s",),)
-        )
-
     def test_epoch_counts_every_recorded_write(self):
-        state = ShardState(max_log=100)
-        assert state.epoch == 0
-        state.record(("load", LayoutData(tables=[self._spec([(1, 1)])])))
-        state.record(("insert", "t", ((2, 2),)))
-        state.record(("delete", "t", ((1, 1),)))
-        assert state.epoch == 3
-        assert state.expected_counts() == {"t": 1}
-
-    def test_overflow_folds_into_base_without_losing_epoch(self):
-        state = ShardState(max_log=2)
-        state.record(("load", LayoutData(tables=[self._spec([])])))
+        log = EpochLog()
+        assert log.epoch == 0
+        _record(log, tables=[_spec([(1, 1)])])
+        _record(log, inserts={"t": [(2, 2)]})
+        _record(log, deletes={"t": [(1, 1)]})
+        assert log.epoch == 3
+        assert log.counts() == {"t": 1}
         for i in range(10):
-            state.record(("insert", "t", ((i, i),)))
-        assert state.epoch == 11
-        assert len(state.log) == 2
-        assert state.base_epoch == 9
-        assert state.expected_counts() == {"t": 10}
-        # The base snapshot holds the folded prefix; replaying the log
-        # over it reproduces the full state.
-        folded = state.folded_tables()
-        assert len(folded["t"].rows) == 10
+            _record(log, inserts={"t": [(i + 10, i)]})
+        assert log.epoch == 13
+        assert log.counts() == {"t": 11}
+        for stale_or_skipping in (log.epoch, log.epoch + 2):
+            with pytest.raises(ValueError):
+                log.record(EpochDelta(stale_or_skipping, inserts={"t": []}))
+        assert log.epoch == 13
 
     def test_insert_is_set_semantics_and_delete_tolerates_missing(self):
-        state = ShardState(max_log=1)
-        state.record(("load", LayoutData(tables=[self._spec([(1, 1)])])))
-        state.record(("insert", "t", ((1, 1), (2, 2))))
-        state.record(("delete", "t", ((9, 9), (2, 2))))
-        assert state.expected_counts() == {"t": 1}
+        log = EpochLog([_spec([(1, 1)])])
+        _record(log, inserts={"t": [(1, 1), (2, 2)]})
+        _record(log, deletes={"t": [(9, 9), (2, 2)]})
+        assert log.counts() == {"t": 1}
 
     def test_apply_inserts_before_deletes(self):
-        state = ShardState(max_log=0)
-        state.record(("load", LayoutData(tables=[self._spec([])])))
-        state.record(("apply", {"t": ((1, 1),)}, {"t": ((1, 1),)}))
-        assert state.expected_counts() == {"t": 0}
+        log = EpochLog([_spec([])])
+        _record(log, inserts={"t": [(1, 1)]}, deletes={"t": [(1, 1)]})
+        assert log.counts() == {"t": 0}
 
     def test_folded_layout_loads_into_a_backend(self):
-        state = ShardState(max_log=1)
-        state.record(
-            ("load", LayoutData(tables=[self._spec([(1, 10), (2, 20)])]))
-        )
-        state.record(("insert", "t", ((3, 30),)))
-        state.record(("delete", "t", ((1, 10),)))
+        log = EpochLog()
+        _record(log, tables=[_spec([(1, 10), (2, 20)])])
+        _record(log, inserts={"t": [(3, 30)]})
+        _record(log, deletes={"t": [(1, 10)]})
         backend = MemoryBackend()
-        backend.load(state.folded_layout())
-        assert sorted(backend.execute("SELECT s, o FROM t")) == [
-            (2, 20),
-            (3, 30),
-        ]
+        assert log.restore(backend) == 3
+        assert backend.execute("SELECT s, o FROM t") == [(2, 20), (3, 30)]
+        backend.close()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), max_log=st.sampled_from([0, 1, 256]))
+    def test_folds_like_the_legacy_shard_state(self, data, max_log):
+        """Random write sequences — loads, set-semantics inserts with
+        duplicates, deletes of absent rows, multi-table applies that
+        insert and delete one row at once, tables created mid-stream,
+        bulk replaces — fold to the very tables, rows and row order the
+        replaced base-plus-write-log state held, at the same epoch."""
+        legacy = ShardState(max_log=max_log)
+        log = EpochLog()
+        names = set()
+        for _ in range(data.draw(st.integers(1, 20), label="writes")):
+            kinds = ["load", "bulk"] + (
+                ["insert", "delete", "apply"] if names else []
+            )
+            kind = data.draw(st.sampled_from(kinds), label="kind")
+            if kind in ("load", "bulk"):
+                chosen = data.draw(
+                    st.lists(st.sampled_from(_NAMES), min_size=1, max_size=2,
+                             unique_by=str.lower),
+                    label="tables",
+                )
+                specs = [_spec(data.draw(_ROWS), name) for name in chosen]
+                names.update(name.lower() for name in chosen)
+                if kind == "load":
+                    legacy.record(("load", LayoutData(tables=specs)))
+                    _record(log, tables=specs)
+                else:
+                    bulk_replace(legacy, specs)
+                    log.replace(specs)
+                continue
+            table = data.draw(st.sampled_from(sorted(names)), label="table")
+            rows = data.draw(_ROWS, label="rows")
+            if kind == "insert":
+                legacy.record(("insert", table, tuple(rows)))
+                _record(log, inserts={table: rows})
+            elif kind == "delete":
+                legacy.record(("delete", table, tuple(rows)))
+                _record(log, deletes={table: rows})
+            else:
+                other = data.draw(st.sampled_from(sorted(names)), label="other")
+                both = data.draw(_ROWS.filter(bool), label="both")[0]
+                inserts = {table: rows + [both]}
+                deletes = {other: data.draw(_ROWS), table: [both]}
+                legacy.record(("apply", inserts, deletes))
+                _record(log, inserts=inserts, deletes=deletes)
+            snapshot, epoch = log.snapshot()
+            assert epoch == legacy.epoch
+            assert _dump(snapshot) == _dump(legacy.folded_layout())
+        snapshot, epoch = log.snapshot()
+        assert epoch == legacy.epoch
+        assert _dump(snapshot) == _dump(legacy.folded_layout())
+        assert log.counts() == legacy.expected_counts()
 
 
 # ----------------------------------------------------------------------
@@ -300,10 +367,9 @@ class TestSupervisedWorker:
             worker.close()
 
     def test_sigkill_after_bulk_load_rebuilds_from_snapshot(self):
-        """A bulk load folds into the coordinator's snapshot as ONE
-        epoch step — the bounded write log stays empty. A SIGKILL right
-        after the load therefore rebuilds the worker from a single
-        snapshot install (no per-write replay), byte-identically."""
+        """A bulk load folds into the coordinator's mirror as ONE epoch
+        step. A SIGKILL right after the load therefore rebuilds the
+        worker from a single snapshot install, byte-identically."""
         data = _layout(rows=900)
         oracle = _oracle(data)
         worker = SupervisedShardWorker(MemoryBackend, 0, _config())
@@ -318,9 +384,8 @@ class TestSupervisedWorker:
                         loader.append(
                             spec.name, spec.rows[start : start + 128]
                         )
-            # Snapshot, not log: the whole load is one base-epoch step.
-            assert len(worker._state.log) == 0
-            assert worker._state.base_epoch == 1
+            # The whole load is one epoch step of the mirror.
+            assert worker._log.counts() == {"r_p": 900, "c_a": 300}
             assert worker.epoch == 1
             baseline = {sql: sorted(worker.execute(sql)) for sql in QUERIES}
             os.kill(worker.worker.pid, signal.SIGKILL)
@@ -333,7 +398,7 @@ class TestSupervisedWorker:
             # The rebuilt worker takes ordinary logged writes as usual.
             worker.insert_rows("c_a", [(100001,)])
             assert worker.epoch == 2
-            assert len(worker._state.log) == 1
+            assert worker._log.counts()["c_a"] == 301
             assert worker.execute("SELECT s FROM c_a WHERE s = 100001") == [
                 (100001,)
             ]
@@ -550,11 +615,8 @@ class TestDeadlinePropagation:
         try:
             worker.load(_layout(rows=50))
             started = time.monotonic()
-            with pytest.raises(QueryTimeoutError):
-                worker.execute(
-                    "SELECT s FROM c_a",
-                    deadline=(time.monotonic() + 0.15, 0.15),
-                )
+            with deadline_scope(0.15), pytest.raises(QueryTimeoutError):
+                worker.execute("SELECT s FROM c_a")
             assert time.monotonic() - started < 5.0
             assert worker.deadline_exceeded >= 1
         finally:
@@ -680,6 +742,49 @@ class TestShmFailurePaths:
 
 
 # ----------------------------------------------------------------------
+# Worker teardown racing multiprocessing's own reaping
+# ----------------------------------------------------------------------
+@needs_processes
+class TestWorkerTeardown:
+    def test_teardown_survives_concurrent_reaping(self):
+        """``multiprocessing`` reaps finished children from any thread
+        (``Process.start()`` and ``active_children()`` both do). A worker
+        torn down while another thread reaps must still release its
+        process handle and report its exit code, never raise ``ValueError:
+        Cannot close a process while it is still running``."""
+        stop = threading.Event()
+
+        def reap():
+            while not stop.is_set():
+                multiprocessing.active_children()
+
+        reaper = threading.Thread(target=reap)
+        reaper.start()
+        workers = []
+        try:
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline:
+                batch = [ProcessShardWorker(MemoryBackend, i) for i in range(4)]
+                workers.extend(batch)
+                for index, worker in enumerate(batch):
+                    if index % 2:
+                        worker.close()
+                        assert worker.exit_code == 0
+                    else:
+                        worker.kill()
+                        assert worker.exit_code == -signal.SIGTERM
+        finally:
+            stop.set()
+            reaper.join(timeout=10.0)
+            assert not reaper.is_alive()
+            for worker in workers:
+                try:
+                    worker.kill()
+                except ValueError:
+                    pass
+
+
+# ----------------------------------------------------------------------
 # Worker loop: clean KeyboardInterrupt / SystemExit exit
 # ----------------------------------------------------------------------
 @needs_processes
@@ -750,19 +855,6 @@ class TestShardedSupervision:
             assert backend._supervisor is not None
             assert all(
                 isinstance(child, SupervisedShardWorker)
-                for child in backend.children
-            )
-        finally:
-            backend.close()
-
-    def test_supervise_env_opts_out(self, monkeypatch):
-        monkeypatch.setenv(SUPERVISE_ENV, "0")
-        assert not supervision_enabled()
-        backend = ShardedBackend(shards=2, substrate="process")
-        try:
-            assert backend._supervisor is None
-            assert all(
-                isinstance(child, ProcessShardWorker)
                 for child in backend.children
             )
         finally:
@@ -847,8 +939,8 @@ class TestShardedSupervision:
 
     def test_sigkill_after_sharded_bulk_load(self):
         """Backend-level kill-after-bulk: every supervised shard folded
-        the bulk load into its snapshot (empty logs), so the killed
-        worker rebuilds to the same epoch and answers stay correct."""
+        the bulk load into its mirror as one epoch, so the killed worker
+        rebuilds to the same epoch and answers stay correct."""
         data = _layout(rows=600)
         oracle = _oracle(data)
         backend = ShardedBackend(
@@ -864,7 +956,7 @@ class TestShardedSupervision:
                     loader.append(spec.name, spec.rows)
             for child in backend.children:
                 assert child.epoch == 1
-                assert len(child._state.log) == 0
+            assert sum(c._log.counts()["r_p"] for c in backend.children) == 600
             victim = backend.children[0]
             os.kill(victim.worker.pid, signal.SIGKILL)
             time.sleep(0.05)

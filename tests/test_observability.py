@@ -334,6 +334,32 @@ class TestTracedAnswerMatrix:
                 assert span.attributes["transport"] in ("inline", "shm")
             _assert_tree_integrity(report.trace)
 
+    @needs_processes
+    def test_gather_scans_graft_worker_spans_under_gather_table(
+        self, example1_tbox, example1_abox
+    ):
+        with OBDASystem(
+            example1_tbox,
+            example1_abox,
+            backend="memory",
+            shards=4,
+            executor="process",
+            trace=True,
+        ) as system:
+            report = system.answer("q(x) <- Researcher(x)")  # join → gather
+            assert system.backend.last_execution.route == "gather"
+            gathers = report.trace.find("gather.table")
+            assert gathers
+            for gather in gathers:
+                workers = [
+                    child for child in gather.children
+                    if child.name == "shard.worker"
+                ]
+                assert {span.attributes["shard"] for span in workers} == {
+                    0, 1, 2, 3
+                }
+            _assert_tree_integrity(report.trace)
+
     def test_unsharded_trace_has_no_shard_spans(self, example1_tbox, example1_abox):
         # shards=0 pins the plain backend even under REPRO_SHARDS.
         with OBDASystem(example1_tbox, example1_abox, shards=0, trace=True) as system:

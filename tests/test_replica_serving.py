@@ -4,8 +4,8 @@ Four layers of coverage for the serving tier:
 
 * **router units** — least-loaded selection, per-replica admission
   backpressure (:class:`ReplicaSaturatedError`), token-wait deadlines
-  (:class:`ReplicaLagTimeoutError`), kill + heal, and the replication
-  log's bounded-fold contract, all on a bare
+  (:class:`ReplicaLagTimeoutError`), kill + heal, and the epoch log's
+  fold-on-record contract, all on a bare
   :class:`~repro.serving.replicas.ReplicaSet` over a tiny dataset;
 * **randomized stress** — the session-consistency oracle from
   ``backend_conformance.py`` at higher write counts, with explicit
@@ -39,11 +39,7 @@ from repro.serving.replicas import (
 )
 from repro.storage.layouts import LayoutData, TableSpec
 from repro.storage.memory_backend import MemoryBackend
-from repro.storage.replication import (
-    EpochDelta,
-    ReplicationLog,
-    apply_delta,
-)
+from repro.storage.epoch_log import EpochDelta, EpochLog
 
 PROBE_SQL = "SELECT s FROM c_a"
 
@@ -61,10 +57,8 @@ def _layout_data(rows=((1,), (2,))):
     )
 
 
-def _make_log(max_log: int = 256) -> ReplicationLog:
-    log = ReplicationLog(max_log=max_log)
-    log.bootstrap(_layout_data(), epoch=0)
-    return log
+def _make_log() -> EpochLog:
+    return EpochLog(_layout_data().tables)
 
 
 def _insert_delta(epoch: int, value: int) -> EpochDelta:
@@ -79,7 +73,7 @@ def _wait_until(predicate, timeout: float = 10.0) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Replication log
+# Epoch log
 # ---------------------------------------------------------------------------
 class TestReplicationLog:
     def test_snapshot_equals_replayed_deltas(self):
@@ -94,7 +88,7 @@ class TestReplicationLog:
         base, _ = _make_log().snapshot()
         replayed.load(base)
         for epoch in range(1, 6):
-            apply_delta(replayed, _insert_delta(epoch, 100 + epoch))
+            _insert_delta(epoch, 100 + epoch).apply_to(replayed)
         assert sorted(fresh.execute(PROBE_SQL)) == sorted(
             replayed.execute(PROBE_SQL)
         )
@@ -102,7 +96,9 @@ class TestReplicationLog:
         replayed.close()
 
     def test_bounded_log_folds_but_snapshot_is_complete(self):
-        log = _make_log(max_log=2)
+        """Every delta folds as it is recorded: the log holds the
+        current tables only, and its snapshot is complete."""
+        log = _make_log()
         for epoch in range(1, 10):
             log.record(_insert_delta(epoch, 100 + epoch))
         data, epoch = log.snapshot()
@@ -121,18 +117,6 @@ class TestReplicationLog:
         with pytest.raises(ValueError):
             log.record(_insert_delta(1, 101))
 
-    def test_deltas_since_and_rebootstrap_signal(self):
-        log = _make_log(max_log=2)
-        for epoch in range(1, 6):
-            log.record(_insert_delta(epoch, 100 + epoch))
-        # Epochs 1..3 were folded into the base: a replica stuck there
-        # cannot catch up incrementally and must re-bootstrap.
-        assert log.deltas_since(0) is None
-        assert log.deltas_since(1) is None
-        tail = log.deltas_since(3)
-        assert [delta.epoch for delta in tail] == [4, 5]
-        assert log.deltas_since(5) == []
-
     def test_delta_ships_new_tables(self):
         log = _make_log()
         spec = TableSpec(
@@ -141,7 +125,7 @@ class TestReplicationLog:
         log.record(
             EpochDelta(
                 epoch=1,
-                new_tables=(spec,),
+                tables=(spec,),
                 inserts={"c_new": [(7,)]},
                 deletes={},
             )
@@ -415,7 +399,7 @@ class TestStress:
 
     def test_chaos_kill_and_lag_via_faults_env(self, monkeypatch):
         """Seeded REPRO_FAULTS chaos: random replica kills (healed from
-        the replication log) plus injected apply lag (absorbed by token
+        the epoch log) plus injected apply lag (absorbed by token
         waits). Consistency must hold throughout."""
         monkeypatch.setenv(
             "REPRO_FAULTS",
