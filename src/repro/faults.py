@@ -33,7 +33,7 @@ Fault sites
   ``replica_kill_p`` (bounded per replica by ``replica_kill_limit``;
   the router must heal it off a fresh bootstrap), or stalls
   ``replica_lag_ms`` before applying with probability
-  ``replica_lag_p`` (drives the epoch-token wait and lag-deadline
+  ``replica_lag_p`` (drives the epoch-token wait and its deadline
   paths). Decisions draw from ``random.Random(f"{seed}:replica:
   {index}:{generation}")`` — per replica and per heal generation, the
   exact determinism contract the worker faults use.

@@ -109,6 +109,7 @@ from repro.serving.concurrency import (
     AdmissionController,
     QueryTimeoutError,
     ReadWriteBarrier,
+    current_deadline,
     deadline_scope,
 )
 from repro.serving.plan_cache import PlanCache
@@ -140,22 +141,6 @@ SLOW_QUERY_ENV = "REPRO_SLOW_QUERY_MS"
 #: path's epoch-tagged deltas and routes every read across them; unset
 #: (or < 1) keeps the structurally unchanged single-backend read path.
 REPLICAS_ENV = "REPRO_REPLICAS"
-
-#: Environment knob: how long a read carrying an epoch token waits for
-#: its replica to catch up before failing with a
-#: :class:`~repro.serving.replicas.ReplicaLagTimeoutError`, in
-#: milliseconds. Default 5000.
-REPLICA_LAG_ENV = "REPRO_REPLICA_LAG_MS"
-
-#: Environment knob: per-replica admission bound (queries in flight on
-#: one replica before the router sheds to its siblings). Default 8.
-REPLICA_IN_FLIGHT_ENV = "REPRO_REPLICA_MAX_IN_FLIGHT"
-
-#: Default per-replica admission bound (see ``REPRO_REPLICA_MAX_IN_FLIGHT``).
-DEFAULT_REPLICA_IN_FLIGHT = 8
-
-#: Default token-wait deadline in seconds (see ``REPRO_REPLICA_LAG_MS``).
-DEFAULT_REPLICA_LAG_TIMEOUT = 5.0
 
 #: The slow-query logger; handlers attached here receive one record per
 #: slow query with ``query_ms`` / ``strategy`` / ``query_trace`` extras.
@@ -193,28 +178,6 @@ def _env_replicas() -> Optional[int]:
     except ValueError:
         return None
     return count if count >= 1 else None
-
-
-def _env_replica_lag_seconds() -> float:
-    raw = os.environ.get(REPLICA_LAG_ENV)
-    if raw is None:
-        return DEFAULT_REPLICA_LAG_TIMEOUT
-    try:
-        millis = float(raw)
-    except ValueError:
-        return DEFAULT_REPLICA_LAG_TIMEOUT
-    return millis / 1000.0 if millis >= 0 else DEFAULT_REPLICA_LAG_TIMEOUT
-
-
-def _env_replica_in_flight() -> int:
-    raw = os.environ.get(REPLICA_IN_FLIGHT_ENV)
-    if raw is None:
-        return DEFAULT_REPLICA_IN_FLIGHT
-    try:
-        bound = int(raw)
-    except ValueError:
-        return DEFAULT_REPLICA_IN_FLIGHT
-    return bound if bound >= 1 else DEFAULT_REPLICA_IN_FLIGHT
 
 #: Strategies whose chosen reformulation does not depend on data
 #: statistics; their cached plans survive writes (epoch stamp ``None``).
@@ -348,7 +311,7 @@ class OBDASystem:
     mutates). Concurrency knobs: ``serving_workers`` sets the default
     ``answer_many`` thread count, ``max_in_flight`` /
     ``query_timeout_seconds`` the admission bound and per-query deadline
-    every batch inherits.
+    every batch (and every lone :meth:`answer`) inherits.
 
     Storage scaling: ``shards=N`` (or ``REPRO_SHARDS>=2`` in the
     environment) hash-partitions every table across N child backends of
@@ -367,12 +330,12 @@ class OBDASystem:
     Replicated serving: ``replicas=N`` (or ``REPRO_REPLICAS>=1``)
     builds N read-only replicas of the whole backend (same kind,
     shards and substrate), fed asynchronously by the write path's
-    epoch-tagged deltas (healed from a folded epoch log), and routes
-    every read across them with least-loaded selection and per-replica
-    admission control. Session consistency rides epoch tokens
-    (:meth:`epoch_token`, ``answer(..., min_epoch=tok)``); the default
-    token is the primary's current epoch, so in-process callers keep
-    exact read-your-writes with answers byte-identical to the
+    epoch-tagged deltas (healed from a folded epoch log), and serves
+    every read from the freshest live replica. Replicas buy consistency
+    and failover, not read throughput. Session consistency rides epoch
+    tokens (:meth:`epoch_token`, ``answer(..., min_epoch=tok)``); the
+    default token is the primary's current epoch, so in-process callers
+    keep exact read-your-writes with answers byte-identical to the
     unreplicated system.
     """
 
@@ -395,8 +358,6 @@ class OBDASystem:
         trace: Optional[bool] = None,
         slow_query_ms: Optional[float] = None,
         replicas: Optional[int] = None,
-        replica_lag_timeout_seconds: Optional[float] = None,
-        replica_max_in_flight: Optional[int] = None,
     ) -> None:
         self.kb = KnowledgeBase(tbox, abox)
         #: When True, every insert_facts re-validates the disjointness
@@ -478,19 +439,7 @@ class OBDASystem:
         if replicas:
             self._epoch_log = EpochLog(data.tables)
             self._replicas = ReplicaSet(
-                replicas,
-                backend_factory,
-                self._epoch_log,
-                max_in_flight=(
-                    replica_max_in_flight
-                    if replica_max_in_flight is not None
-                    else _env_replica_in_flight()
-                ),
-                lag_timeout_seconds=(
-                    replica_lag_timeout_seconds
-                    if replica_lag_timeout_seconds is not None
-                    else _env_replica_lag_seconds()
-                ),
+                replicas, backend_factory, self._epoch_log
             )
         self.translator = SQLTranslator(self.layout)
         self.cost_model = ExternalCostModel(self.statistics)
@@ -738,22 +687,24 @@ class OBDASystem:
             applied = time.perf_counter()
             touched = self._refresh_statistics(added, removed)
             refreshed = time.perf_counter()
-            self.data_epoch += 1
+            epoch = self.data_epoch + 1
             if self._epoch_log is not None:
                 # Delta shipping: record the write (created tables plus
                 # both row deltas) under its resulting epoch, then fan
                 # it out to the replica queues. Recording happens under
                 # the exclusive barrier so deltas hit the log in strict
-                # epoch order; applying is asynchronous — the write
-                # returns without waiting for any replica.
+                # epoch order, and before the epoch advances so no token
+                # is ever ahead of the log; applying is asynchronous —
+                # the write returns without waiting for any replica.
                 delta = EpochDelta(
-                    epoch=self.data_epoch,
+                    epoch=epoch,
                     tables=tuple(new_tables),
                     inserts=inserts,
                     deletes=deletes,
                 )
                 self._epoch_log.record(delta)
                 self._replicas.publish(delta)
+            self.data_epoch = epoch
         registry.observe("repro.write.apply_changes.seconds", applied - started)
         registry.observe("repro.write.stats_refresh.seconds", refreshed - applied)
         registry.inc("repro.write.facts_added", len(added))
@@ -1128,12 +1079,20 @@ class OBDASystem:
         read-your-writes semantics with no code change. An explicit
         token from :meth:`epoch_token` or a prior report's
         ``report.epoch`` pins freshness for out-of-process clients
-        (``min_epoch=0`` accepts any replica state). The chosen replica
+        (``min_epoch=0`` accepts any replica state; a token the primary
+        has not issued yet raises ``ValueError``). The chosen replica
         blocks until it has applied the token's epoch, bounded by the
-        lag deadline (:class:`~repro.serving.replicas.
+        query's deadline (:class:`~repro.serving.replicas.
         ReplicaLagTimeoutError` past it), and ``report.epoch`` records
         the exact epoch the answer observed. Without replicas the
         token is ignored — the primary always serves its own epoch.
+
+        The deadline is the caller's ``deadline_scope`` when one is
+        open (``answer_many`` opens one per query), else
+        ``query_timeout_seconds``; it bounds every wait below — the
+        replica's token wait and each shard worker RPC. Without either,
+        the token wait has no limit and a worker RPC only its fault
+        detection timeout (``REPRO_RPC_TIMEOUT_MS``).
 
         With tracing on (``trace=True`` / ``REPRO_TRACE=1``) the report
         carries one coherent :class:`~repro.obs.trace.QueryTrace`:
@@ -1152,7 +1111,10 @@ class OBDASystem:
             tracer = Tracer()
             root = tracer.root("query", strategy=strategy, cost=cost)
             gc_before = thread_gc_seconds()
-        with root:
+        timeout = (
+            self.query_timeout_seconds if current_deadline() is None else None
+        )
+        with root, deadline_scope(timeout):
             if isinstance(query, str):
                 with root.child("parse"):
                     query = parse_query(query)
@@ -1383,10 +1345,13 @@ class OBDASystem:
         **Admission control.** At most ``max_in_flight`` queries
         (default ``2 × max_workers``) are dispatched-but-unfinished at
         any moment; the rest of the batch waits at the gate.
-        ``timeout_seconds`` is a per-query deadline: a query that blows
-        it gets a :class:`~repro.serving.concurrency.QueryTimeoutError`
-        (its worker thread is abandoned, not killed). Telemetry for the
-        batch lands on :attr:`last_batch_stats`.
+        ``timeout_seconds`` is a per-query deadline, serial or
+        concurrent: every wait inside the query is bounded by it, and a
+        query that blows it gets a
+        :class:`~repro.serving.concurrency.QueryTimeoutError` (a
+        concurrent query's worker thread is abandoned, not killed).
+        Telemetry for a concurrent batch lands on
+        :attr:`last_batch_stats`.
 
         ``on_error`` decides what one failing query does to the batch:
         ``"raise"`` (the default) propagates its exception, ``"collect"``
@@ -1407,18 +1372,23 @@ class OBDASystem:
 
         def one(query: Union[str, CQ]) -> AnswerReport:
             # Parsing happens inside the guard: a malformed query string is
-            # just another failure this query's report should carry.
+            # just another failure this query's report should carry. The
+            # deadline is marked in the thread that runs the query
+            # (contextvars do not flow into pool threads), so every wait
+            # under it — a replica's token wait, a shard worker RPC —
+            # ends when the serving layer gives up on the query.
             try:
                 parsed = parse_query(query) if isinstance(query, str) else query
-                return self.answer(
-                    parsed,
-                    strategy=strategy,
-                    cost=cost,
-                    minimize=minimize,
-                    use_uscq=use_uscq,
-                    use_plan_cache=use_plan_cache,
-                    min_epoch=min_epoch,
-                )
+                with deadline_scope(timeout_seconds):
+                    return self.answer(
+                        parsed,
+                        strategy=strategy,
+                        cost=cost,
+                        minimize=minimize,
+                        use_uscq=use_uscq,
+                        use_plan_cache=use_plan_cache,
+                        min_epoch=min_epoch,
+                    )
             except Exception as exc:
                 if on_error == "raise":
                     raise
@@ -1464,14 +1434,8 @@ class OBDASystem:
         shards_before = telemetry() if telemetry is not None else None
 
         def admitted(query: Union[str, CQ]) -> AnswerReport:
-            # Mark the deadline *inside* the pool task (contextvars do
-            # not flow into pool threads), so storage-layer RPC waits
-            # under this query cap themselves at min(rpc_timeout,
-            # remaining) instead of running on after the serving layer
-            # abandoned the future.
             try:
-                with deadline_scope(timeout_seconds):
-                    return one(query)
+                return one(query)
             finally:
                 admission.release()
 

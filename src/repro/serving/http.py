@@ -14,9 +14,13 @@ Routes:
     Body ``{"queries": [...], "strategy"?, "cost"?, "min_epoch"?,
     "max_workers"?, "timeout_seconds"?}``. Queries are textual CQs;
     ``min_epoch`` is the client's session token (see
-    :meth:`~repro.obda.system.OBDASystem.epoch_token`). Always runs
-    with ``on_error="collect"`` — one bad query yields one error entry,
-    not a failed batch. Returns ``{"reports": [{"query", "answers",
+    :meth:`~repro.obda.system.OBDASystem.epoch_token`) — a token above
+    the primary's epoch comes back as a per-query ``ValueError``.
+    ``timeout_seconds`` is each query's deadline (default: the
+    system's ``query_timeout_seconds``), the one bound on every wait
+    below it, a replica's token wait included. Always runs with
+    ``on_error="collect"`` — one bad query yields one error entry, not
+    a failed batch. Returns ``{"reports": [{"query", "answers",
     "epoch", "replica", "error"}...], "epoch_token"}``; the token is
     the newest epoch any answer in the batch observed, so a client can
     thread it into its next request for monotonic reads.
@@ -34,7 +38,7 @@ Routes:
 
 The event loop never blocks on query work: each request's system call
 runs on the loop's default thread-pool executor, and the system's own
-admission control / replica router do the real scheduling underneath.
+serving layer does the real scheduling underneath.
 """
 
 from __future__ import annotations

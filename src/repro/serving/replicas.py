@@ -1,45 +1,34 @@
 """Read replicas: asynchronous followers of the primary's write path.
 
-The scaling story of the ROADMAP's serving item: all reads used to
-funnel through one backend behind one
-:class:`~repro.serving.concurrency.ReadWriteBarrier`. This module lets
-an :class:`~repro.obda.system.OBDASystem` host **N read-only replica
-backends** that follow the primary asynchronously and serve the read
-traffic between them:
+An :class:`~repro.obda.system.OBDASystem` can host **N read-only
+replica backends**. They buy consistency and failover, not read
+throughput: a second replica measured no faster than one, and a
+replicated system no faster than its primary (``docs/TUNING.md``).
 
-* each :class:`Replica` is a full backend of the primary's kind
-  (memory, sqlite, or sharded over any substrate), bootstrapped from
-  the primary's :class:`~repro.storage.epoch_log.EpochLog` (one folded
-  snapshot at an epoch) and caught up delta-by-delta by its own
-  **applier thread** — writes on the primary return without waiting
-  for any replica;
-* the :class:`ReplicaSet` routes each read to a live replica with
-  **least-loaded selection** (fewest in-flight queries wins, among
-  replicas already at the required epoch) under **per-replica admission
-  control** (a saturated replica sheds to its siblings; a fully
-  saturated set fails fast with :class:`ReplicaSaturatedError` instead
-  of queueing unboundedly);
+* each :class:`Replica` is a full backend of the primary's kind,
+  bootstrapped from the primary's
+  :class:`~repro.storage.epoch_log.EpochLog` (one folded snapshot) and
+  caught up delta-by-delta by its own **applier thread** — writes on
+  the primary never wait for a replica;
+* the :class:`ReplicaSet` serves each read from the **freshest** live
+  replica;
 * **session consistency** rides epoch tokens: a read carrying
-  ``min_epoch=t`` blocks until its chosen replica has applied epoch
-  ``t`` (deadline-bounded — a lagging set raises
-  :class:`ReplicaLagTimeoutError`), so a client that writes at epoch
-  ``t`` and reads with token ``t`` can never observe pre-write state;
+  ``min_epoch=t`` waits until its replica has applied epoch ``t`` — for
+  as long as the query's own deadline allows, or without a limit when
+  there is none, like an unreplicated read waiting on the write
+  barrier. A token the primary has not issued is rejected at once;
 * every answer reports the **exact epoch it observed**: the replica's
-  applied epoch is frozen for the duration of the read by the replica's
-  own read/write barrier (the applier takes the exclusive side per
-  delta), which is what makes the session-consistency oracle in
+  read/write barrier freezes its applied epoch for the read, which is
+  what makes the session-consistency oracle in
   ``tests/backend_conformance.py`` sharp — an answer with token ``t``
-  must equal the sequential oracle at precisely its reported epoch
-  ``≥ t``.
+  equals the sequential oracle at precisely its reported epoch ``≥ t``.
 
-Failure handling mirrors the shard supervisor: a replica whose applier
-(or read) fails is marked dead, routed around, and **healed** — rebuilt
-by :meth:`~repro.storage.epoch_log.EpochLog.restore`, the same routine
-that rebuilds a crashed supervised worker — by a background healer
-thread (or synchronously when no live replica
-remains). The deterministic chaos knobs (``replica_kill_p``,
-``replica_lag_p`` / ``replica_lag_ms`` in :mod:`repro.faults`) drive
-these paths in the chaos suite.
+A replica whose applier (or read) fails is marked dead, routed around,
+and **healed** by :meth:`~repro.storage.epoch_log.EpochLog.restore` —
+the routine that rebuilds a crashed supervised shard worker — on a
+background thread, or on the read path when no live replica remains.
+The chaos knobs ``replica_kill_p`` / ``replica_lag_p`` /
+``replica_lag_ms`` (:mod:`repro.faults`) drive these paths.
 """
 
 from __future__ import annotations
@@ -54,26 +43,22 @@ import random
 
 from repro.faults import FaultPlan
 from repro.lifecycle import close_at_exit, interpreter_exiting
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import current_span
 from repro.serving.concurrency import (
-    AdmissionController,
     QueryTimeoutError,
     ReadWriteBarrier,
+    current_deadline,
     remaining_deadline,
 )
 from repro.storage.epoch_log import EpochDelta, EpochLog
 
 logger = logging.getLogger("repro.replicas")
 
-#: How long ``execute`` waits at one replica's admission gate before
-#: shedding to the next replica (seconds). Small on purpose: the point
-#: of having siblings is not to queue behind a busy one.
-ADMISSION_SHED_SECONDS = 0.05
-
 
 class ReplicaLagTimeoutError(QueryTimeoutError):
-    """No replica reached the read's ``min_epoch`` token in time."""
+    """No replica reached the read's ``min_epoch`` token within the
+    query's deadline."""
 
     def __init__(self, min_epoch: int, seconds: float) -> None:
         QueryTimeoutError.__init__(self, seconds)
@@ -81,17 +66,6 @@ class ReplicaLagTimeoutError(QueryTimeoutError):
             f"no replica reached epoch {min_epoch} within {seconds:g}s",
         )
         self.min_epoch = min_epoch
-
-
-class ReplicaSaturatedError(QueryTimeoutError):
-    """Every replica's admission gate stayed full for the whole wait."""
-
-    def __init__(self, replicas: int, seconds: float) -> None:
-        QueryTimeoutError.__init__(self, seconds)
-        self.args = (
-            f"all {replicas} replicas saturated for {seconds:g}s",
-        )
-        self.replicas = replicas
 
 
 class _ReplicaDead(RuntimeError):
@@ -104,8 +78,8 @@ class Replica:
     Lifecycle: constructed in *catching-up* state and registered with
     the set **before** its bootstrap load runs, so no delta published
     in between is ever missed (deltas at or below the bootstrap epoch
-    are skipped by the applier's idempotence guard). Reads are admitted
-    only once :attr:`ready`.
+    are skipped by the applier's idempotence guard). Reads are served,
+    and deltas applied, only once :attr:`ready`.
     """
 
     def __init__(
@@ -114,7 +88,6 @@ class Replica:
         generation: int,
         backend_factory: Callable,
         log: EpochLog,
-        max_in_flight: int = 8,
         fault_plan: Optional[FaultPlan] = None,
         kill_armed: bool = True,
     ) -> None:
@@ -125,7 +98,6 @@ class Replica:
         self._cond = threading.Condition()
         self._pending: Deque[EpochDelta] = deque()
         self._barrier = ReadWriteBarrier()
-        self.admission = AdmissionController(max_in_flight)
         self.backend = None
         self.applied_epoch = -1
         self.alive = True
@@ -185,12 +157,14 @@ class Replica:
     def _apply_loop(self) -> None:
         while True:
             with self._cond:
-                while not self._pending and not self._closed:
+                # Nothing is taken before the bootstrap load is in: a
+                # delta recorded after its snapshot must still apply.
+                while not (self._pending and self.ready) and not self._closed:
                     self._cond.wait()
                 if self._closed:
                     return
                 delta = self._pending.popleft()
-            if not self.ready or delta.epoch <= self.applied_epoch:
+            if delta.epoch <= self.applied_epoch:
                 continue  # folded into this generation's bootstrap
             try:
                 self._apply_one(delta)
@@ -238,17 +212,20 @@ class Replica:
         )
 
     # -- read side -----------------------------------------------------
-    def wait_for_epoch(self, epoch: int, timeout: float) -> bool:
+    def wait_for_epoch(self, epoch: int, timeout: Optional[float]) -> bool:
         """Block until this replica has applied *epoch* (``True``) or
-        the timeout passed / the replica died (``False``)."""
-        deadline = time.monotonic() + timeout
+        the timeout passed / the replica died (``False``); ``None``
+        waits without a limit."""
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while self.applied_epoch < epoch:
                 if not self.alive or self._closed:
                     return False
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
+                remaining = None
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        return False
                 self._cond.wait(remaining)
             return True
 
@@ -263,19 +240,12 @@ class Replica:
                     rows = self.backend.execute(sql, route=route)
                 else:
                     rows = self.backend.execute(sql)
-            except _ReplicaDead:
-                raise
             except Exception:
                 self.die()
                 raise
             epoch = self.applied_epoch
         self.executions += 1
         return rows, epoch
-
-    @property
-    def in_flight(self) -> int:
-        """Queries currently admitted to this replica."""
-        return self.admission.in_flight
 
     # -- failure and teardown ------------------------------------------
     def die(self) -> None:
@@ -307,10 +277,9 @@ class Replica:
 class ReplicaSet:
     """N replicas, a router, and a healer.
 
-    The router's contract (``execute``): pick the **least-loaded live
-    replica already at the read's epoch** (falling back to the least
-    lagged one and waiting), admit under that replica's gate, run the
-    read, and return ``(rows, epoch observed, replica index)``. Dead
+    The router's contract (``execute``): pick the **freshest live
+    replica**, wait there for the read's epoch token, run the read, and
+    return ``(rows, epoch observed, replica index)``. Dead
     replicas are routed around and healed off the read path; when no
     live replica remains, the read heals one synchronously — degraded
     service, never an outage (the epoch log can always rebuild).
@@ -321,16 +290,12 @@ class ReplicaSet:
         count: int,
         backend_factory: Callable,
         log: EpochLog,
-        max_in_flight: int = 8,
-        lag_timeout_seconds: float = 5.0,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         if count < 1:
             raise ValueError("a replica set needs at least one replica")
         self._factory = backend_factory
         self._log = log
-        self._max_in_flight = max_in_flight
-        self.lag_timeout_seconds = lag_timeout_seconds
         self._plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
         self._lock = threading.Lock()
         self._closed = False
@@ -369,7 +334,6 @@ class ReplicaSet:
             generation,
             self._factory,
             self._log,
-            max_in_flight=self._max_in_flight,
             fault_plan=self._plan,
             kill_armed=kill_armed,
         )
@@ -408,11 +372,7 @@ class ReplicaSet:
             if self._closed or interpreter_exiting():
                 return False
             dead = next(
-                (
-                    i
-                    for i, replica in enumerate(self._replicas)
-                    if not replica.alive
-                ),
+                (i for i, replica in enumerate(self._replicas) if not replica.alive),
                 None,
             )
             if dead is None:
@@ -438,115 +398,82 @@ class ReplicaSet:
         return True
 
     # -- read side -----------------------------------------------------
-    def _candidates(self, min_epoch: int) -> List[Replica]:
-        """Live, serving replicas — those already at *min_epoch* first,
-        least-loaded within each group (ties broken by index for
-        determinism)."""
+    def _freshest(self) -> Optional[Replica]:
+        """The live replica with the highest applied epoch (ties to the
+        lowest index); one still bootstrapping sorts last, at epoch -1.
+        ``None`` when no replica is alive."""
         with self._lock:
-            live = [
-                replica
-                for replica in self._replicas
-                if replica.alive and replica.ready
-            ]
-        return sorted(
+            live = [replica for replica in self._replicas if replica.alive]
+        return min(
             live,
-            key=lambda replica: (
-                replica.applied_epoch < min_epoch,
-                replica.in_flight,
-                replica.index,
-            ),
+            key=lambda replica: (-replica.applied_epoch, replica.index),
+            default=None,
         )
 
     def execute(
-        self,
-        sql: str,
-        min_epoch: int = 0,
-        route=None,
-        timeout_seconds: Optional[float] = None,
+        self, sql: str, min_epoch: int = 0, route=None
     ) -> Tuple[List[Tuple], int, int]:
         """Route one read: returns ``(rows, epoch observed, replica)``.
 
-        The deadline is the smaller of *timeout_seconds* (default: the
-        set's lag timeout) and the serving layer's remaining per-query
-        deadline. Within it the router sheds across saturated replicas,
-        waits out replica lag, and survives any number of replica
-        deaths (healing synchronously if it runs out of live ones); a
-        blown deadline raises :class:`ReplicaLagTimeoutError` /
-        :class:`ReplicaSaturatedError`, both
+        A token the log has not issued yet raises ``ValueError`` before
+        any wait: no replica could ever reach it. Otherwise the read
+        waits on the freshest live replica until it has applied
+        *min_epoch* — for the serving layer's remaining per-query
+        deadline, or without a limit when there is none (the contract
+        of an unreplicated read waiting on the write barrier) — and
+        survives any number of replica deaths, healing synchronously
+        if it runs out of live ones. A blown deadline raises
+        :class:`ReplicaLagTimeoutError`, a
         :class:`~repro.serving.concurrency.QueryTimeoutError`.
         """
-        budget = (
-            timeout_seconds
-            if timeout_seconds is not None
-            else self.lag_timeout_seconds
-        )
-        remaining = remaining_deadline()
-        if remaining is not None:
-            budget = min(budget, max(0.0, remaining))
-        deadline = time.monotonic() + budget
+        if not 0 <= min_epoch <= self._log.epoch:
+            raise ValueError(
+                f"epoch token {min_epoch} was never issued (the "
+                f"primary is at epoch {self._log.epoch})"
+            )
         registry = get_registry()
         saw_lag = False
         with current_span().child(
             "replica.execute", min_epoch=min_epoch
         ) as span:
             while True:
-                candidates = self._candidates(min_epoch)
-                if not candidates:
+                replica = self._freshest()
+                if replica is None:
+                    if self._closed or interpreter_exiting():
+                        raise RuntimeError("the replica set is closed")
                     # Degraded: no live replica at all. Heal one on the
                     # read path — slower than routing, never an outage.
                     self._heal_one()
-                    candidates = self._candidates(min_epoch)
-                    if not candidates:
-                        raise ReplicaLagTimeoutError(min_epoch, budget)
-                admitted = None
-                for replica in candidates:
-                    shed = min(
-                        ADMISSION_SHED_SECONDS,
-                        max(0.0, deadline - time.monotonic()),
-                    )
-                    if replica.admission.admit(timeout=shed):
-                        admitted = replica
-                        break
-                    registry.inc("repro.replica.sheds")
-                if admitted is None:
-                    if time.monotonic() >= deadline:
-                        raise ReplicaSaturatedError(len(candidates), budget)
                     continue
-                try:
-                    if admitted.applied_epoch < min_epoch:
-                        saw_lag = True
-                        waited = time.perf_counter()
-                        caught_up = admitted.wait_for_epoch(
-                            min_epoch,
-                            max(0.0, deadline - time.monotonic()),
-                        )
-                        registry.observe(
-                            "repro.replica.wait.seconds",
-                            time.perf_counter() - waited,
-                        )
-                        if not caught_up:
-                            if not admitted.alive:
-                                self._heal_needed.set()
-                                continue  # died mid-wait: route around
+                if replica.applied_epoch < min_epoch:
+                    saw_lag = True
+                    waited = time.perf_counter()
+                    caught_up = replica.wait_for_epoch(min_epoch, remaining_deadline())
+                    registry.observe(
+                        "repro.replica.wait.seconds",
+                        time.perf_counter() - waited,
+                    )
+                    if not caught_up:
+                        if replica.alive:  # the deadline passed
+                            budget = current_deadline()[1]
                             raise ReplicaLagTimeoutError(min_epoch, budget)
-                    rows, epoch = admitted.execute(sql, route=route)
+                        self._heal_needed.set()
+                        continue  # died mid-wait: route around
+                try:
+                    rows, epoch = replica.execute(sql, route=route)
                 except _ReplicaDead:
                     self._heal_needed.set()
-                    if time.monotonic() >= deadline:
-                        raise ReplicaLagTimeoutError(min_epoch, budget)
                     continue
                 except Exception:
-                    if not admitted.alive:
+                    if not replica.alive:
                         self._heal_needed.set()
                     raise
-                finally:
-                    admitted.admission.release()
                 registry.inc("repro.replica.executions")
                 if saw_lag:
                     registry.inc("repro.replica.lagged_reads")
                 if span.enabled:
-                    span.set(replica=admitted.index, epoch=epoch)
-                return rows, epoch, admitted.index
+                    span.set(replica=replica.index, epoch=epoch)
+                return rows, epoch, replica.index
 
     # -- introspection -------------------------------------------------
     @property
@@ -581,7 +508,6 @@ class ReplicaSet:
                     "alive": replica.alive,
                     "applied_epoch": replica.applied_epoch,
                     "lag": max(0, log_epoch - replica.applied_epoch),
-                    "in_flight": replica.in_flight,
                     "executions": replica.executions,
                 }
                 for replica in replicas
@@ -610,8 +536,6 @@ class ReplicaSet:
             snapshot = fetch() if fetch is not None else None
             if snapshot:
                 if merged is None:
-                    from repro.obs.metrics import MetricsRegistry
-
                     merged = MetricsRegistry()
                 merged.merge_snapshot(snapshot)
         return merged.snapshot() if merged is not None else None

@@ -1,12 +1,9 @@
 """Worker supervision for the process substrate: respawn, rebuild,
 verify, degrade.
 
-PR 6's forked shard workers made the sharded backend fast but fragile:
-one OOM-killed or wedged worker turned every query into a raw
-``EOFError`` or an infinite ``conn.recv``. This module wraps each
-:class:`~repro.storage.process_workers.ProcessShardWorker` in a
-:class:`SupervisedShardWorker` that keeps the shard *correct* through
-worker death:
+Each :class:`~repro.storage.process_workers.ProcessShardWorker` runs
+inside a :class:`SupervisedShardWorker`, which keeps the shard
+*correct* through worker death:
 
 * **Detection** — every RPC failure is classified by the proxy
   (:class:`~repro.storage.process_workers.WorkerCrashedError` /
@@ -23,18 +20,17 @@ worker death:
   **epoch/row-count verification** (per-table cardinalities vs the
   mirror) before it rejoins routing.
 * **Retry** — idempotent commands (execute / stats / cost / explain)
-  retry with deterministic exponential backoff
-  (:class:`Backoff`). Writes are
-  **replay-safe**: a write is recorded into the shard state only after
-  the worker acknowledged it, so a crash mid-write rebuilds the worker
-  to the *pre-write* epoch and re-applies the write exactly once —
-  partial application inside the dead worker is discarded wholesale.
+  retry with deterministic exponential backoff (:class:`Backoff`).
+  Writes are **replay-safe**: a write is recorded into the shard state
+  only after the worker acknowledged it, so a crash mid-write rebuilds
+  the worker to the *pre-write* epoch and re-applies the write exactly
+  once — partial application inside the dead worker is discarded.
 * **Degradation** — after ``REPRO_WORKER_RESTARTS`` consecutive respawn
   failures the shard's circuit breaker trips OPEN: its work executes
   **in-coordinator** on a fallback child loaded from the same snapshot
-  (identical answers, a WARNING and metrics record the
-  degradation). Every ``probe_after_ops`` operations a half-open probe
-  attempts one respawn; success closes the circuit and drops the
+  (identical answers; a WARNING and metrics record the degradation).
+  Every ``probe_after_ops`` operations a half-open probe makes one
+  replacement attempt; success closes the circuit and drops the
   fallback.
 
 The serving deadline in the caller's context (:func:`repro.serving.
@@ -380,7 +376,9 @@ class SupervisedShardWorker(Backend):
             fault_config=fault_config,
         )
 
-    def _discard_worker_locked(self) -> None:
+    def _discard_worker_locked(self, graceful: bool = False) -> None:
+        """Retire the live worker, keeping its transport counters:
+        killed, or on *graceful* closed with the shutdown handshake."""
         worker = self._worker
         self._worker = None
         if worker is None:
@@ -388,13 +386,11 @@ class SupervisedShardWorker(Backend):
         self._prior_shm_results += worker.shm_results
         self._prior_shm_bytes += worker.shm_bytes
         self._prior_inline_results += worker.inline_results
-        worker.kill()
-
-    def _rebuild_locked(self, worker: ProcessShardWorker) -> None:
-        """Load the shard's folded snapshot, then verify the result
-        (raises :class:`WorkerRespawnError` on divergence)."""
-        self._log.restore(worker)
-        self._verify_locked(worker, self._log.counts())
+        if graceful:
+            worker.close()
+            self.exit_code = getattr(worker, "exit_code", None)
+        else:
+            worker.kill()
 
     def _verify_locked(self, worker: Backend, expected: Dict[str, int]) -> None:
         """Raise :class:`WorkerRespawnError` unless *worker*'s catalog
@@ -411,34 +407,33 @@ class SupervisedShardWorker(Backend):
                     f"at epoch {self._log.epoch} expects {count}"
                 )
 
-    def _respawn_cycle_locked(self, reason: str = "death") -> bool:
-        """Up to K spawn+rebuild+verify attempts with backoff; trips the
-        circuit breaker (and returns ``False``) when all fail."""
-        if interpreter_exiting():
-            # Never fork during interpreter exit: a fresh worker would
-            # die in the dying runtime and re-enter this cycle, keeping
-            # the exit hook's untimed join from draining. Trip straight
-            # to degraded in-coordinator execution instead.
-            self._trip_circuit_locked()
-            return False
+    def _try_replace_locked(
+        self, reason: str, attempt: Optional[int] = None
+    ) -> bool:
+        """One spawn + restore + verify attempt under a ``worker.respawn``
+        span: adopt the new worker (``True``), or kill it and count the
+        failure (``False``). *attempt* numbers a respawn cycle's tries;
+        ``None`` is the circuit's half-open probe."""
+        attributes = {"shard": self.shard, "reason": reason}
+        if attempt is not None:
+            attributes["attempt"] = attempt
         registry = get_registry()
-        parent = current_span()
-        for attempt in range(self._config.max_respawns):
-            with parent.child(
-                "worker.respawn",
-                shard=self.shard,
-                reason=reason,
-                attempt=attempt,
-            ) as span:
-                worker = None
-                try:
-                    worker = self._spawn_locked(self._generation + 1)
-                    self._rebuild_locked(worker)
-                except Exception as exc:
-                    if worker is not None:
-                        worker.kill()
-                    span.set(outcome="failed", error=type(exc).__name__)
-                    registry.inc("repro.worker.respawn.failures")
+        with current_span().child("worker.respawn", **attributes) as span:
+            worker = None
+            try:
+                worker = self._spawn_locked(self._generation + 1)
+                self._log.restore(worker)
+                self._verify_locked(worker, self._log.counts())
+            except Exception as exc:
+                if worker is not None:
+                    worker.kill()
+                span.set(outcome="failed", error=type(exc).__name__)
+                registry.inc("repro.worker.respawn.failures")
+                if attempt is None:
+                    logger.info(
+                        "shard %d half-open probe failed: %s", self.shard, exc
+                    )
+                else:
                     logger.warning(
                         "shard %d respawn attempt %d/%d failed: %s",
                         self.shard,
@@ -446,25 +441,36 @@ class SupervisedShardWorker(Backend):
                         self._config.max_respawns,
                         exc,
                     )
-                    self._backoff.sleep(attempt, self._sleeper)
-                    continue
-                self._adopt_worker_locked(worker, span)
+                return False
+            self._generation += 1
+            self._worker = worker
+            self.restarts += 1
+            registry.inc("repro.worker.restarts")
+            span.set(outcome="respawned", epoch=self._log.epoch)
+            logger.warning(
+                "shard %d worker respawned at epoch %d (generation %d)",
+                self.shard,
+                self._log.epoch,
+                self._generation,
+            )
+        return True
+
+    def _respawn_cycle_locked(self, reason: str = "death") -> bool:
+        """Up to K replacement attempts with backoff; trips the circuit
+        breaker (and returns ``False``) when all fail."""
+        if interpreter_exiting():
+            # Never fork during interpreter exit: a fresh worker would
+            # die in the dying runtime and re-enter this cycle, keeping
+            # the exit hook's untimed join from draining. Trip straight
+            # to degraded in-coordinator execution instead.
+            self._trip_circuit_locked()
+            return False
+        for attempt in range(self._config.max_respawns):
+            if self._try_replace_locked(reason, attempt):
                 return True
+            self._backoff.sleep(attempt, self._sleeper)
         self._trip_circuit_locked()
         return False
-
-    def _adopt_worker_locked(self, worker: ProcessShardWorker, span) -> None:
-        self._generation += 1
-        self._worker = worker
-        self.restarts += 1
-        get_registry().inc("repro.worker.restarts")
-        span.set(outcome="respawned", epoch=self._log.epoch)
-        logger.warning(
-            "shard %d worker respawned at epoch %d (generation %d)",
-            self.shard,
-            self._log.epoch,
-            self._generation,
-        )
 
     def _trip_circuit_locked(self) -> None:
         self._circuit_open = True
@@ -482,28 +488,11 @@ class SupervisedShardWorker(Backend):
 
     def _probe_locked(self) -> bool:
         """One half-open recovery attempt on an OPEN circuit."""
-        if interpreter_exiting():
+        if interpreter_exiting() or not self._try_replace_locked("probe"):
             return False
-        registry = get_registry()
-        with current_span().child(
-            "worker.respawn", shard=self.shard, reason="probe"
-        ) as span:
-            worker = None
-            try:
-                worker = self._spawn_locked(self._generation + 1)
-                self._rebuild_locked(worker)
-            except Exception as exc:
-                if worker is not None:
-                    worker.kill()
-                span.set(outcome="failed", error=type(exc).__name__)
-                registry.inc("repro.worker.respawn.failures")
-                logger.info(
-                    "shard %d half-open probe failed: %s", self.shard, exc
-                )
-                return False
-            self._adopt_worker_locked(worker, span)
         self._circuit_open = False
         self.circuit_recoveries += 1
+        registry = get_registry()
         registry.inc("repro.circuit.recoveries")
         registry.set_gauge(f"repro.circuit.open.shard{self.shard}", 0.0)
         logger.warning(
@@ -545,18 +534,20 @@ class SupervisedShardWorker(Backend):
     # ------------------------------------------------------------------
     # RPC wrappers
     # ------------------------------------------------------------------
-    def _check_deadline(self, deadline: Optional[Tuple[float, float]]) -> None:
-        if deadline is not None and deadline[0] - time.monotonic() <= 0:
-            raise QueryTimeoutError(deadline[1])
-
-    def _effective_timeout(
+    def _rpc_wait(
         self, deadline: Optional[Tuple[float, float]]
     ) -> Optional[float]:
-        timeout = self._rpc_timeout
-        if deadline is not None:
-            remaining = deadline[0] - time.monotonic()
-            timeout = remaining if timeout is None else min(timeout, remaining)
-        return timeout
+        """How long the next RPC may wait: the per-RPC timeout capped at
+        what is left of the serving *deadline*, which raises
+        :class:`~repro.serving.concurrency.QueryTimeoutError` once blown."""
+        if deadline is None:
+            return self._rpc_timeout
+        remaining = deadline[0] - time.monotonic()
+        if remaining <= 0:
+            raise QueryTimeoutError(deadline[1])
+        if self._rpc_timeout is None:
+            return remaining
+        return min(self._rpc_timeout, remaining)
 
     def _count_retry(self) -> None:
         self.rpc_retries += 1
@@ -578,11 +569,11 @@ class SupervisedShardWorker(Backend):
             transient = 0
             failures = 0
             while True:
-                self._check_deadline(deadline)
+                self._rpc_wait(deadline)
                 target = self._target_locked()
                 if target is not self._worker:
                     return fallback(target)
-                timeout = self._effective_timeout(deadline)
+                timeout = self._rpc_wait(deadline)
                 try:
                     return attempt(target, timeout)
                 except TransientWorkerFault:
@@ -595,7 +586,7 @@ class SupervisedShardWorker(Backend):
                     self.deadline_exceeded += 1
                     get_registry().inc("repro.rpc.deadline_exceeded")
                     self._discard_worker_locked()
-                    self._check_deadline(deadline)
+                    self._rpc_wait(deadline)
                     failures += 1
                     if failures > self._config.max_rpc_retries:
                         raise
@@ -804,14 +795,7 @@ class SupervisedShardWorker(Backend):
             if self._closed:
                 return
             self._closed = True
-            worker = self._worker
-            self._worker = None
-            if worker is not None:
-                self._prior_shm_results += worker.shm_results
-                self._prior_shm_bytes += worker.shm_bytes
-                self._prior_inline_results += worker.inline_results
-                worker.close()
-                self.exit_code = getattr(worker, "exit_code", None)
+            self._discard_worker_locked(graceful=True)
             if self._fallback is not None:
                 self._fallback.close()
                 self._fallback = None

@@ -630,11 +630,11 @@ def check_replica_consistency(
                     )
             except QueryTimeoutError:
                 # Deadline-bounded degradation (replica lag under
-                # chaos, a saturated set, a slow substrate) is the
-                # router's documented failure mode, not a consistency
-                # violation: the read failed loudly rather than
-                # returning stale data. Keep probing — the final
-                # caught-up reads still assert full convergence.
+                # chaos, a slow substrate) is the router's documented
+                # failure mode, not a consistency violation: the read
+                # failed loudly rather than returning stale data. Keep
+                # probing — the final caught-up reads still assert
+                # full convergence.
                 continue
             if report.epoch is None:
                 failures.append(f"report without epoch ({mode}, {query})")

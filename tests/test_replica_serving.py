@@ -1,12 +1,17 @@
 """Replicated serving: router, chaos, tokens and the HTTP edge.
 
-Four layers of coverage for the serving tier:
+Replicas keep the consistency contract — an answer equals the
+sequential oracle at the epoch it reports, and that epoch is at least
+the read's token — and the query's own deadline bounds every wait.
+Four layers of coverage:
 
-* **router units** — least-loaded selection, per-replica admission
-  backpressure (:class:`ReplicaSaturatedError`), token-wait deadlines
-  (:class:`ReplicaLagTimeoutError`), kill + heal, and the epoch log's
-  fold-on-record contract, all on a bare
-  :class:`~repro.serving.replicas.ReplicaSet` over a tiny dataset;
+* **router units** — freshest-first routing, token waits bounded by
+  ``deadline_scope`` (:class:`ReplicaLagTimeoutError`), rejection of
+  tokens the log never issued, kill + heal, a publish racing a heal's
+  bootstrap, and the epoch log's fold-on-record contract, all on a
+  bare :class:`~repro.serving.replicas.ReplicaSet` over a tiny dataset;
+* **system deadlines** — ``answer()`` and both ``answer_many`` paths
+  end a lagging tokened read at the query's deadline;
 * **randomized stress** — the session-consistency oracle from
   ``backend_conformance.py`` at higher write counts, with explicit
   mid-stress replica kills layered on top;
@@ -17,6 +22,7 @@ Four layers of coverage for the serving tier:
   write endpoint's read-your-writes token handshake.
 """
 
+import contextlib
 import json
 import threading
 import time
@@ -29,14 +35,11 @@ from backend_conformance import (
     check_replica_consistency,
     replica_consistency_kb,
 )
+from repro.faults import FaultPlan
 from repro.obda.system import OBDASystem
-from repro.serving.concurrency import deadline_scope
+from repro.serving.concurrency import QueryTimeoutError, deadline_scope
 from repro.serving.http import ServingEndpoint
-from repro.serving.replicas import (
-    ReplicaLagTimeoutError,
-    ReplicaSaturatedError,
-    ReplicaSet,
-)
+from repro.serving.replicas import ReplicaLagTimeoutError, ReplicaSet
 from repro.storage.layouts import LayoutData, TableSpec
 from repro.storage.memory_backend import MemoryBackend
 from repro.storage.epoch_log import EpochDelta, EpochLog
@@ -70,6 +73,24 @@ def _wait_until(predicate, timeout: float = 10.0) -> None:
     while not predicate():
         assert time.monotonic() < deadline, "condition never became true"
         time.sleep(0.01)
+
+
+@contextlib.contextmanager
+def _stalled(replica):
+    """Block *replica*'s applier before its next delta until exit (or
+    until the yielded event is set)."""
+    gate = threading.Event()
+    apply_one = replica._apply_one
+
+    def blocked(delta):
+        gate.wait()
+        apply_one(delta)
+
+    replica._apply_one = blocked
+    try:
+        yield gate
+    finally:
+        gate.set()
 
 
 # ---------------------------------------------------------------------------
@@ -138,16 +159,21 @@ class TestReplicationLog:
 
 
 # ---------------------------------------------------------------------------
-# Router: least-loaded selection, backpressure, token waits, heal
+# Router: freshest-first routing, token waits, heal
 # ---------------------------------------------------------------------------
 @pytest.fixture
 def replica_set():
     log = _make_log()
-    replica_set = ReplicaSet(
-        2, MemoryBackend, log, max_in_flight=1, lag_timeout_seconds=0.5
-    )
+    # No replica chaos: these tests stall and kill replicas themselves.
+    replica_set = ReplicaSet(2, MemoryBackend, log, fault_plan=FaultPlan())
     yield replica_set, log
     replica_set.close()
+
+
+def _record(replicas, log, value):
+    delta = _insert_delta(log.epoch + 1, value)
+    log.record(delta)
+    replicas.publish(delta)
 
 
 class TestRouter:
@@ -157,30 +183,6 @@ class TestRouter:
         assert sorted(rows) == [(1,), (2,)]
         assert epoch == 0
         assert index in (0, 1)
-
-    def test_least_loaded_selection_avoids_busy_replica(self, replica_set):
-        replicas, _log = replica_set
-        # Occupy replica 0's only admission slot: the router must pick
-        # replica 1 without waiting out replica 0's gate.
-        assert replicas.replica(0).admission.admit(timeout=0)
-        try:
-            started = time.perf_counter()
-            _rows, _epoch, index = replicas.execute(PROBE_SQL)
-            assert index == 1
-            assert time.perf_counter() - started < 0.4
-        finally:
-            replicas.replica(0).admission.release()
-
-    def test_saturated_set_fails_fast(self, replica_set):
-        replicas, _log = replica_set
-        assert replicas.replica(0).admission.admit(timeout=0)
-        assert replicas.replica(1).admission.admit(timeout=0)
-        try:
-            with pytest.raises(ReplicaSaturatedError):
-                replicas.execute(PROBE_SQL, timeout_seconds=0.3)
-        finally:
-            replicas.replica(0).admission.release()
-            replicas.replica(1).admission.release()
 
     def test_token_wait_catches_up(self, replica_set):
         replicas, log = replica_set
@@ -192,20 +194,94 @@ class TestRouter:
         assert (101,) in rows
 
     def test_unreachable_token_times_out(self, replica_set):
+        """A token the log issued but no replica applied yet waits out
+        exactly the query's deadline."""
         replicas, log = replica_set
-        started = time.perf_counter()
-        with pytest.raises(ReplicaLagTimeoutError):
-            replicas.execute(PROBE_SQL, min_epoch=log.epoch + 1)
-        elapsed = time.perf_counter() - started
-        assert 0.3 < elapsed < 5.0  # the set's 0.5s lag deadline
+        with _stalled(replicas.replica(0)), _stalled(replicas.replica(1)):
+            _record(replicas, log, 101)
+            started = time.perf_counter()
+            with deadline_scope(0.5):
+                with pytest.raises(ReplicaLagTimeoutError):
+                    replicas.execute(PROBE_SQL, min_epoch=log.epoch)
+            elapsed = time.perf_counter() - started
+        assert 0.4 < elapsed < 2.0
 
     def test_serving_deadline_caps_token_wait(self, replica_set):
         replicas, log = replica_set
+        with _stalled(replicas.replica(0)), _stalled(replicas.replica(1)):
+            _record(replicas, log, 101)
+            started = time.perf_counter()
+            with deadline_scope(0.05):
+                with pytest.raises(ReplicaLagTimeoutError):
+                    replicas.execute(PROBE_SQL, min_epoch=log.epoch)
+            assert time.perf_counter() - started < 0.4
+
+    def test_token_wait_without_deadline_waits_for_the_apply(
+        self, replica_set
+    ):
+        replicas, log = replica_set
+        with _stalled(replicas.replica(0)) as gate:
+            with _stalled(replicas.replica(1)):
+                _record(replicas, log, 101)
+                release = threading.Timer(0.3, gate.set)
+                release.start()
+                started = time.perf_counter()
+                rows, epoch, index = replicas.execute(
+                    PROBE_SQL, min_epoch=log.epoch
+                )
+                assert time.perf_counter() - started >= 0.25
+                assert (index, epoch) == (0, 1) and (101,) in rows
+        release.join()
+
+    def test_future_token_rejected_before_any_wait(self, replica_set):
+        replicas, log = replica_set
         started = time.perf_counter()
-        with deadline_scope(0.05):
-            with pytest.raises(ReplicaLagTimeoutError):
-                replicas.execute(PROBE_SQL, min_epoch=log.epoch + 1)
-        assert time.perf_counter() - started < 0.4
+        with pytest.raises(ValueError, match="never issued"):
+            replicas.execute(PROBE_SQL, min_epoch=log.epoch + 1)
+        with pytest.raises(ValueError, match="never issued"):
+            replicas.execute(PROBE_SQL, min_epoch=-1)
+        assert time.perf_counter() - started < 0.1
+
+    @pytest.mark.parametrize("stalled, serving", [(1, 0), (0, 1)])
+    def test_tokened_read_goes_to_the_freshest_replica(
+        self, replica_set, stalled, serving
+    ):
+        replicas, log = replica_set
+        with _stalled(replicas.replica(stalled)):
+            _record(replicas, log, 101)
+            _wait_until(lambda: replicas.replica(serving).applied_epoch == 1)
+            with deadline_scope(5.0):
+                rows, epoch, index = replicas.execute(
+                    PROBE_SQL, min_epoch=log.epoch
+                )
+            assert index == serving and epoch == 1 and (101,) in rows
+            # Untokened reads are served freshest-first as well.
+            assert replicas.execute(PROBE_SQL)[2] == serving
+
+    def test_publish_during_bootstrap_is_applied(self, replica_set):
+        """A delta recorded after a healing replica took its snapshot,
+        but before the load finished, must still be applied."""
+        replicas, log = replica_set
+        loading, release = threading.Event(), threading.Event()
+
+        class SlowLoad(MemoryBackend):
+            def load(self, data):
+                loading.set()
+                release.wait(10)
+                super().load(data)
+
+        replicas._factory = SlowLoad
+        with _stalled(replicas.replica(1)):
+            replicas.kill(0)
+            assert loading.wait(10)
+            _record(replicas, log, 101)
+            release.set()
+            _wait_until(lambda: replicas.replica(0).ready)
+            with deadline_scope(5.0):
+                rows, epoch, index = replicas.execute(
+                    PROBE_SQL, min_epoch=log.epoch
+                )
+            assert (index, epoch) == (0, 1) and (101,) in rows
 
     def test_kill_routes_around_and_heals(self, replica_set):
         replicas, log = replica_set
@@ -237,7 +313,7 @@ class TestRouter:
         it: registration happens before the (slow) snapshot load, and
         the applier's epoch guard drops only already-folded deltas."""
         log = _make_log()
-        replicas = ReplicaSet(1, MemoryBackend, log, max_in_flight=2)
+        replicas = ReplicaSet(1, MemoryBackend, log)
         try:
             for epoch in range(1, 30):
                 delta = _insert_delta(epoch, 100 + epoch)
@@ -268,7 +344,6 @@ class TestRouter:
             "alive",
             "applied_epoch",
             "lag",
-            "in_flight",
             "executions",
         } <= set(entry)
         assert replicas.max_lag() == 0
@@ -362,6 +437,92 @@ class TestSystemTokens:
             for report in reports:
                 assert report.epoch >= token
                 assert ("Nadia",) in report.answers
+
+
+@contextlib.contextmanager
+def _lagging_system(monkeypatch, **kwargs):
+    """A 2-replica system whose replicas both stall on the one write it
+    has taken: yields ``(system, token of that write)``."""
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    tbox, abox = replica_consistency_kb()
+    with OBDASystem(tbox, abox, replicas=2, **kwargs) as system:
+        replicas = system.replica_set
+        with _stalled(replicas.replica(0)), _stalled(replicas.replica(1)):
+            system.insert_facts([("Researcher", "Nadia")])
+            yield system, system.epoch_token()
+
+
+class TestSystemDeadlines:
+    """The query's own deadline is the one bound on a token wait."""
+
+    QUERY = "q(x) <- Researcher(x)"
+
+    def test_serial_answer_many_deadline_bounds_token_wait(self, monkeypatch):
+        with _lagging_system(monkeypatch) as (system, token):
+            started = time.perf_counter()
+            with pytest.raises(QueryTimeoutError):
+                system.answer_many(
+                    [self.QUERY],
+                    strategy="ucq",
+                    timeout_seconds=0.2,
+                    min_epoch=token,
+                )
+            assert time.perf_counter() - started < 1.0
+
+    def test_concurrent_answer_many_deadline_bounds_token_wait(
+        self, monkeypatch
+    ):
+        with _lagging_system(monkeypatch) as (system, token):
+            started = time.perf_counter()
+            reports = system.answer_many(
+                [self.QUERY] * 2,
+                strategy="ucq",
+                max_workers=2,
+                on_error="collect",
+                timeout_seconds=0.2,
+                min_epoch=token,
+            )
+            assert time.perf_counter() - started < 1.0
+            for report in reports:
+                assert isinstance(report.error, QueryTimeoutError)
+
+    def test_answer_honours_query_timeout_seconds(self, monkeypatch):
+        with _lagging_system(monkeypatch, query_timeout_seconds=0.2) as (
+            system,
+            token,
+        ):
+            started = time.perf_counter()
+            with pytest.raises(QueryTimeoutError):
+                system.answer(self.QUERY, strategy="ucq", min_epoch=token)
+            assert time.perf_counter() - started < 1.0
+
+    def test_caller_deadline_wins_over_query_timeout(self, monkeypatch):
+        with _lagging_system(monkeypatch, query_timeout_seconds=30.0) as (
+            system,
+            token,
+        ):
+            started = time.perf_counter()
+            with deadline_scope(0.2), pytest.raises(QueryTimeoutError):
+                system.answer(self.QUERY, strategy="ucq", min_epoch=token)
+            assert time.perf_counter() - started < 1.0
+
+    def test_future_token_rejected_at_once(self):
+        tbox, abox = replica_consistency_kb()
+        with OBDASystem(tbox, abox, replicas=2) as system:
+            system.insert_facts([("Researcher", "Nadia")])
+            started = time.perf_counter()
+            with pytest.raises(ValueError, match="never issued"):
+                system.answer(
+                    self.QUERY,
+                    strategy="ucq",
+                    min_epoch=system.epoch_token() + 1,
+                )
+            assert time.perf_counter() - started < 1.0
+            # The token the write handed out is the log's own epoch.
+            report = system.answer(
+                self.QUERY, strategy="ucq", min_epoch=system.epoch_token()
+            )
+            assert ("Nadia",) in report.answers
 
 
 class TestStress:
@@ -546,6 +707,21 @@ class TestHttp:
         with pytest.raises(urllib.error.HTTPError) as bad_fact:
             _post(endpoint.url + "/write", {"insert": [["onlyone"]]})
         assert bad_fact.value.code == 400
+
+    def test_future_token_is_a_per_query_error(self, endpoint):
+        started = time.perf_counter()
+        _status, payload = _post(
+            endpoint.url + "/answer",
+            {
+                "queries": ["q(x) <- Researcher(x)"],
+                "strategy": "ucq",
+                "min_epoch": 1000,
+            },
+        )
+        assert time.perf_counter() - started < 1.0
+        (report,) = payload["reports"]
+        assert report["error"]["type"] == "ValueError"
+        assert report["answers"] == []
 
     def test_works_without_replicas_too(self, monkeypatch):
         monkeypatch.delenv("REPRO_REPLICAS", raising=False)
