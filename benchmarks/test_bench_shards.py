@@ -15,7 +15,7 @@ Answers are asserted identical across all configurations; route
 correctness (pruned touches 1 shard, scatter touches all) is asserted
 unconditionally. Wall-clock ratios are recorded, not asserted — on a
 stock-GIL CPython the scatter pool cannot parallelize the pure-Python
-children (same honesty rule as ``test_bench_parallel.py``).
+children.
 """
 
 from __future__ import annotations

@@ -50,8 +50,8 @@ _MISS = object()
 class ReformulationCache:
     """Fragment-key -> reformulation LRU with hit/miss accounting.
 
-    Thread-safe: ``answer_many`` may price covers from several worker
-    threads against one shared instance. Lookups count a *hit*, stores
+    Thread-safe: concurrent ``answer()`` callers may price covers from
+    several threads against one shared instance. Lookups count a *hit*, stores
     count a *miss* (every store follows a failed lookup in the builders'
     check-then-compute pattern). ``capacity=None`` means unbounded (the
     sensible default for an estimator-private cache that lives for one
@@ -123,123 +123,3 @@ class ReformulationCache:
             "hits": self.hits,
             "misses": self.misses,
         }
-
-
-#: Bound for the system-shared cover-cost cache. Searches revisit a few
-#: thousand covers per hard query; this keeps several hot queries' covers
-#: resident without letting a serving process grow unboundedly.
-DEFAULT_COST_CACHE_CAPACITY = 65_536
-
-
-class EpochLRU:
-    """A thread-safe LRU of **epoch-stamped** entries.
-
-    The shared machinery behind every data-dependent cache in the system
-    (:class:`CostCache` here, :class:`~repro.serving.plan_cache.PlanCache`
-    in the serving layer): entries stamped with the data epoch they were
-    computed under are dropped on first lookup from a newer epoch
-    (counted under ``stale``); entries stamped ``None`` are
-    epoch-independent and served forever. A write therefore invalidates
-    exactly the entries it made wrong — never a full flush.
-    """
-
-    def __init__(self, capacity: Optional[int]) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError("cache capacity must be at least 1 (or None)")
-        self.capacity = capacity
-        self._entries: "OrderedDict[Tuple, Tuple[object, Optional[int]]]" = (
-            OrderedDict()
-        )
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.stale = 0
-
-    def get(self, key: Tuple, epoch: Optional[int] = None) -> Optional[object]:
-        """The cached value for *key*, or ``None``; refreshes recency.
-
-        *epoch* is the caller's current data epoch; a stamped entry from
-        a different epoch is evicted and reported as a (stale) miss.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            value, stamp = entry
-            if stamp is not None and stamp != epoch:
-                # Evict only entries that are genuinely *older* than the
-                # caller; a newer-stamped entry just means the caller's
-                # own epoch is stale (e.g. a search that started before a
-                # write) — dropping it would destroy a valid entry and
-                # churn the cache.
-                if epoch is None or stamp < epoch:
-                    del self._entries[key]
-                    self.stale += 1
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def put(
-        self, key: Tuple, value: object, epoch: Optional[int] = None
-    ) -> None:
-        """Insert (or refresh) *key*, evicting the LRU entry if full.
-
-        Pass the current data epoch for values that depend on the data;
-        leave ``epoch=None`` for values valid across every write.
-        """
-        with self._lock:
-            self._entries[key] = (value, epoch)
-            self._entries.move_to_end(key)
-            if self.capacity is not None:
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Tuple) -> bool:
-        return key in self._entries
-
-    def clear(self) -> None:
-        """Drop all entries and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.stale = 0
-
-    def stats(self) -> Dict[str, int]:
-        """A snapshot of the counters (reported on ``AnswerReport``)."""
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "stale": self.stale,
-        }
-
-
-class CostCache(EpochLRU):
-    """Epoch-aware ``(query, cover) -> cost`` LRU shared across estimators.
-
-    Estimators already memoize per instance, but an instance lives for a
-    single search; this cache is the cross-search memoization point one
-    :class:`~repro.obda.system.OBDASystem` shares between strategies (GDL
-    and EDL walk overlapping cover spaces) and between repeated searches
-    for the same query (e.g. after a plan-cache invalidation).
-
-    A cost is a function of the data, so estimators stamp every entry
-    with the system's data epoch at estimation time (see
-    :class:`EpochLRU` for the invalidation rule). Keys must carry
-    everything else a cost depends on: the caller builds them as
-    ``(query.canonical_key(), cover.key(), mode, minimize, use_uscq)`` —
-    cover keys are atom-index based and therefore only meaningful next to
-    their query's key.
-    """
-
-    def __init__(
-        self, capacity: Optional[int] = DEFAULT_COST_CACHE_CAPACITY
-    ) -> None:
-        super().__init__(capacity)

@@ -29,7 +29,7 @@ from repro.covers.reformulate import (
     cover_based_reformulation,
     cover_based_uscq_reformulation,
 )
-from repro.cost.cache import CostCache, ReformulationCache
+from repro.cost.cache import ReformulationCache
 from repro.cost.model import ComponentMemo, ExternalCostModel
 from repro.dllite.tbox import TBox
 
@@ -49,16 +49,10 @@ class CoverCostEstimator(ABC):
     system.OBDASystem` injects its shared instance so fragment work is
     reused across strategies, cost modes and queries.
 
-    ``cost_cache`` is the system-shared, epoch-stamped :class:`CostCache`:
-    an estimator instance lives for one search, but the covers it prices
-    recur across strategies and across repeated searches; *epoch* is the
-    system's data epoch at construction time, so estimates priced against
-    pre-write statistics are never reused after a write.
+    An estimator lives for one search under one data epoch: its cost
+    memo is never shared, so a write can never leave a stale cost
+    behind.
     """
-
-    #: Cost-mode marker separating this estimator's entries in the shared
-    #: cost cache (estimates from "ext" and "rdbms" are incomparable).
-    mode: str = "abstract"
 
     def __init__(
         self,
@@ -66,8 +60,6 @@ class CoverCostEstimator(ABC):
         minimize: bool = True,
         use_uscq: bool = False,
         fragment_cache: Optional[ReformulationCache] = None,
-        cost_cache: Optional[CostCache] = None,
-        epoch: Optional[int] = None,
     ):
         self.tbox = tbox
         self.minimize = minimize
@@ -80,12 +72,6 @@ class CoverCostEstimator(ABC):
         self.fragment_cache = (
             fragment_cache if fragment_cache is not None else ReformulationCache()
         )
-        self.cost_cache = cost_cache
-        self.epoch = epoch
-        # Cover keys are atom-index based, so shared-cache keys qualify
-        # them with the query's canonical key — computed once per query
-        # object (one search prices covers of a single query).
-        self._query_keys: Dict[int, Tuple] = {}
 
     def reformulate(self, cover: AnyCover):
         """The reformulation whose cost is being estimated."""
@@ -102,46 +88,20 @@ class CoverCostEstimator(ABC):
 
         With a finite *bound* a cover costing at least *bound* prices at
         ``math.inf``, and may stop being priced part-way. Such a result
-        is a lower bound, not a cost: it is kept neither here nor in the
-        shared cache, and is not listed in :attr:`priced`.
+        is a lower bound, not a cost: it is not kept, and is not listed
+        in :attr:`priced`.
         """
         key = cover.key()
         cost = self._cache.get(key)
         if cost is None:
-            cost = self._estimate_shared(cover, key, bound)
+            self.calls += 1
+            cost = self._estimate_uncached(cover, bound)
             if _cut_off(cost, bound):
                 return cost
             self._cache[key] = cost
             if self.priced is not None:
                 self.priced.append((cover, cost))
         return cost if cost < bound else math.inf
-
-    def _estimate_shared(self, cover: AnyCover, key: Tuple, bound: float) -> float:
-        """The cover's cost, through the system-shared cache if any."""
-        shared_key = None
-        if self.cost_cache is not None:
-            shared_key = (
-                self._query_key(cover.query),
-                key,
-                self.mode,
-                self.minimize,
-                self.use_uscq,
-            )
-            shared = self.cost_cache.get(shared_key, self.epoch)
-            if shared is not None:
-                return shared
-        self.calls += 1
-        cost = self._estimate_uncached(cover, bound)
-        if shared_key is not None and not _cut_off(cost, bound):
-            self.cost_cache.put(shared_key, cost, self.epoch)
-        return cost
-
-    def _query_key(self, query) -> Tuple:
-        cached = self._query_keys.get(id(query))
-        if cached is None:
-            cached = query.canonical_key()
-            self._query_keys[id(query)] = cached
-        return cached
 
     @abstractmethod
     def _estimate_uncached(self, cover: AnyCover, bound: float) -> float:
@@ -152,8 +112,6 @@ class CoverCostEstimator(ABC):
 class ExternalCoverCost(CoverCostEstimator):
     """The paper's "ext" estimator: the external model on the logical plan."""
 
-    mode = "ext"
-
     def __init__(
         self,
         tbox: TBox,
@@ -161,16 +119,12 @@ class ExternalCoverCost(CoverCostEstimator):
         minimize: bool = True,
         use_uscq: bool = False,
         fragment_cache: Optional[ReformulationCache] = None,
-        cost_cache: Optional[CostCache] = None,
-        epoch: Optional[int] = None,
     ) -> None:
         super().__init__(
             tbox,
             minimize=minimize,
             use_uscq=use_uscq,
             fragment_cache=fragment_cache,
-            cost_cache=cost_cache,
-            epoch=epoch,
         )
         self.model = model
         # Neighbouring covers share all but one or two fragments, and the
@@ -186,8 +140,6 @@ class ExternalCoverCost(CoverCostEstimator):
 class RDBMSCoverCost(CoverCostEstimator):
     """The paper's "RDBMS" estimator: EXPLAIN on the translated SQL."""
 
-    mode = "rdbms"
-
     def __init__(
         self,
         tbox: TBox,
@@ -196,16 +148,12 @@ class RDBMSCoverCost(CoverCostEstimator):
         minimize: bool = True,
         use_uscq: bool = False,
         fragment_cache: Optional[ReformulationCache] = None,
-        cost_cache: Optional[CostCache] = None,
-        epoch: Optional[int] = None,
     ) -> None:
         super().__init__(
             tbox,
             minimize=minimize,
             use_uscq=use_uscq,
             fragment_cache=fragment_cache,
-            cost_cache=cost_cache,
-            epoch=epoch,
         )
         self.backend = backend
         self.translator = translator

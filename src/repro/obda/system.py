@@ -18,13 +18,11 @@ Two further strategies answer over a **materialized saturation** (see
 extra stored tuples and runs the *original* CQ unchanged; ``"auto"``
 routes each query to saturation or the cheapest reformulation by cost.
 
-Three layers of shared work make repeated and batched traffic cheap:
+Two layers of shared work make repeated and batched traffic cheap:
 
 * a fragment-level :class:`~repro.cost.cache.ReformulationCache` shared by
   every estimator and strategy this system creates, so a fragment query is
   run through PerfectRef once per system, not once per cover;
-* a cover-level :class:`~repro.cost.cache.CostCache` shared the same way,
-  so a cover priced by one search is free for the next;
 * a :class:`~repro.serving.plan_cache.PlanCache` of finished
   :class:`ReformulationChoice` objects, so answering a query a second time
   skips search and SQL translation entirely (see :meth:`OBDASystem.
@@ -33,12 +31,11 @@ Three layers of shared work make repeated and batched traffic cheap:
 The system is also **writable**: :meth:`OBDASystem.insert_facts` /
 :meth:`OBDASystem.delete_facts` update the ABox, incrementally maintain
 the saturation (delta chase on insert, delete/re-derive on delete), and
-advance a monotonically increasing **data epoch**. Every cache entry
-whose validity depends on the data — cost-picked plans, cover costs,
-statistics-derived estimates — is stamped with the epoch it was computed
-under and lazily dropped when read under a newer one; data-independent
-entries (UCQ/Croot/sat plans, fragment reformulations) survive every
-write. A write therefore never leaves a stale plan or statistic servable,
+advance a monotonically increasing **data epoch**. Every cached plan
+whose validity depends on the data (one picked by cost) is stamped with
+the epoch it was computed under and lazily dropped when read under a
+newer one; data-independent entries (UCQ/Croot/sat plans, fragment
+reformulations) survive every write. A write therefore never leaves a stale plan or statistic servable,
 and never costs a full-cache flush.
 """
 
@@ -50,8 +47,6 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -60,17 +55,13 @@ from repro.covers.reformulate import (
     cover_based_reformulation,
     cover_based_uscq_reformulation,
 )
-from repro.covers.safety import root_cover, single_fragment_cover
+from repro.covers.safety import root_cover
 from repro.cost.estimators import (
     CoverCostEstimator,
     ExternalCoverCost,
     RDBMSCoverCost,
 )
-from repro.cost.cache import (
-    CostCache,
-    DEFAULT_FRAGMENT_CACHE_CAPACITY,
-    ReformulationCache,
-)
+from repro.cost.cache import DEFAULT_FRAGMENT_CACHE_CAPACITY, ReformulationCache
 from repro.cost.model import ExternalCostModel
 from repro.cost.statistics import DataStatistics
 from repro.dllite.abox import (
@@ -106,9 +97,8 @@ from repro.reformulation.perfectref import (
     reformulate_to_ucq,
 )
 from repro.serving.concurrency import (
-    AdmissionController,
-    QueryTimeoutError,
     ReadWriteBarrier,
+    check_deadline,
     current_deadline,
     deadline_scope,
 )
@@ -303,15 +293,15 @@ class OBDASystem:
 
     The single public entry point of the reproduction (Figure 1 of the
     paper): construct one with a TBox and an ABox, then call
-    :meth:`answer` (one query), :meth:`answer_many` (a batch, optionally
-    dispatched concurrently over the serving executor with admission
-    control and per-query deadlines), and :meth:`insert_facts` /
+    :meth:`answer` (one query), :meth:`answer_many` (a batch, answered
+    in order with per-query deadlines), and :meth:`insert_facts` /
     :meth:`delete_facts` (the epoch-based write path; writes take an
     exclusive barrier that drains in-flight queries before the backend
-    mutates). Concurrency knobs: ``serving_workers`` sets the default
-    ``answer_many`` thread count, ``max_in_flight`` /
-    ``query_timeout_seconds`` the admission bound and per-query deadline
-    every batch (and every lone :meth:`answer`) inherits.
+    mutates). The system owns no serving threads: concurrency is the
+    callers' threads, each calling :meth:`answer` (the HTTP edge runs
+    each request on its own). ``query_timeout_seconds`` is the
+    per-query deadline every batch and every lone :meth:`answer`
+    inherits.
 
     Storage scaling: ``shards=N`` (or ``REPRO_SHARDS>=2`` in the
     environment) hash-partitions every table across N child backends of
@@ -350,8 +340,6 @@ class OBDASystem:
         plan_cache_size: int = 256,
         materialize: bool = False,
         max_generations: int = 4,
-        serving_workers: Optional[int] = None,
-        max_in_flight: Optional[int] = None,
         query_timeout_seconds: Optional[float] = None,
         shards: Optional[int] = None,
         executor: Optional[str] = None,
@@ -450,12 +438,9 @@ class OBDASystem:
         self.reformulation_cache = ReformulationCache(
             capacity=DEFAULT_FRAGMENT_CACHE_CAPACITY
         )
-        #: Cover costs shared across searches, epoch-stamped (a write makes
-        #: estimates computed against the old statistics unreachable).
-        self.cost_cache = CostCache()
         #: Finished plans: repeated queries skip search and translation.
         self.plan_cache = PlanCache(plan_cache_size)
-        # Single-flight guards: concurrent answer_many() workers asking for
+        # Single-flight guards: concurrent answer() callers asking for
         # the same (not yet cached) plan serialize per key, so one computes
         # and the rest hit the cache instead of racing duplicate searches.
         self._plan_locks: Dict[Tuple, threading.Lock] = {}
@@ -474,19 +459,9 @@ class OBDASystem:
         # side around their backend read, writes its exclusive side
         # around the backend/statistics/epoch mutation — so a write
         # drains in-flight queries and no query ever reads mid-write
-        # state. The executor is shared by every answer_many call and
-        # sized lazily to the largest worker count ever requested.
+        # state.
         self._barrier = ReadWriteBarrier()
-        self.serving_workers = serving_workers
-        self.max_in_flight = max_in_flight
         self.query_timeout_seconds = query_timeout_seconds
-        self._serving_pool: Optional[ThreadPoolExecutor] = None
-        self._serving_pool_size = 0
-        self._serving_guard = threading.Lock()
-        #: Telemetry from the most recent concurrent ``answer_many``:
-        #: ``{"serving.workers", "serving.wall.seconds", "admission": {...},
-        #: ...}``.
-        self.last_batch_stats: Optional[Dict] = None
 
         # Observability (see repro.obs): per-query tracing is opt-in
         # (``trace=True`` or ``REPRO_TRACE=1``) because a built trace
@@ -789,8 +764,6 @@ class OBDASystem:
                 minimize=minimize,
                 use_uscq=use_uscq,
                 fragment_cache=self.reformulation_cache,
-                cost_cache=self.cost_cache,
-                epoch=self.data_epoch,
             )
         if cost == "rdbms":
             return RDBMSCoverCost(
@@ -800,8 +773,6 @@ class OBDASystem:
                 minimize=minimize,
                 use_uscq=use_uscq,
                 fragment_cache=self.reformulation_cache,
-                cost_cache=self.cost_cache,
-                epoch=self.data_epoch,
             )
         raise ValueError(f"unknown cost mode {cost!r}; expected one of {COST_MODES}")
 
@@ -1090,7 +1061,10 @@ class OBDASystem:
         The deadline is the caller's ``deadline_scope`` when one is
         open (``answer_many`` opens one per query), else
         ``query_timeout_seconds``; it bounds every wait below — the
-        replica's token wait and each shard worker RPC. Without either,
+        replica's token wait and each shard worker RPC — and is checked
+        after reformulation and after execution, so a stage that ran
+        past it raises :class:`~repro.serving.concurrency.
+        QueryTimeoutError` rather than answering late. Without either,
         the token wait has no limit and a worker RPC only its fault
         detection timeout (``REPRO_RPC_TIMEOUT_MS``).
 
@@ -1136,6 +1110,7 @@ class OBDASystem:
                     self._describe_choice(
                         ref_span, choice, perfectref_before, caches_before
                     )
+            check_deadline()
             self._check_saturation_complete(choice)
             # Execution and decode allocate only acyclic rows: the cyclic
             # collector is held off until the answers are decoded.
@@ -1187,6 +1162,7 @@ class OBDASystem:
                         self._check_saturation_complete(choice)
                         observed_epoch = self.data_epoch
                 execution = time.perf_counter() - started
+                check_deadline()
                 with root.child("decode") as decode_span:
                     answers = self._decode(query, rows)
                     decode_span.set(answers=len(answers))
@@ -1321,37 +1297,27 @@ class OBDASystem:
         minimize: bool = True,
         use_uscq: bool = False,
         use_plan_cache: bool = True,
-        max_workers: Optional[int] = None,
         on_error: str = "raise",
-        max_in_flight: Optional[int] = None,
         timeout_seconds: Optional[float] = None,
         min_epoch: Optional[int] = None,
     ) -> List[AnswerReport]:
-        """Answer a batch of queries, reports in input order.
+        """Answer a batch of queries in order, one :meth:`answer` each.
 
-        With ``max_workers`` > 1 (or a constructor-level
-        ``serving_workers`` default) the batch is dispatched over the
-        system's **shared serving executor**: one thread pool reused by
-        every batch, so the process-wide thread count stays bounded under
-        sustained traffic. The plan, fragment and cost caches are
-        thread-safe, fresh estimators are built per call, both backends
-        serialize their storage accesses, and writes drain in-flight
-        queries through the read/write barrier — so concurrent batches
-        return exactly the sequential answers, even racing
-        :meth:`insert_facts` / :meth:`delete_facts`. Duplicate queries in
-        one batch are where the plan cache shines: one cold plan, the
-        rest hits (identical misses are single-flighted).
+        Duplicate queries in one batch are where the plan cache shines:
+        one cold plan, the rest hits. The batch runs on the caller's
+        thread; callers that want concurrency call from several threads
+        (as the HTTP edge does, one request per thread) — the plan and
+        fragment caches are thread-safe, identical plan misses are
+        single-flighted, and writes drain in-flight
+        queries through the read/write barrier, so concurrent callers
+        get exactly the sequential answers, even racing
+        :meth:`insert_facts` / :meth:`delete_facts`.
 
-        **Admission control.** At most ``max_in_flight`` queries
-        (default ``2 × max_workers``) are dispatched-but-unfinished at
-        any moment; the rest of the batch waits at the gate.
-        ``timeout_seconds`` is a per-query deadline, serial or
-        concurrent: every wait inside the query is bounded by it, and a
-        query that blows it gets a
-        :class:`~repro.serving.concurrency.QueryTimeoutError` (a
-        concurrent query's worker thread is abandoned, not killed).
-        Telemetry for a concurrent batch lands on
-        :attr:`last_batch_stats`.
+        ``timeout_seconds`` (default ``query_timeout_seconds``) is each
+        query's deadline: it bounds every wait inside the query and is
+        checked between its stages (see :meth:`answer`); a query that
+        blows it gets a
+        :class:`~repro.serving.concurrency.QueryTimeoutError`.
 
         ``on_error`` decides what one failing query does to the batch:
         ``"raise"`` (the default) propagates its exception, ``"collect"``
@@ -1365,18 +1331,12 @@ class OBDASystem:
             raise ValueError(
                 f"on_error must be 'raise' or 'collect', got {on_error!r}"
             )
-        if max_workers is None:
-            max_workers = self.serving_workers
         if timeout_seconds is None:
             timeout_seconds = self.query_timeout_seconds
 
         def one(query: Union[str, CQ]) -> AnswerReport:
             # Parsing happens inside the guard: a malformed query string is
-            # just another failure this query's report should carry. The
-            # deadline is marked in the thread that runs the query
-            # (contextvars do not flow into pool threads), so every wait
-            # under it — a replica's token wait, a shard worker RPC —
-            # ends when the serving layer gives up on the query.
+            # just another failure this query's report should carry.
             try:
                 parsed = parse_query(query) if isinstance(query, str) else query
                 with deadline_scope(timeout_seconds):
@@ -1400,169 +1360,7 @@ class OBDASystem:
                     error=exc,
                 )
 
-        if max_workers is not None and max_workers > 1 and len(queries) > 1:
-            return self._answer_many_concurrent(
-                queries, one, max_workers, on_error, max_in_flight, timeout_seconds
-            )
         return [one(query) for query in queries]
-
-    def _answer_many_concurrent(
-        self,
-        queries: Sequence[Union[str, CQ]],
-        one,
-        max_workers: int,
-        on_error: str,
-        max_in_flight: Optional[int],
-        timeout_seconds: Optional[float],
-    ) -> List[AnswerReport]:
-        """Dispatch a batch over the shared executor with admission
-        control and per-query deadlines.
-
-        The deadline for each query runs from its *dispatch* (slot
-        admitted, task submitted), not from when the in-order collection
-        loop happens to reach its future — so a query cannot silently
-        overrun its deadline just because an earlier future was waited
-        on first. A query that cannot even be *admitted* within the
-        deadline (every slot held by hung queries) times out at the
-        gate instead of hanging the whole batch.
-        """
-        started = time.perf_counter()
-        if max_in_flight is None:
-            max_in_flight = self.max_in_flight or 2 * max_workers
-        admission = AdmissionController(max_in_flight)
-        telemetry = getattr(self.backend, "shard_telemetry", None)
-        shards_before = telemetry() if telemetry is not None else None
-
-        def admitted(query: Union[str, CQ]) -> AnswerReport:
-            try:
-                return one(query)
-            finally:
-                admission.release()
-
-        def timed_out(query: Union[str, CQ]) -> AnswerReport:
-            error = QueryTimeoutError(timeout_seconds)
-            if on_error == "raise":
-                raise error from None
-            return AnswerReport(
-                query=query,
-                choice=None,
-                answers=set(),
-                cache_stats=self.cache_stats(),
-                error=error,
-            )
-
-        #: (query, future | None, dispatch time); None = never admitted.
-        dispatched: List[Tuple[Union[str, CQ], Optional[Future], float]] = []
-        timed_out_reports: Dict[int, AnswerReport] = {}
-        #: ``admission.released`` sampled before the admit that last
-        #: proved the gate full for a whole timeout; ``None`` = gate not
-        #: currently proven stuck. While no release has happened since,
-        #: re-waiting the full timeout for the next query is pure wasted
-        #: wall-clock — the outcome is already known — so those queries
-        #: fail fast at the gate instead of timing out serially.
-        gate_stuck_since: Optional[int] = None
-        for position, query in enumerate(queries):
-            released_before = admission.released
-            if (
-                gate_stuck_since is not None
-                and released_before == gate_stuck_since
-            ):
-                timed_out_reports[position] = timed_out(query)
-                dispatched.append((query, None, 0.0))
-                continue
-            gate_stuck_since = None
-            if not admission.admit(timeout_seconds):
-                gate_stuck_since = released_before
-                timed_out_reports[position] = timed_out(query)
-                dispatched.append((query, None, 0.0))
-                continue
-            # The shared pool may be swapped out by a concurrent batch
-            # regrowing it (its shutdown refuses new work); retry on the
-            # replacement — the admission slot stays held throughout.
-            while True:
-                pool = self._ensure_serving_pool(max_workers)
-                try:
-                    future = pool.submit(admitted, query)
-                    break
-                except RuntimeError:
-                    continue
-            dispatched.append((query, future, time.perf_counter()))
-        reports: List[AnswerReport] = []
-        for position, (query, future, dispatch_time) in enumerate(dispatched):
-            if future is None:
-                reports.append(timed_out_reports[position])
-                continue
-            if timeout_seconds is None:
-                remaining = None
-            else:
-                remaining = max(
-                    0.0, dispatch_time + timeout_seconds - time.perf_counter()
-                )
-            try:
-                reports.append(future.result(timeout=remaining))
-            except FutureTimeoutError:
-                # Deadline accounting: a timed-out query must not burn
-                # wall-clock or capacity from the rest of the batch. If
-                # the task never started, cancel() reclaims its pool
-                # slot — and its admission slot, which the task's own
-                # finally-release will now never run for. (A task
-                # already running is abandoned, not killed; its
-                # deadline_scope caps its storage-layer waits.)
-                if future.cancel():
-                    admission.release()
-                reports.append(timed_out(query))
-        wall_seconds = time.perf_counter() - started
-        self.last_batch_stats = {
-            # Metric names of the docs/OBSERVABILITY.md catalog.
-            "serving.workers": max_workers,
-            "serving.queries": len(queries),
-            "serving.wall.seconds": wall_seconds,
-            "admission": admission.stats(),
-            #: The storage-side execution substrate this batch ran on
-            #: ("inproc" for plain unsharded backends).
-            "serving.substrate": getattr(self.backend, "substrate", "inproc"),
-        }
-        registry = get_registry()
-        registry.inc("repro.serving.batches")
-        registry.inc("repro.serving.queries", len(queries))
-        registry.observe("repro.serving.batch.seconds", wall_seconds)
-        if shards_before is not None:
-            # Route counters this batch moved (approximate under racing
-            # batches — counters are system-global).
-            shards_after = telemetry()
-            self.last_batch_stats["shards"] = {
-                "shards.count": shards_after["shards.count"],
-                **{
-                    key: shards_after[key] - shards_before.get(key, 0)
-                    for key in (
-                        "shards.executions",
-                        "shards.route.pruned",
-                        "shards.route.scatter",
-                        "shards.route.gather",
-                        "shards.shm.results",
-                        "shards.shm.bytes",
-                        "shards.inline.results",
-                    )
-                    if key in shards_after
-                },
-            }
-        return reports
-
-    def _ensure_serving_pool(self, workers: int) -> ThreadPoolExecutor:
-        """The shared serving executor, regrown when a batch asks for
-        more workers than any batch before it."""
-        with self._serving_guard:
-            if self._serving_pool is None or workers > self._serving_pool_size:
-                old = self._serving_pool
-                self._serving_pool = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="repro-serving"
-                )
-                self._serving_pool_size = workers
-                if old is not None:
-                    # Let queued work drain on its own threads; new
-                    # batches land on the resized pool.
-                    old.shutdown(wait=False)
-            return self._serving_pool
 
     def _check_saturation_complete(self, choice: ReformulationChoice) -> None:
         """Refuse to *execute* a saturation-backed plan over a truncated
@@ -1623,11 +1421,10 @@ class OBDASystem:
 
     # ------------------------------------------------------------------
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
-        """Current plan-, fragment- and cost-cache counters."""
+        """Current plan- and fragment-cache counters."""
         return {
             "plan": self.plan_cache.stats(),
             "fragments": self.reformulation_cache.stats(),
-            "costs": self.cost_cache.stats(),
         }
 
     def _merged_registry(self) -> MetricsRegistry:
@@ -1669,17 +1466,11 @@ class OBDASystem:
 
     def close(self) -> None:
         """Release the backend's resources and drop cached plans. Idempotent."""
-        with self._serving_guard:
-            pool, self._serving_pool = self._serving_pool, None
-            self._serving_pool_size = 0
-        if pool is not None:
-            pool.shutdown(wait=True)
         if self._replicas is not None:
             self._replicas.close()
         self.backend.close()
         self.plan_cache.clear()
         self.reformulation_cache.clear()
-        self.cost_cache.clear()
 
     def __enter__(self) -> "OBDASystem":
         return self

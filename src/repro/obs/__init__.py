@@ -21,8 +21,8 @@ Two subsystems, both threaded through the whole OBDA stack:
   :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges and
   bounded histograms (p50/p95/p99) behind the stable metric names
   catalogued in ``docs/OBSERVABILITY.md``. It absorbs the counters
-  historically scattered across ``ExecutionStats``,
-  ``last_batch_stats`` and ``shard_telemetry()``, aggregates across
+  historically scattered across ``ExecutionStats`` and
+  ``shard_telemetry()``, aggregates across
   process shard workers over the same RPC batching as
   ``statistics_many``, and exports as a JSON snapshot
   (:meth:`~repro.obs.metrics.MetricsRegistry.snapshot`) or a

@@ -1,9 +1,9 @@
 """A process-wide registry of counters, gauges and bounded histograms.
 
 The registry is the single home for the telemetry counters historically
-scattered across ``ExecutionStats``, ``last_batch_stats`` and
-``shard_telemetry()`` — each recorded under one **stable metric name**
-(the catalog lives in ``docs/OBSERVABILITY.md``). Names are dotted
+scattered across ``ExecutionStats`` and ``shard_telemetry()`` — each
+recorded under one **stable metric name** (the catalog lives in
+``docs/OBSERVABILITY.md``). Names are dotted
 (``repro.query.seconds``); the Prometheus dump rewrites dots to
 underscores per the exposition format.
 

@@ -14,25 +14,19 @@ share work across queries:
   in :mod:`repro.cost.cache` (the cost layer owns it because estimators
   are its main consumers), and is shared by the system across strategies
   and queries;
-* :mod:`repro.serving.concurrency` — the concurrent-serving primitives
-  behind ``answer_many``'s shared executor: the
-  :class:`~repro.serving.concurrency.ReadWriteBarrier` (writes drain
-  in-flight queries before the backend, statistics and data epoch
-  mutate), :class:`~repro.serving.concurrency.AdmissionController`
-  (bounded in-flight queries per batch) and
-  :class:`~repro.serving.concurrency.QueryTimeoutError` (per-query
-  deadlines).
+* :mod:`repro.serving.concurrency` — what keeps concurrent callers
+  correct: the :class:`~repro.serving.concurrency.ReadWriteBarrier`
+  (writes drain in-flight queries before the backend, statistics and
+  data epoch mutate) and the per-query deadline with its
+  :class:`~repro.serving.concurrency.QueryTimeoutError`. The system
+  owns no threads of its own for serving: ``answer_many`` answers its
+  batch in order, and concurrency is the callers' threads.
 """
 
-from repro.serving.concurrency import (
-    AdmissionController,
-    QueryTimeoutError,
-    ReadWriteBarrier,
-)
+from repro.serving.concurrency import QueryTimeoutError, ReadWriteBarrier
 from repro.serving.plan_cache import PlanCache
 
 __all__ = [
-    "AdmissionController",
     "PlanCache",
     "QueryTimeoutError",
     "ReadWriteBarrier",

@@ -1,7 +1,9 @@
 """Concurrency primitives for the serving layer.
 
-Three small, self-contained pieces used by
-:meth:`repro.obda.system.OBDASystem.answer_many` and the write path:
+Small, self-contained pieces used by
+:meth:`repro.obda.system.OBDASystem.answer` and the write path; the
+concurrency itself is the callers' threads (the HTTP edge runs each
+request on its own):
 
 * :class:`ReadWriteBarrier` — the reader/writer discipline between
   in-flight queries and the epoch-based write path: queries hold the
@@ -9,17 +11,13 @@ Three small, self-contained pieces used by
   which **drains** every in-flight query before the backend, statistics
   and data epoch mutate (and admits no new query until done). Writer
   preference keeps a steady query stream from starving writes.
-* :class:`AdmissionController` — a counting gate bounding how many
-  queries are dispatched-but-unfinished (*in-flight*), so a huge batch
-  cannot flood the executor queue; carries telemetry counters.
 * :class:`QueryTimeoutError` — raised (or collected onto the query's
-  report) when one query exceeds the batch's per-query deadline.
+  report) when one query exceeds its deadline.
 * :func:`deadline_scope` / :func:`current_deadline` — a contextvar
   carrying the query's **absolute** deadline down the call stack, so
-  storage-layer RPC waits (the sharded backend's worker calls) can cap
-  their own timeouts at ``min(rpc_timeout, remaining)`` instead of
-  letting shard RPCs run on after the serving layer has already
-  abandoned the future.
+  every wait below (a shard worker RPC, a replica's token wait) is
+  capped at what is left of it, and :func:`check_deadline` — the
+  check ``answer()`` makes between its stages.
 """
 
 from __future__ import annotations
@@ -27,18 +25,12 @@ from __future__ import annotations
 import contextvars
 import threading
 import time
-from typing import Dict, Optional, Tuple
-
-from repro.obs.metrics import get_registry
+from typing import Optional, Tuple
 
 
 class QueryTimeoutError(RuntimeError):
-    """A query missed its per-query deadline in ``answer_many``.
-
-    The worker thread evaluating the query is not killed — Python
-    threads cannot be — so its result is discarded when it eventually
-    arrives; the caller gets this error instead.
-    """
+    """A query missed its deadline: a bounded wait ran out, or a stage
+    finished after it (see :func:`check_deadline`)."""
 
     def __init__(self, seconds: float) -> None:
         super().__init__(f"query exceeded its {seconds:g}s deadline")
@@ -47,9 +39,9 @@ class QueryTimeoutError(RuntimeError):
 
 #: The active query deadline: ``(absolute monotonic expiry, budget
 #: seconds)`` or ``None``. Contextvars do not flow into pool threads
-#: automatically — ``answer_many`` sets this *inside* each dispatched
-#: task, and the sharded backend reads it at ``execute`` entry (the
-#: same thread) before fanning out.
+#: automatically — the sharded backend reads it at ``execute`` entry
+#: (the caller's thread) and runs each shard leg in a copy of the
+#: caller's context.
 _DEADLINE: "contextvars.ContextVar[Optional[Tuple[float, float]]]" = (
     contextvars.ContextVar("repro_query_deadline", default=None)
 )
@@ -92,6 +84,16 @@ def remaining_deadline() -> Optional[float]:
     ``None`` when the context has none."""
     deadline = _DEADLINE.get()
     return None if deadline is None else deadline[0] - time.monotonic()
+
+
+def check_deadline() -> None:
+    """Raise :class:`QueryTimeoutError` when the active deadline has
+    passed; a no-op without one. ``answer()`` calls it between stages,
+    so a query whose stage ran past its deadline fails instead of
+    answering late."""
+    deadline = _DEADLINE.get()
+    if deadline is not None and deadline[0] < time.monotonic():
+        raise QueryTimeoutError(deadline[1])
 
 
 class ReadWriteBarrier:
@@ -173,63 +175,3 @@ class ReadWriteBarrier:
     def exclusive(self) -> "ReadWriteBarrier._Section":
         """``with barrier.exclusive():`` — a write's mutation section."""
         return self._exclusive_section
-
-
-class AdmissionController:
-    """Bounds in-flight queries and counts what it admitted.
-
-    ``max_in_flight`` is the cap on queries dispatched but not yet
-    finished; the coordinator blocks before dispatching beyond it, so
-    executor queues stay short and per-query deadlines stay meaningful.
-    """
-
-    def __init__(self, max_in_flight: int) -> None:
-        if max_in_flight < 1:
-            raise ValueError("max_in_flight must be at least 1")
-        self.max_in_flight = max_in_flight
-        self._gate = threading.BoundedSemaphore(max_in_flight)
-        self._lock = threading.Lock()
-        self.admitted = 0
-        self.in_flight = 0
-        self.peak_in_flight = 0
-        #: Monotone count of slots given back. A caller that just proved
-        #: the gate full for a whole timeout can compare this before and
-        #: after: unchanged means nothing freed meanwhile, so waiting the
-        #: full timeout again would be pure wasted wall-clock.
-        self.released = 0
-
-    def admit(self, timeout: Optional[float] = None) -> bool:
-        """Take a slot, blocking until one frees.
-
-        With a *timeout*, gives up after that many seconds and returns
-        ``False`` (no slot taken) — the escape hatch that keeps a batch
-        with per-query deadlines from hanging at the gate behind hung
-        queries that never release their slots.
-        """
-        if not self._gate.acquire(timeout=timeout):
-            get_registry().inc("repro.serving.admission.timeouts")
-            return False
-        with self._lock:
-            self.admitted += 1
-            self.in_flight += 1
-            self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
-        get_registry().inc("repro.serving.admission.admitted")
-        return True
-
-    def release(self) -> None:
-        """Give the slot back (the query finished or failed)."""
-        with self._lock:
-            self.in_flight -= 1
-            self.released += 1
-        self._gate.release()
-
-    def stats(self) -> Dict[str, int]:
-        """Telemetry snapshot: admitted / in-flight / peak / capacity."""
-        with self._lock:
-            return {
-                "max_in_flight": self.max_in_flight,
-                "admitted": self.admitted,
-                "in_flight": self.in_flight,
-                "peak_in_flight": self.peak_in_flight,
-                "released": self.released,
-            }

@@ -12,13 +12,15 @@ Routes:
 
 ``POST /answer``
     Body ``{"queries": [...], "strategy"?, "cost"?, "min_epoch"?,
-    "max_workers"?, "timeout_seconds"?}``. Queries are textual CQs;
+    "timeout_seconds"?}``. Queries are textual CQs;
     ``min_epoch`` is the client's session token (see
     :meth:`~repro.obda.system.OBDASystem.epoch_token`) — a token above
     the primary's epoch comes back as a per-query ``ValueError``.
-    ``timeout_seconds`` is each query's deadline (default: the
-    system's ``query_timeout_seconds``), the one bound on every wait
-    below it, a replica's token wait included. Always runs with
+    ``timeout_seconds`` (a positive finite number; default: the system's
+    ``query_timeout_seconds``) is each query's deadline: it bounds
+    every wait below it, a replica's token wait included, and a query
+    whose reformulation or execution ends past it comes back as a
+    per-query ``QueryTimeoutError``. Always runs with
     ``on_error="collect"`` — one bad query yields one error entry, not
     a failed batch. Returns ``{"reports": [{"query", "answers",
     "epoch", "replica", "error"}...], "epoch_token"}``; the token is
@@ -37,8 +39,9 @@ Routes:
     ``{"ok": true, "replicas": N}`` (0 when unreplicated).
 
 The event loop never blocks on query work: each request's system call
-runs on the loop's default thread-pool executor, and the system's own
-serving layer does the real scheduling underneath.
+runs on the loop's default thread-pool executor. That is the whole of
+the serving concurrency — the system answers a request's batch in
+order on the thread it was handed.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import json
+import math
 import threading
 from typing import Dict, List, Optional, Tuple
 
@@ -320,10 +324,17 @@ class ServingEndpoint:
                     400, "'min_epoch' must be a non-negative integer"
                 )
             kwargs["min_epoch"] = min_epoch
-        if "max_workers" in payload:
-            kwargs["max_workers"] = payload["max_workers"]
         if "timeout_seconds" in payload:
-            kwargs["timeout_seconds"] = payload["timeout_seconds"]
+            timeout = payload["timeout_seconds"]
+            if (
+                not isinstance(timeout, (int, float))
+                or isinstance(timeout, bool)
+                or not 0 < timeout < math.inf
+            ):
+                raise _HttpError(
+                    400, "'timeout_seconds' must be a positive finite number"
+                )
+            kwargs["timeout_seconds"] = timeout
         reports = await self._offload(
             self.system.answer_many, queries, **kwargs
         )

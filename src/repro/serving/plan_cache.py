@@ -17,33 +17,96 @@ processes.
 EDL, the ``auto`` router) is only the *best* plan for the statistics it
 was priced against, so the system stores it stamped with its data epoch;
 data-independent plans (``ucq``, ``croot``, ``sat`` — over fully encoded
-constants) are stored with ``epoch=None`` and survive every write. The
-stale-dropping rule lives in the shared :class:`~repro.cost.cache.
-EpochLRU` base.
+constants) are stored with ``epoch=None`` and survive every write. A
+stamped entry read under a newer epoch is dropped on that read (counted
+as ``stale``), so a write invalidates exactly the plans it made wrong —
+never a full flush.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+import threading
+from collections import OrderedDict
+from typing import Dict, Optional, Tuple
 
-from repro.cost.cache import EpochLRU
 
-
-class PlanCache(EpochLRU):
-    """LRU mapping plan keys to cached plans, with hit/miss counters."""
-
-    #: Prefix under which :meth:`repro.obda.system.OBDASystem.metrics`
-    #: publishes these counters as gauges (``repro.cache.plan.hits``,
-    #: ...) — the stable names in the ``docs/OBSERVABILITY.md`` catalog.
-    metric_prefix = "repro.cache.plan"
+class PlanCache:
+    """Thread-safe LRU mapping plan keys to epoch-stamped plans, with
+    hit / miss / stale counters."""
 
     def __init__(self, capacity: int = 256) -> None:
         if capacity is None or capacity < 1:
             raise ValueError("plan cache capacity must be at least 1")
-        super().__init__(capacity)
+        self.capacity = capacity
+        self._entries: "OrderedDict[Tuple, Tuple[object, Optional[int]]]" = (
+            OrderedDict()
+        )
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        self.stale = 0
+
+    def get(self, key: Tuple, epoch: Optional[int] = None) -> Optional[object]:
+        """The cached value for *key*, or ``None``; refreshes recency.
+
+        *epoch* is the caller's current data epoch; a stamped entry from
+        a different epoch is evicted and reported as a (stale) miss.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self.misses += 1
+                return None
+            value, stamp = entry
+            if stamp is not None and stamp != epoch:
+                # Evict only entries that are genuinely *older* than the
+                # caller; a newer-stamped entry just means the caller's
+                # own epoch is stale (e.g. a search that started before a
+                # write) — dropping it would destroy a valid entry and
+                # churn the cache.
+                if epoch is None or stamp < epoch:
+                    del self._entries[key]
+                    self.stale += 1
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return value
+
+    def put(
+        self, key: Tuple, value: object, epoch: Optional[int] = None
+    ) -> None:
+        """Insert (or refresh) *key*, evicting the LRU entry if full.
+
+        Pass the current data epoch for values that depend on the data;
+        leave ``epoch=None`` for values valid across every write.
+        """
+        with self._lock:
+            self._entries[key] = (value, epoch)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: Tuple) -> bool:
+        return key in self._entries
+
+    def clear(self) -> None:
+        """Drop all entries and reset the counters."""
+        with self._lock:
+            self._entries.clear()
+            self.hits = 0
+            self.misses = 0
+            self.stale = 0
 
     def stats(self) -> Dict[str, int]:
         """A snapshot of the counters (reported on ``AnswerReport``)."""
-        snapshot = super().stats()
-        snapshot["capacity"] = self.capacity
-        return snapshot
+        return {
+            "entries": len(self._entries),
+            "hits": self.hits,
+            "misses": self.misses,
+            "stale": self.stale,
+            "capacity": self.capacity,
+        }

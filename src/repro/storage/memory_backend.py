@@ -77,7 +77,7 @@ class MemoryBackend(Backend):
     The engine's tables are plain Python structures, so reads and writes
     serialize behind one lock: a query scanning a table can never observe
     a half-applied write. (Execution is pure Python and GIL-bound, so the
-    lock costs ``answer_many`` threads no real parallelism.)
+    lock costs concurrent callers no real parallelism.)
     """
 
     name = "minirdbms"

@@ -129,8 +129,8 @@ class SQLiteBackend(Backend):
 
     The single in-memory connection is created with
     ``check_same_thread=False`` and every use of it is serialized behind a
-    lock, so one backend instance can safely serve
-    :meth:`repro.obda.system.OBDASystem.answer_many` worker threads (an
+    lock, so one backend instance can safely serve concurrent
+    :meth:`repro.obda.system.OBDASystem.answer` callers' threads (an
     in-memory database cannot be reopened per thread — each new
     ``:memory:`` connection would be a fresh empty database).
     """

@@ -7,6 +7,9 @@ smoke tier) or ``large`` (~1M, the acceptance tier). Tests marked
 ``@pytest.mark.scale("medium")`` / ``("large")`` are skipped below
 their tier, so the default suite stays fast.
 
+The ``answer_concurrently`` fixture answers queries from several threads
+at once, the way concurrent callers (the HTTP edge) drive a system.
+
 Autouse leak fixtures ride along for every test: whatever a test does,
 it must leave the cyclic collector running and no
 :func:`repro.collector.paused` scope open, and every thread and child
@@ -21,6 +24,7 @@ import multiprocessing
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -73,6 +77,23 @@ def pytest_collection_modifyitems(config, items):
                     )
                 )
             )
+
+
+def _answer_concurrently(system, queries, workers, **kwargs):
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(
+            pool.map(lambda query: system.answer_many([query], **kwargs)[0], queries)
+        )
+
+
+@pytest.fixture
+def answer_concurrently():
+    """``answer_concurrently(system, queries, workers, **kwargs)``:
+    answer each query on a pool of *workers* threads, reports in input
+    order. Each query is a one-query ``answer_many`` call, so
+    ``on_error`` / ``timeout_seconds`` / ``min_epoch`` behave as they do
+    on a batch (and as on one ``POST /answer`` request)."""
+    return _answer_concurrently
 
 
 def _collector_running() -> bool:

@@ -3,10 +3,10 @@
 The central property: a query answered concurrently with writes always
 returns the complete answer set of *some* data epoch — the state before
 a write or after it, never a torn mix. The stress test pins it over 100
-randomized rounds of mixed ``answer_many`` / ``insert_facts`` /
-``delete_facts`` traffic against a sequential oracle; the rest covers
-the serving executor (determinism across worker counts, admission
-control, per-query deadlines) and the read/write barrier primitive.
+randomized rounds of concurrent ``answer`` threads racing
+``insert_facts`` / ``delete_facts`` against a sequential oracle; the
+rest covers determinism across thread counts, per-query deadlines and
+the read/write barrier primitive.
 """
 
 import random
@@ -18,9 +18,10 @@ import pytest
 from repro.dllite.abox import ABox
 from repro.obda.system import OBDASystem
 from repro.serving.concurrency import (
-    AdmissionController,
     QueryTimeoutError,
     ReadWriteBarrier,
+    check_deadline,
+    deadline_scope,
 )
 from repro.storage.memory_backend import MemoryBackend
 from repro.storage.process_workers import process_substrate_available
@@ -69,7 +70,7 @@ def _apply(system: OBDASystem, op: str, batch) -> None:
 
 @pytest.mark.parametrize("seed", range(4))
 def test_stress_concurrent_reads_and_writes_match_an_epoch(
-    example1_tbox, seed
+    example1_tbox, seed, answer_concurrently
 ):
     """100 randomized rounds: every concurrent answer equals the
     sequential oracle's answer at some prefix of the write script."""
@@ -99,8 +100,8 @@ def test_stress_concurrent_reads_and_writes_match_an_epoch(
         def read(n_batches: int = 3) -> None:
             try:
                 for _ in range(n_batches):
-                    reports = subject.answer_many(
-                        [QUERY, QUERY], strategy=strategy, max_workers=2
+                    reports = answer_concurrently(
+                        subject, [QUERY, QUERY], 2, strategy=strategy
                     )
                     observed.extend(report.answers for report in reports)
             except Exception as exc:  # surfaced after join
@@ -143,7 +144,7 @@ def test_stress_concurrent_reads_and_writes_match_an_epoch(
 )
 @pytest.mark.parametrize("seed", range(2))
 def test_stress_sharded_process_reads_and_writes_match_an_epoch(
-    example1_tbox, seed
+    example1_tbox, seed, answer_concurrently
 ):
     """The epoch property over the process substrate: every answer a
     sharded system with per-shard worker processes serves concurrently
@@ -171,8 +172,8 @@ def test_stress_sharded_process_reads_and_writes_match_an_epoch(
         def read(n_batches: int = 3) -> None:
             try:
                 for _ in range(n_batches):
-                    reports = subject.answer_many(
-                        [QUERY, QUERY], strategy="ucq", max_workers=2
+                    reports = answer_concurrently(
+                        subject, [QUERY, QUERY], 2, strategy="ucq"
                     )
                     observed.extend(report.answers for report in reports)
             except Exception as exc:
@@ -220,50 +221,23 @@ class TestAnswerManyDeterminism:
     ]
 
     @pytest.mark.parametrize("strategy", ["ucq", "gdl"])
-    def test_same_answers_at_any_worker_count(self, system, strategy):
+    def test_same_answers_at_any_worker_count(
+        self, system, strategy, answer_concurrently
+    ):
         baseline = [
             report.answers
             for report in system.answer_many(self.QUERIES, strategy=strategy)
         ]
         for workers in (1, 2, 8):
-            reports = system.answer_many(
-                self.QUERIES, strategy=strategy, max_workers=workers
+            reports = answer_concurrently(
+                system, self.QUERIES, workers, strategy=strategy
             )
             assert [report.answers for report in reports] == baseline
-
-    def test_constructor_serving_workers_default(
-        self, example1_tbox, example1_abox
-    ):
-        with OBDASystem(
-            example1_tbox, example1_abox, serving_workers=4
-        ) as system:
-            reports = system.answer_many(self.QUERIES)
-            assert len(reports) == len(self.QUERIES)
-            assert system.last_batch_stats is not None
-            assert system.last_batch_stats["serving.workers"] == 4
-
-
-class TestAdmissionControl:
-    def test_bounded_in_flight(self, example1_tbox, example1_abox):
-        with OBDASystem(example1_tbox, example1_abox) as system:
-            queries = ["q(x) <- Researcher(x)"] * 12
-            reports = system.answer_many(
-                queries, strategy="ucq", max_workers=4, max_in_flight=2
-            )
-            assert len(reports) == 12
-            stats = system.last_batch_stats["admission"]
-            assert stats["admitted"] == 12
-            assert stats["peak_in_flight"] <= 2
-            assert stats["in_flight"] == 0
-
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            AdmissionController(0)
 
 
 class _SlowBackend(MemoryBackend):
     """A MemoryBackend whose reads take a configurable nap (and count
-    how many reads actually ran — cancelled tasks must not)."""
+    how many reads ran)."""
 
     def __init__(self, delay: float) -> None:
         super().__init__()
@@ -277,16 +251,18 @@ class _SlowBackend(MemoryBackend):
 
 
 class TestTimeouts:
+    """An in-process read has no wait for the deadline to bound: the
+    check after execution is what turns a late answer into a timeout."""
+
     def test_collects_timeout_errors(self, example1_tbox, example1_abox):
         system = OBDASystem(
-            example1_tbox, example1_abox, backend=_SlowBackend(0.25)
+            example1_tbox, example1_abox, backend=_SlowBackend(0.2)
         )
         try:
             reports = system.answer_many(
                 ["q(x) <- Researcher(x)"] * 2,
                 strategy="ucq",
-                max_workers=2,
-                timeout_seconds=0.01,
+                timeout_seconds=0.05,
                 on_error="collect",
             )
             assert all(
@@ -299,211 +275,69 @@ class TestTimeouts:
 
     def test_raises_on_timeout(self, example1_tbox, example1_abox):
         system = OBDASystem(
-            example1_tbox, example1_abox, backend=_SlowBackend(0.25)
+            example1_tbox, example1_abox, backend=_SlowBackend(0.2)
         )
         try:
             with pytest.raises(QueryTimeoutError):
                 system.answer_many(
                     ["q(x) <- Researcher(x)"] * 2,
                     strategy="ucq",
-                    max_workers=2,
-                    timeout_seconds=0.01,
+                    timeout_seconds=0.05,
                 )
         finally:
             system.close()
 
-    def test_no_timeout_by_default(self, example1_tbox, example1_abox):
+    def test_answer_honours_query_timeout_seconds(
+        self, example1_tbox, example1_abox
+    ):
+        system = OBDASystem(
+            example1_tbox,
+            example1_abox,
+            backend=_SlowBackend(0.2),
+            query_timeout_seconds=0.05,
+        )
+        try:
+            with pytest.raises(QueryTimeoutError):
+                system.answer("q(x) <- Researcher(x)", strategy="ucq")
+        finally:
+            system.close()
+
+    def test_blown_deadline_stops_before_execution(
+        self, example1_tbox, example1_abox
+    ):
+        """A deadline already past when reformulation ends never reaches
+        the backend."""
+        system = OBDASystem(
+            example1_tbox, example1_abox, backend=_SlowBackend(0.0)
+        )
+        try:
+            with deadline_scope(-1.0), pytest.raises(QueryTimeoutError):
+                system.answer("q(x) <- Researcher(x)", strategy="ucq")
+            assert system.backend.reads == 0
+        finally:
+            system.close()
+
+    def test_no_timeout_by_default(
+        self, example1_tbox, example1_abox, answer_concurrently
+    ):
         system = OBDASystem(
             example1_tbox, example1_abox, backend=_SlowBackend(0.05)
         )
         try:
-            reports = system.answer_many(
-                ["q(x) <- Researcher(x)"] * 2, strategy="ucq", max_workers=2
+            reports = answer_concurrently(
+                system, ["q(x) <- Researcher(x)"] * 2, 2, strategy="ucq"
             )
             assert all(not report.failed for report in reports)
         finally:
             system.close()
 
-    def test_admission_gate_respects_the_deadline(
-        self, example1_tbox, example1_abox
-    ):
-        """Slow queries holding every admission slot must not hang the
-        batch: later queries time out at the gate and the batch
-        returns."""
-        system = OBDASystem(
-            example1_tbox, example1_abox, backend=_SlowBackend(0.3)
-        )
-        try:
-            started = time.perf_counter()
-            reports = system.answer_many(
-                ["q(x) <- Researcher(x)"] * 5,
-                strategy="ucq",
-                max_workers=2,
-                max_in_flight=1,
-                timeout_seconds=0.05,
-                on_error="collect",
-            )
-            elapsed = time.perf_counter() - started
-            assert len(reports) == 5
-            assert all(
-                isinstance(report.error, QueryTimeoutError)
-                for report in reports
-            )
-            # Sequential execution of five 0.3s queries would take
-            # >=1.5s; deadline-bounded admission must return far sooner.
-            assert elapsed < 1.2
-        finally:
-            system.close()
-
-    def test_deadline_runs_from_dispatch_not_collection(
-        self, example1_tbox, example1_abox
-    ):
-        """Concurrently dispatched queries each get their own deadline:
-        waiting on an earlier future must not extend a later query's
-        budget past dispatch + timeout."""
-        system = OBDASystem(
-            example1_tbox, example1_abox, backend=_SlowBackend(0.25)
-        )
-        try:
-            reports = system.answer_many(
-                ["q(x) <- Researcher(x)"] * 3,
-                strategy="ucq",
-                max_workers=3,
-                timeout_seconds=0.1,
-                on_error="collect",
-            )
-            # All three dispatched immediately; all exceed 0.1s; the
-            # in-order collection of report 0 must not grant reports
-            # 1 and 2 a fresh 0.1s each from collection time.
-            assert all(
-                isinstance(report.error, QueryTimeoutError)
-                for report in reports
-            )
-        finally:
-            system.close()
-
-    def test_gate_timeouts_do_not_compound(
-        self, example1_tbox, example1_abox
-    ):
-        """Regression: per-query deadline accounting in one batch.
-
-        With every admission slot held by one hung query, each
-        subsequent query used to wait out its *own* full timeout at the
-        gate, serially — k stragglers burned k × timeout of wall-clock
-        even though the gate's fate was already proven. Once one admit
-        has timed out with no release since, the rest of the batch must
-        fail fast."""
-        system = OBDASystem(
-            example1_tbox, example1_abox, backend=_SlowBackend(1.5)
-        )
-        try:
-            started = time.perf_counter()
-            reports = system.answer_many(
-                ["q(x) <- Researcher(x)"] * 12,
-                strategy="ucq",
-                max_workers=2,
-                max_in_flight=1,
-                timeout_seconds=0.2,
-                on_error="collect",
-            )
-            elapsed = time.perf_counter() - started
-            assert len(reports) == 12
-            assert all(
-                isinstance(report.error, QueryTimeoutError)
-                for report in reports
-            )
-            # Old behavior: 11 serial gate waits x 0.2s = 2.2s minimum.
-            # Fail-fast: one proven gate timeout, the rest immediate.
-            assert elapsed < 1.2, elapsed
-        finally:
-            system.close()
-
-    def test_timed_out_queued_queries_release_their_slots(
-        self, example1_tbox, example1_abox
-    ):
-        """Regression: a query that timed out while still *queued* (its
-        pool task never started) used to keep its admission slot and
-        its place in the worker queue, burning wall-clock from the next
-        batch. Collection must cancel it and reclaim the slot."""
-        system = OBDASystem(
-            example1_tbox, example1_abox, backend=_SlowBackend(0.5)
-        )
-        try:
-            # Two workers: two queries run 0.5s each, the other two sit
-            # in the pool queue holding admission slots.
-            reports = system.answer_many(
-                ["q(x) <- Researcher(x)"] * 4,
-                strategy="ucq",
-                max_workers=2,
-                max_in_flight=4,
-                timeout_seconds=0.1,
-                on_error="collect",
-            )
-            assert all(
-                isinstance(report.error, QueryTimeoutError)
-                for report in reports
-            )
-            # The cancelled queued tasks released their slots at
-            # collection time, before their (abandoned) runners did.
-            stats = system.last_batch_stats["admission"]
-            assert stats["admitted"] == 4
-            assert stats["released"] >= 2
-            # The two cancelled tasks never reach the backend: after
-            # the two abandoned runners drain, the read count is 2 —
-            # not 4 reads x 0.5s of wall-clock burned from whatever the
-            # pool serves next.
-            deadline = time.perf_counter() + 5.0
-            while (
-                system.backend.reads < 2
-                and time.perf_counter() < deadline
-            ):
-                time.sleep(0.05)
-            time.sleep(0.7)  # would be mid-flight if they had started
-            assert system.backend.reads == 2
-        finally:
-            system.close()
-
-
-class TestSharedPoolRegrowth:
-    def test_concurrent_batches_while_pool_regrows(
-        self, example1_tbox, example1_abox
-    ):
-        """A batch submitting to the shared pool while a bigger batch
-        regrows it must complete (submits retry on the replacement)."""
-        system = OBDASystem(
-            example1_tbox, example1_abox, backend=_SlowBackend(0.01)
-        )
-        queries = ["q(x) <- Researcher(x)"] * 10
-        results = []
-        failures = []
-
-        def batch(workers: int) -> None:
-            try:
-                results.append(
-                    system.answer_many(
-                        queries, strategy="ucq", max_workers=workers
-                    )
-                )
-            except Exception as exc:
-                failures.append(exc)
-
-        try:
-            threads = [
-                threading.Thread(target=batch, args=(workers,))
-                for workers in (2, 4, 8, 3)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-            assert not failures, failures
-            assert len(results) == 4
-            expected = system.answer(queries[0], strategy="ucq").answers
-            for reports in results:
-                assert len(reports) == len(queries)
-                assert all(report.answers == expected for report in reports)
-        finally:
-            system.close()
+    def test_check_deadline(self):
+        check_deadline()  # no deadline: nothing to miss
+        with deadline_scope(30.0):
+            check_deadline()
+        with deadline_scope(-1.0), pytest.raises(QueryTimeoutError) as raised:
+            check_deadline()
+        assert raised.value.seconds == -1.0
 
 
 class TestReadWriteBarrier:

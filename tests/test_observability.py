@@ -599,7 +599,7 @@ class TestSystemMetrics:
 
 
 class TestTelemetryAliases:
-    """The telemetry dictionaries use the metric catalog's dotted names
+    """The telemetry dictionary uses the metric catalog's dotted names
     and nothing else: the flat aliases of earlier releases are gone."""
 
     def test_shard_telemetry_carries_canonical_names(
@@ -616,36 +616,6 @@ class TestTelemetryAliases:
                 telemetry["shards.route.pruned"]
                 <= telemetry["shards.executions"]
             )
-
-    def test_batch_stats_carry_canonical_names(self, example1_tbox, example1_abox):
-        with OBDASystem(
-            example1_tbox, example1_abox, backend="memory", shards=4
-        ) as system:
-            system.answer_many(
-                ["q(x) <- supervisedBy(Damian, x)"] * 2,
-                strategy="sat",
-                max_workers=2,
-            )
-            stats = system.last_batch_stats
-            assert set(stats) == {
-                "serving.workers",
-                "serving.queries",
-                "serving.wall.seconds",
-                "serving.substrate",
-                "admission",
-                "shards",
-            }
-            assert stats["serving.workers"] == 2
-            assert stats["serving.queries"] == 2
-            assert stats["serving.wall.seconds"] > 0
-            shards = stats["shards"]
-            assert all("." in key for key in shards)
-            assert shards["shards.count"] == 4
-            assert "shards.executions" in shards
-            counters = system.metrics()["counters"]
-            assert counters["repro.serving.batches"] == 1
-            assert counters["repro.serving.queries"] == 2
-            assert counters["repro.serving.admission.admitted"] == 2
 
 
 class TestSlowQueryLog:

@@ -10,8 +10,9 @@ Four layers of coverage:
   tokens the log never issued, kill + heal, a publish racing a heal's
   bootstrap, and the epoch log's fold-on-record contract, all on a
   bare :class:`~repro.serving.replicas.ReplicaSet` over a tiny dataset;
-* **system deadlines** — ``answer()`` and both ``answer_many`` paths
-  end a lagging tokened read at the query's deadline;
+* **system deadlines** — ``answer()`` and ``answer_many``, on one
+  thread or from concurrent callers, end a lagging tokened read at the
+  query's deadline;
 * **randomized stress** — the session-consistency oracle from
   ``backend_conformance.py`` at higher write counts, with explicit
   mid-stress replica kills layered on top;
@@ -423,15 +424,16 @@ class TestSystemTokens:
             report = system.answer("q(x) <- Researcher(x)", strategy="ucq")
             assert report.replica is not None
 
-    def test_batch_carries_one_token(self):
+    def test_batch_carries_one_token(self, answer_concurrently):
         tbox, abox = replica_consistency_kb()
         with OBDASystem(tbox, abox, replicas=2) as system:
             system.insert_facts([("Researcher", "Nadia")])
             token = system.epoch_token()
-            reports = system.answer_many(
+            reports = answer_concurrently(
+                system,
                 ["q(x) <- Researcher(x)"] * 4,
+                3,
                 strategy="ucq",
-                max_workers=3,
                 min_epoch=token,
             )
             for report in reports:
@@ -470,14 +472,15 @@ class TestSystemDeadlines:
             assert time.perf_counter() - started < 1.0
 
     def test_concurrent_answer_many_deadline_bounds_token_wait(
-        self, monkeypatch
+        self, monkeypatch, answer_concurrently
     ):
         with _lagging_system(monkeypatch) as (system, token):
             started = time.perf_counter()
-            reports = system.answer_many(
+            reports = answer_concurrently(
+                system,
                 [self.QUERY] * 2,
+                2,
                 strategy="ucq",
-                max_workers=2,
                 on_error="collect",
                 timeout_seconds=0.2,
                 min_epoch=token,
@@ -707,6 +710,42 @@ class TestHttp:
         with pytest.raises(urllib.error.HTTPError) as bad_fact:
             _post(endpoint.url + "/write", {"insert": [["onlyone"]]})
         assert bad_fact.value.code == 400
+
+    @pytest.mark.parametrize("timeout", ["5", -1, 0, True])
+    def test_rejects_a_bad_timeout(self, endpoint, timeout):
+        with pytest.raises(urllib.error.HTTPError) as bad_timeout:
+            _post(
+                endpoint.url + "/answer",
+                {
+                    "queries": ["q(x) <- Researcher(x)"] * 2,
+                    "strategy": "ucq",
+                    "timeout_seconds": timeout,
+                },
+            )
+        assert bad_timeout.value.code == 400
+
+    def test_timeout_bounds_an_in_process_read(self, monkeypatch):
+        monkeypatch.delenv("REPRO_REPLICAS", raising=False)
+
+        class SlowBackend(MemoryBackend):
+            def execute(self, sql):
+                time.sleep(0.2)
+                return super().execute(sql)
+
+        tbox, abox = replica_consistency_kb()
+        with OBDASystem(tbox, abox, backend=SlowBackend()) as system:
+            with ServingEndpoint(system) as served:
+                _status, payload = _post(
+                    served.url + "/answer",
+                    {
+                        "queries": ["q(x) <- Researcher(x)"],
+                        "strategy": "ucq",
+                        "timeout_seconds": 0.05,
+                    },
+                )
+        (report,) = payload["reports"]
+        assert report["error"]["type"] == "QueryTimeoutError"
+        assert report["answers"] == []
 
     def test_future_token_is_a_per_query_error(self, endpoint):
         started = time.perf_counter()

@@ -248,15 +248,15 @@ class TestAnswerMany:
                 r.answers for r in sequential
             ]
 
-    def test_threaded_against_sqlite_matches_sequential(self):
+    def test_threaded_against_sqlite_matches_sequential(self, answer_concurrently):
         with OBDASystem.from_text(TBOX, ABOX, backend="sqlite") as system:
             expected = [
                 system.answer(q, strategy="gdl", use_plan_cache=False).answers
                 for q in self.QUERIES
             ]
             for _ in range(3):  # repeat to shake out races
-                batched = system.answer_many(
-                    self.QUERIES, strategy="gdl", max_workers=4
+                batched = answer_concurrently(
+                    system, self.QUERIES, 4, strategy="gdl"
                 )
                 assert [r.answers for r in batched] == expected
 
@@ -265,10 +265,12 @@ class TestAnswerMany:
         assert not reports[0].plan_cache_hit
         assert reports[2].plan_cache_hit  # the duplicate of reports[0]
 
-    def test_threaded_duplicates_are_single_flighted(self, system):
+    def test_threaded_duplicates_are_single_flighted(
+        self, system, answer_concurrently
+    ):
         # Concurrent requests for the same uncached plan must not race
         # duplicate searches: exactly one computes, the rest wait and hit.
-        reports = system.answer_many([QUERY] * 6, strategy="gdl", max_workers=6)
+        reports = answer_concurrently(system, [QUERY] * 6, 6, strategy="gdl")
         cold = [r for r in reports if not r.plan_cache_hit]
         assert len(cold) == 1
         assert len({frozenset(r.answers) for r in reports}) == 1
@@ -332,6 +334,26 @@ class TestLubmCacheCorrectness:
                     reference = report.answers
                 else:
                     assert report.answers == reference, (name, strategy)
+
+    def test_search_ignores_an_earlier_atom_order(self, lubm_system):
+        """Two spellings of one query share a canonical key but not
+        their atom indexes, so a cover priced for one is a different
+        cover of the other: a search must price its own covers, whatever
+        the system searched before."""
+        first = parse_query("q(x) <- Department(x), takesCourse(x, x), Chair(x)")
+        second = parse_query("q(x) <- Chair(x), Department(x), takesCourse(x, x)")
+        assert first.canonical_key() == second.canonical_key()
+        lubm_system.reformulate(first, strategy="gdl", use_plan_cache=False)
+        choice = lubm_system.reformulate(
+            second, strategy="gdl", use_plan_cache=False
+        )
+        alone = gdl_search(
+            second,
+            lubm_system.kb.tbox,
+            ExternalCoverCost(lubm_system.kb.tbox, lubm_system.cost_model),
+        )
+        assert choice.search.cover == alone.cover
+        assert choice.search.cost == alone.cost
 
 
 class TestTeardown:

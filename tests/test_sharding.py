@@ -6,7 +6,7 @@ touches exactly one shard while an unbound one scatters to all — the
 acceptance contract of the sharding subsystem. The property test churns
 a random ABox through random inserts and deletes and demands the
 sharded system equal the unsharded oracle at every epoch, for the
-``gdl`` / ``sat`` / ``auto`` strategies at 1 and 4 serving workers.
+``gdl`` / ``sat`` / ``auto`` strategies at 1 and 4 concurrent callers.
 """
 
 import random
@@ -211,7 +211,9 @@ class TestSystemPruning:
             assert system.backend.last_execution.route == "scatter"
             assert len(system.backend.last_execution.shards_touched) == 4
 
-    def test_batch_telemetry_reports_routes(self, example1_tbox, example1_abox):
+    def test_batch_telemetry_reports_routes(
+        self, example1_tbox, example1_abox, answer_concurrently
+    ):
         with OBDASystem(
             example1_tbox, example1_abox, backend="memory", shards=4
         ) as system:
@@ -219,12 +221,21 @@ class TestSystemPruning:
                 "q(x) <- supervisedBy(Damian, x)",
                 "q(x, y) <- supervisedBy(x, y)",
             ] * 2
-            system.answer_many(queries, strategy="sat", max_workers=2)
-            shards = system.last_batch_stats["shards"]
-            assert shards["shards.count"] == 4
-            assert shards["shards.executions"] == 4
-            assert shards["shards.route.pruned"] >= 1
-            assert shards["shards.route.scatter"] >= 1
+            before = system.backend.shard_telemetry()
+            answer_concurrently(system, queries, 2, strategy="sat")
+            after = system.backend.shard_telemetry()
+            moved = {
+                key: after[key] - before.get(key, 0)
+                for key in (
+                    "shards.executions",
+                    "shards.route.pruned",
+                    "shards.route.scatter",
+                )
+            }
+            assert after["shards.count"] == 4
+            assert moved["shards.executions"] == 4
+            assert moved["shards.route.pruned"] >= 1
+            assert moved["shards.route.scatter"] >= 1
 
 
 class TestHintMatchesSQLAnalysis:
@@ -318,10 +329,12 @@ def _random_writes(rng):
 
 @pytest.mark.parametrize("strategy", ("gdl", "sat", "auto"))
 @pytest.mark.parametrize("workers", (1, 4))
-def test_sharded_equals_unsharded_oracle_under_churn(strategy, workers):
+def test_sharded_equals_unsharded_oracle_under_churn(
+    strategy, workers, answer_concurrently
+):
     """Property: at every epoch of random write churn, the sharded
     system's answers equal the unsharded oracle's, per strategy and
-    serving worker count."""
+    concurrent caller count."""
     from backend_conformance import clone_abox
     from repro.dllite.parser import parse_tbox
 
@@ -343,8 +356,8 @@ def test_sharded_equals_unsharded_oracle_under_churn(strategy, workers):
             ]
             observed = [
                 report.answers
-                for report in sharded.answer_many(
-                    CHURN_QUERIES, strategy=strategy, max_workers=workers
+                for report in answer_concurrently(
+                    sharded, CHURN_QUERIES, workers, strategy=strategy
                 )
             ]
             assert observed == expected, (strategy, workers, epoch)
