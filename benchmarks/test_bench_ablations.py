@@ -12,6 +12,9 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.bench.harness import ExperimentResult, evaluation_experiment
@@ -21,6 +24,9 @@ from repro.cost.statistics import DataStatistics
 from repro.obda.system import OBDASystem
 from repro.optimizer.gdl import gdl_search
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from legacy_perfectref import legacy_reformulate_to_ucq  # noqa: E402
+
 ABLATION_QUERIES = ("Q2", "Q9", "Q8", "Q12")
 
 
@@ -29,21 +35,29 @@ def test_ablation_minimization(benchmark, tbox, abox_15m, queries):
 
     Also reproduces the paper's headline failure mode ("picking the wrong
     reformulation may cause the RDBMS simply to fail evaluating it"): the
-    *unminimized* UCQ of Q3 has over 500 disjuncts, exceeding SQLite's
-    compound-SELECT term limit — the engine refuses the statement outright,
-    while the minimized equivalent runs fine.
+    *unminimized* UCQ the classical PerfectRef fixpoint builds for Q3 has
+    over 500 disjuncts, exceeding SQLite's compound-SELECT term limit — the
+    engine refuses the statement outright, while the minimized equivalent
+    runs fine. The rewriter in ``src/`` drops the atoms the TBox already
+    implies before its fixpoint, so its raw Q3 stays under the limit and
+    runs too, with the same answers.
     """
     system = OBDASystem(tbox, abox_15m, backend="sqlite")
 
-    # The engine-failure reproduction (Q3: 505 raw disjuncts > SQLite's
-    # 500-term compound SELECT limit).
+    # The engine-failure reproduction (Q3: 505 classical raw disjuncts >
+    # SQLite's 500-term compound SELECT limit).
     import sqlite3
 
-    raw_q3 = system.reformulate(queries["Q3"], strategy="ucq", minimize=False)
+    classical_q3 = legacy_reformulate_to_ucq(queries["Q3"], tbox, minimize=False)
+    assert len(classical_q3) > 500
     with pytest.raises(sqlite3.OperationalError, match="too many terms"):
-        system.backend.execute(raw_q3.sql)
+        system.backend.execute(system.translator.translate(classical_q3))
     minimized_q3 = system.reformulate(queries["Q3"], strategy="ucq", minimize=True)
-    assert system.execute_choice(queries["Q3"], minimized_q3)
+    q3_answers = system.execute_choice(queries["Q3"], minimized_q3)
+    assert q3_answers
+    raw_q3 = system.reformulate(queries["Q3"], strategy="ucq", minimize=False)
+    assert len(raw_q3.reformulation) <= 500
+    assert system.execute_choice(queries["Q3"], raw_q3) == q3_answers
 
     def run():
         result = ExperimentResult("Ablation: UCQ minimization on/off")
@@ -51,14 +65,21 @@ def test_ablation_minimization(benchmark, tbox, abox_15m, queries):
             query = queries[name]
             raw = system.reformulate(query, strategy="ucq", minimize=False)
             minimized = system.reformulate(query, strategy="ucq", minimize=True)
+            classical_sql = system.translator.translate(
+                legacy_reformulate_to_ucq(query, tbox, minimize=False)
+            )
             raw_answers = system.execute_choice(query, raw)
             min_answers = system.execute_choice(query, minimized)
             assert raw_answers == min_answers, name
             result.rows.append(
                 {
                     "query": name,
+                    "classical_raw_sql_chars": len(classical_sql),
                     "raw_sql_chars": len(raw.sql),
                     "minimized_sql_chars": len(minimized.sql),
+                    "classical_shrink_factor": round(
+                        len(classical_sql) / len(minimized.sql), 1
+                    ),
                     "shrink_factor": round(len(raw.sql) / len(minimized.sql), 1),
                 }
             )
@@ -68,7 +89,8 @@ def test_ablation_minimization(benchmark, tbox, abox_15m, queries):
     print()
     print(result.table())
     assert all(row["shrink_factor"] >= 1.0 for row in result.rows)
-    assert any(row["shrink_factor"] >= 3.0 for row in result.rows)
+    # §2.3's claim is about the published algorithm's output.
+    assert any(row["classical_shrink_factor"] >= 3.0 for row in result.rows)
 
 
 def test_ablation_generalized_covers(benchmark, tbox, abox_15m, queries):

@@ -5,13 +5,20 @@ CQs (average 290.2); the minimal UCQ of Q9 is 145 CQs and "runs in 5665 ms
 on DB2" before optimization.
 
 Ours: the table printed below — 2–10 atoms (average 5.0), raw UCQ sizes
-50–585 (average ≈253), minimal sizes 1–240. Shape criterion: two orders of
-magnitude of spread, with 2-atom queries among the largest reformulations.
+of the classical fixpoint (``tests/legacy_perfectref.py``) 13–585
+(average 227), minimal sizes 2–240. Shape criterion, on the classical
+fixpoint: two orders of magnitude of spread, with 2-atom queries among
+the largest reformulations. The ``ucq_size`` column is what PerfectRef
+makes once it has dropped the atoms other atoms imply (2–270 raw CQs);
+the minimal sizes are the same.
 
 The second test pins what is machine-independent — per query, the raw
 result count and the number of CQs PerfectRef keyed for deduplication —
 and reports (ungated) what one dedup key costs next to the key it
 replaced, which ``tests/legacy_canonical_key.py`` keeps as an oracle.
+The third gates what dropping implied atoms must do against the
+classical fixpoint: key at most half its candidates, and minimise to the
+same UCQ.
 """
 
 from __future__ import annotations
@@ -21,9 +28,12 @@ import sys
 import time
 from pathlib import Path
 
+from collections import Counter
+
 from repro.bench.harness import reformulation_statistics
 from repro.dllite.parser import parse_query
 from repro.queries.cq import CQ
+from repro.queries.minimize import minimize_ucq
 from repro.reformulation.perfectref import (
     perfectref,
     perfectref_candidates,
@@ -33,6 +43,7 @@ from repro.reformulation.perfectref import (
 TESTS = Path(__file__).resolve().parent.parent / "tests"
 sys.path.insert(0, str(TESTS))
 from legacy_canonical_key import legacy_canonical_key  # noqa: E402
+from legacy_perfectref import legacy_perfectref  # noqa: E402
 
 #: S1–S3 + Q1–Q13: query text, raw result count, candidates keyed.
 PINS = json.loads((TESTS / "fixtures" / "perfectref_lubm_pins.json").read_text())
@@ -44,22 +55,24 @@ def test_reformulation_statistics(benchmark, tbox, queries):
         rounds=1,
         iterations=1,
     )
+    for row in result.rows:
+        row["classical_ucq_size"] = len(legacy_perfectref(queries[row["query"]], tbox))
     print()
     print(result.table())
 
-    sizes = [row["ucq_size"] for row in result.rows]
+    sizes = [row["classical_ucq_size"] for row in result.rows]
     atoms = [row["atoms"] for row in result.rows]
-    # Paper-shape assertions.
+    # Paper-shape assertions, on the published algorithm.
     assert len(result.rows) == 13
     assert min(atoms) == 2 and max(atoms) == 10
     assert max(sizes) / min(sizes) >= 10, "size spread must span >= 1 order"
     assert max(sizes) >= 300, "largest reformulations are in the hundreds"
-    two_atom_sizes = [r["ucq_size"] for r in result.rows if r["atoms"] == 2]
+    two_atom_sizes = [r["classical_ucq_size"] for r in result.rows if r["atoms"] == 2]
     assert max(two_atom_sizes) >= 300, (
         "a 2-atom query yields one of the largest reformulations (paper Q11)"
     )
     for row in result.rows:
-        assert row["minimal_ucq_size"] <= row["ucq_size"]
+        assert row["minimal_ucq_size"] <= row["ucq_size"] <= row["classical_ucq_size"]
 
     benchmark.extra_info["ucq_sizes"] = {
         row["query"]: row["ucq_size"] for row in result.rows
@@ -94,8 +107,8 @@ def test_pinned_sizes_candidates_and_key_cost(benchmark, tbox, monkeypatch):
         assert rows[name]["results"] == pin["results"], name
         assert rows[name]["counted_results"] == pin["results"], name
         assert rows[name]["candidates"] == pin["candidates"], name
-    assert sum(row["results"] for row in rows.values()) == 3260
-    assert len(candidates) == sum(row["candidates"] for row in rows.values()) == 9020
+    assert sum(row["results"] for row in rows.values()) == 943
+    assert len(candidates) == sum(row["candidates"] for row in rows.values()) == 2939
 
     def microseconds_per_key(key) -> float:
         best = float("inf")
@@ -112,8 +125,42 @@ def test_pinned_sizes_candidates_and_key_cost(benchmark, tbox, monkeypatch):
     print(
         f"dedup key over {len(candidates)} candidates: {new_us:.1f} us/key, "
         f"legacy {legacy_us:.1f} us/key ({legacy_us / new_us:.1f}x), "
-        f"candidates / results = {len(candidates) / 3260:.2f}"
+        f"candidates / results = {len(candidates) / 943:.2f}"
     )
     benchmark.extra_info["candidates"] = {n: r["candidates"] for n, r in rows.items()}
     benchmark.extra_info["key_us"] = round(new_us, 2)
     benchmark.extra_info["legacy_key_us"] = round(legacy_us, 2)
+
+
+def test_dropping_implied_atoms_halves_the_candidates(benchmark, tbox, monkeypatch):
+    keyed = []
+    real_key = CQ.canonical_key
+
+    def counting_key(query):
+        keyed.append(None)
+        return real_key(query)
+
+    def run():
+        counts, minimised = {}, {}
+        for rewriter in (legacy_perfectref, perfectref):
+            keyed.clear()
+            for name, pin in PINS.items():
+                results = rewriter(parse_query(pin["query"]), tbox)
+                minimised[rewriter, name] = Counter(
+                    real_key(cq) for cq in minimize_ucq(results)
+                )
+            counts[rewriter] = len(keyed)
+        return counts, minimised
+
+    monkeypatch.setattr(CQ, "canonical_key", counting_key)
+    counts, minimised = benchmark.pedantic(run, rounds=1, iterations=1)
+    monkeypatch.undo()
+
+    print()
+    print(
+        f"candidates keyed: classical {counts[legacy_perfectref]}, "
+        f"implied atoms dropped {counts[perfectref]}"
+    )
+    assert 2 * counts[perfectref] <= counts[legacy_perfectref]
+    for name in PINS:
+        assert minimised[perfectref, name] == minimised[legacy_perfectref, name], name

@@ -92,6 +92,7 @@ from repro.queries.cq import CQ
 from repro.queries.terms import is_variable
 from repro.reformulation.perfectref import (
     perfectref_candidates,
+    perfectref_eliminated,
     perfectref_invocations,
     perfectref_results,
     reformulate_to_ucq,
@@ -179,9 +180,15 @@ DATA_INDEPENDENT_STRATEGIES = frozenset({"ucq", "croot", "sat"})
 DEFAULT_GENERALIZED_LIMIT = 20_000
 
 
-def _perfectref_counts() -> Tuple[int, int, int]:
-    """PerfectRef's process-wide (invocations, candidates, results)."""
-    return (perfectref_invocations(), perfectref_candidates(), perfectref_results())
+def _perfectref_counts() -> Tuple[int, int, int, int]:
+    """PerfectRef's process-wide (invocations, candidates, results,
+    eliminated)."""
+    return (
+        perfectref_invocations(),
+        perfectref_candidates(),
+        perfectref_results(),
+        perfectref_eliminated(),
+    )
 
 
 def _describe_search(
@@ -1188,14 +1195,15 @@ class OBDASystem:
         self,
         span,
         choice: ReformulationChoice,
-        perfectref_before: Tuple[int, int, int],
+        perfectref_before: Tuple[int, int, int, int],
         caches_before: Dict[str, Dict[str, int]],
     ) -> None:
         """Annotate a reformulate span with what the choice cost:
-        PerfectRef fixpoints run, CQs they keyed and CQs they kept, and
+        PerfectRef fixpoints run, CQs they keyed, CQs they kept and input
+        atoms they dropped as implied by another atom, and
         per-cache hit/miss deltas this query caused, plus the plan-cache
         outcome and routing decision."""
-        invocations, candidates, results = (
+        invocations, candidates, results, eliminated = (
             now - before
             for now, before in zip(_perfectref_counts(), perfectref_before)
         )
@@ -1205,6 +1213,7 @@ class OBDASystem:
             perfectref_invocations=invocations,
             perfectref_candidates=candidates,
             perfectref_results=results,
+            perfectref_eliminated=eliminated,
             seconds=choice.reformulation_seconds,
         )
         caches_after = self.cache_stats()

@@ -13,6 +13,14 @@ input CQ and every CQ generated along the way, until a fixpoint:
 
 Generated CQs are deduplicated modulo variable renaming via
 :meth:`repro.queries.cq.CQ.canonical_key`, which guarantees termination.
+
+Before the fixpoint starts, the input CQ loses every body atom another body
+atom implies under the TBox's positive inclusions (atom coverage, as in
+Gottlob, Orsi & Pieris): ``takesCourse(x, y)`` implies ``Student(x)`` under
+a domain axiom, so ``Student(x)`` need not be rewritten. The reduced query
+is equivalent to the input under the TBox, so its reformulation is a
+perfect reformulation of the input as well, and a much smaller one: the
+exponential step runs on fewer atoms.
 """
 
 from __future__ import annotations
@@ -107,14 +115,85 @@ def _specializations_of_atom(
     return results
 
 
+def _asserted_concepts(atom: Atom, term: Term) -> List[BasicConcept]:
+    """The basic concepts *atom* asserts of *term*: ``B(t)`` asserts ``B``,
+    ``R(t, _)`` asserts ``exists R`` and ``R(_, t)`` asserts ``exists R-``."""
+    if atom.is_concept_atom:
+        return [AtomicConcept(atom.predicate)] if atom.args[0] == term else []
+    subject, obj = atom.args
+    asserted: List[BasicConcept] = []
+    if subject == term:
+        asserted.append(Exists(Role(atom.predicate)))
+    if obj == term:
+        asserted.append(Exists(Role(atom.predicate, inverse=True)))
+    return asserted
+
+
+def _implies(
+    other: Atom, atom: Atom, unbound: FrozenSet[Variable], tbox: TBox
+) -> bool:
+    """True when body atom *other* implies body atom *atom* under the
+    positive inclusions of *tbox*, given the query's *unbound* variables:
+    *atom* then adds no condition and can leave the body."""
+
+    def asserts(term: Term, concept: BasicConcept) -> bool:
+        return any(
+            tbox.entails_concept_inclusion(basic, concept)
+            for basic in _asserted_concepts(other, term)
+        )
+
+    if atom.is_concept_atom:
+        return asserts(atom.args[0], AtomicConcept(atom.predicate))
+    subject, obj = atom.args
+    if obj in unbound and asserts(subject, Exists(Role(atom.predicate))):
+        return True
+    if subject in unbound and asserts(obj, Exists(Role(atom.predicate, inverse=True))):
+        return True
+    if other.is_concept_atom:
+        return False
+    target = Role(atom.predicate)
+    if other.args == atom.args and tbox.entails_role_inclusion(
+        Role(other.predicate), target
+    ):
+        return True
+    return other.args == (obj, subject) and tbox.entails_role_inclusion(
+        Role(other.predicate, inverse=True), target
+    )
+
+
+def _drop_implied_atoms(query: CQ, tbox: TBox) -> CQ:
+    """*query* without the body atoms other body atoms imply under *tbox*.
+
+    One atom goes at a time, the first implied one in body order, and the
+    unbound variables are recomputed after each drop, so the result does
+    not depend on hashing. An implied atom's terms all occur in its
+    implier or are unbound, so no head variable leaves the body.
+    """
+    while len(query.atoms) > 1:
+        atoms = query.atoms
+        unbound = query.unbound_variables()
+        for index, atom in enumerate(atoms):
+            if any(
+                _implies(other, atom, unbound, tbox)
+                for position, other in enumerate(atoms)
+                if position != index
+            ):
+                query = query._child(query.head, atoms[:index] + atoms[index + 1 :])
+                break
+        else:
+            break
+    return query
+
+
 _COUNTS_LOCK = threading.Lock()
 #: Process-wide totals over every :func:`perfectref` run: fixpoints run,
-#: CQs keyed for deduplication (the input included) and CQs kept. The
+#: CQs keyed for deduplication (the input included), CQs kept and input
+#: atoms dropped because another atom implies them. The
 #: fixpoint is the expensive core the caches exist to avoid; benchmarks
 #: take deltas of :func:`perfectref_invocations` to show how much work
 #: sharing saved, and candidates ÷ results is the share of its work a
 #: fixpoint spends rediscovering CQs it already has.
-_COUNTS = {"invocations": 0, "candidates": 0, "results": 0}
+_COUNTS = {"invocations": 0, "candidates": 0, "results": 0, "eliminated": 0}
 
 
 def perfectref_invocations() -> int:
@@ -132,25 +211,35 @@ def perfectref_results() -> int:
     return _COUNTS["results"]
 
 
-def _record_run(candidates: int, results: int) -> None:
-    """Count one finished fixpoint; safe on serving-pool threads."""
+def perfectref_eliminated() -> int:
+    """Process-wide count of input atoms PerfectRef dropped as implied by
+    another atom of the same query (monotone)."""
+    return _COUNTS["eliminated"]
+
+
+def _record_run(candidates: int, results: int, eliminated: int) -> None:
+    """Count one finished fixpoint; safe on concurrent callers' threads."""
     with _COUNTS_LOCK:
         _COUNTS["invocations"] += 1
         _COUNTS["candidates"] += candidates
         _COUNTS["results"] += results
+        _COUNTS["eliminated"] += eliminated
     registry = get_registry()
     registry.inc("repro.perfectref.candidates", candidates)
     registry.inc("repro.perfectref.results", results)
+    registry.inc("repro.perfectref.eliminated", eliminated)
 
 
 def perfectref(query: CQ, tbox: TBox, max_queries: Optional[int] = None) -> List[CQ]:
     """The UCQ reformulation of *query* w.r.t. *tbox*, as a list of CQs.
 
-    The first element is always (a deduplicated copy of) the input query.
-    ``max_queries`` optionally bounds the fixpoint as a safety valve for
-    adversarial inputs; the workloads in this repository never hit it.
+    The first element is always the input query, deduplicated and without
+    the atoms other atoms of it imply under *tbox*. ``max_queries``
+    optionally bounds the fixpoint as a safety valve for adversarial
+    inputs; the workloads in this repository never hit it.
     """
-    start = query.dedup_atoms()
+    deduplicated = query.dedup_atoms()
+    start = _drop_implied_atoms(deduplicated, tbox)
     seen: Set[Tuple] = {start.canonical_key()}
     results: List[CQ] = [start]
     frontier: List[CQ] = [start]
@@ -190,7 +279,9 @@ def perfectref(query: CQ, tbox: TBox, max_queries: Optional[int] = None) -> List
                 unifier = most_general_unifier(atoms[i], atoms[j], protected)
                 if unifier is not None:
                     consider(current.apply(unifier).dedup_atoms())
-    _record_run(candidates, len(results))
+    _record_run(
+        candidates, len(results), len(deduplicated.atoms) - len(start.atoms)
+    )
     return results
 
 

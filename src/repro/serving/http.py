@@ -12,7 +12,8 @@ Routes:
 
 ``POST /answer``
     Body ``{"queries": [...], "strategy"?, "cost"?, "min_epoch"?,
-    "timeout_seconds"?}``. Queries are textual CQs;
+    "timeout_seconds"?}``. Queries are textual CQs; ``strategy`` and
+    ``cost`` must name one of the system's strategies / cost modes;
     ``min_epoch`` is the client's session token (see
     :meth:`~repro.obda.system.OBDASystem.epoch_token`) — a token above
     the primary's epoch comes back as a per-query ``ValueError``.
@@ -53,6 +54,7 @@ import math
 import threading
 from typing import Dict, List, Optional, Tuple
 
+from repro.obda.system import COST_MODES, STRATEGIES
 from repro.obs.metrics import get_registry
 
 #: Largest request body accepted, in bytes (a serving edge should bound
@@ -313,10 +315,13 @@ class ServingEndpoint:
         ):
             raise _HttpError(400, "'queries' must be a list of strings")
         kwargs: Dict = {"on_error": "collect"}
-        if "strategy" in payload:
-            kwargs["strategy"] = payload["strategy"]
-        if "cost" in payload:
-            kwargs["cost"] = payload["cost"]
+        for field, allowed in (("strategy", STRATEGIES), ("cost", COST_MODES)):
+            if field in payload:
+                if payload[field] not in allowed:
+                    raise _HttpError(
+                        400, f"'{field}' must be one of {', '.join(allowed)}"
+                    )
+                kwargs[field] = payload[field]
         if "min_epoch" in payload:
             min_epoch = payload["min_epoch"]
             if not isinstance(min_epoch, int) or min_epoch < 0:

@@ -408,6 +408,25 @@ class TestTracedAnswerMatrix:
             assert repeated["perfectref_results"] == 0
             assert not repeat.trace.find("cover_search")
 
+    def test_reformulate_span_counts_the_implied_atoms_dropped(
+        self, example1_tbox, example1_abox
+    ):
+        # exists supervisedBy <= exists worksWith <= Researcher (T5, T2):
+        # the whole-query UCQ is rewritten without Researcher(x).
+        with OBDASystem(example1_tbox, example1_abox, trace=True) as system:
+            report = system.answer(
+                "q(x) <- Researcher(x), supervisedBy(x, y)", strategy="ucq"
+            )
+            assert report.answers == {("Damian",)}
+            reformulate = report.trace.find("reformulate")[0].attributes
+            assert reformulate["perfectref_eliminated"] == 1
+            counters = system.metrics()["counters"]
+            assert counters["repro.perfectref.eliminated"] >= 1
+            plain = system.answer("q(x) <- Researcher(x)", strategy="ucq")
+            assert plain.trace.find("reformulate")[0].attributes[
+                "perfectref_eliminated"
+            ] == 0
+
     def test_cover_search_span_makes_a_pick_diagnosable(self):
         # Q12's root cover has a fragment that is not join-connected
         # ({Chair(x), worksFor(x, y), University(u)}): the span names the

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 from legacy_canonical_key import legacy_canonical_key
+from legacy_perfectref import legacy_perfectref, legacy_reformulate_to_ucq
 
 from repro.bench.lubm import lubm_exists_tbox
 from repro.dllite.parser import parse_query
@@ -20,6 +21,7 @@ from repro.queries.terms import Variable
 from repro.reformulation.perfectref import (
     perfectref,
     perfectref_candidates,
+    perfectref_eliminated,
     perfectref_invocations,
     perfectref_results,
     reformulate_to_ucq,
@@ -182,10 +184,101 @@ class TestReformulationGeneralities:
         assert truth == {("Ioana",), ("Francois",), ("Damian",)}
 
 
+class TestImpliedAtomElimination:
+    """The input loses the atoms other atoms of it imply under the TBox."""
+
+    @pytest.fixture
+    def tbox(self):
+        from repro.dllite.axioms import ConceptInclusion, RoleInclusion
+        from repro.dllite.tbox import TBox
+        from repro.dllite.vocabulary import AtomicConcept, Exists, Role
+
+        return TBox(
+            [
+                ConceptInclusion(AtomicConcept("A"), AtomicConcept("B")),
+                ConceptInclusion(AtomicConcept("B"), AtomicConcept("A")),
+                ConceptInclusion(Exists(Role("r")), AtomicConcept("D")),
+                ConceptInclusion(Exists(Role("r", inverse=True)), AtomicConcept("E")),
+                ConceptInclusion(AtomicConcept("F"), Exists(Role("r"))),
+                RoleInclusion(Role("s"), Role("r")),
+                RoleInclusion(Role("t", inverse=True), Role("r")),
+            ]
+        )
+
+    def first(self, text, tbox):
+        before = perfectref_eliminated()
+        start = perfectref(parse_query(text), tbox)[0]
+        return str(start), perfectref_eliminated() - before
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # A concept asserted by a concept atom, and by either role end.
+            ("q(x) <- B(x), A(x)", "q(x) <- A(x)"),
+            ("q(x) <- D(x), r(x, y)", "q(x) <- r(x, y)"),
+            ("q(x) <- r(y, x), E(x)", "q(x) <- r(y, x)"),
+            # A role atom whose other end is unbound, in both directions.
+            ("q(x) <- F(x), r(x, y)", "q(x) <- F(x)"),
+            ("q(x) <- r(x, y), r(x, z)", "q(x) <- r(x, z)"),
+            ("q(x) <- r(y, x), r(z, x)", "q(x) <- r(z, x)"),
+            # A role atom under a sub-role, and under an inverted one.
+            ("q(x, y) <- r(x, y), s(x, y)", "q(x, y) <- s(x, y)"),
+            ("q(x, y) <- r(x, y), t(y, x)", "q(x, y) <- t(y, x)"),
+        ],
+    )
+    def test_each_rule_drops_the_implied_atom(self, tbox, text, expected):
+        assert self.first(text, tbox) == (expected, 1)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # The role's other end is a head variable, or joins elsewhere.
+            "q(x, y) <- F(x), r(x, y)",
+            "q(x) <- F(x), r(x, y), C(y)",
+            # An inclusion only in the other direction, or another term.
+            "q(x) <- D(x), C(x)",
+            "q(x) <- r(x, y), E(x)",
+            "q(x, y) <- r(x, y), s(y, x)",
+        ],
+    )
+    def test_nothing_else_goes(self, tbox, text):
+        assert self.first(text, tbox) == (str(parse_query(text)), 0)
+
+    def test_one_atom_at_a_time_in_body_order(self, tbox):
+        # A and B imply each other: the first one goes, and the second
+        # then has no implier left.
+        assert self.first("q(x) <- B(x), A(x), A(x)", tbox) == ("q(x) <- A(x)", 1)
+        assert self.first("q(x) <- A(x), B(x)", tbox) == ("q(x) <- B(x)", 1)
+        # Once D(x) is gone, y is re-read as unbound and r(x, y) goes too.
+        assert self.first("q(x) <- D(x), r(x, y), r(x, z)", tbox) == (
+            "q(x) <- r(x, z)",
+            2,
+        )
+
+    def test_the_lubm_queries(self):
+        tbox = lubm_exists_tbox()
+        assert self.first(PINS["S1"]["query"], tbox) == ("q(x) <- takesCourse(x, y)", 1)
+        assert self.first(PINS["Q6"]["query"], tbox)[1] == 2
+        assert len(perfectref(parse_query(PINS["Q6"]["query"]), tbox)) == 2
+
+    def test_answers_match_the_classical_fixpoint(self, example1_tbox, example1_abox):
+        # exists supervisedBy <= exists worksWith <= Researcher (T5, T2).
+        query = parse_query("q(x) <- Researcher(x), supervisedBy(x, y)")
+        assert self.first(str(query), example1_tbox) == ("q(x) <- supervisedBy(x, y)", 1)
+        facts = example1_abox.fact_store()
+        assert (
+            evaluate_ucq(reformulate_to_ucq(query, example1_tbox), facts)
+            == evaluate_ucq(legacy_reformulate_to_ucq(query, example1_tbox), facts)
+            == {("Damian",)}
+        )
+
+
 #: S1–S3 + Q1–Q13 on the LUBM-exists TBox, measured once on the commit
-#: before the key was string-coded: whole-query, unminimised result count,
-#: CQs keyed (the input included), and a digest of the *ordered* legacy
-#: keys of the results.
+#: that made PerfectRef drop implied atoms (the key unchanged since it was
+#: string-coded): whole-query, unminimised result count, CQs keyed (the
+#: input included), and a digest of the *ordered* legacy keys of the
+#: results. The seven queries with no implied atom kept the digest the
+#: classical fixpoint had.
 PINS = json.loads(
     (Path(__file__).parent / "fixtures" / "perfectref_lubm_pins.json").read_text()
 )
@@ -201,8 +294,8 @@ class TestPinnedWorkload:
 
     def test_pinned_totals(self):
         assert list(PINS) == ["S1", "S2", "S3"] + [f"Q{i}" for i in range(1, 14)]
-        assert sum(pin["results"] for pin in PINS.values()) == 3260
-        assert sum(pin["candidates"] for pin in PINS.values()) == 9020
+        assert sum(pin["results"] for pin in PINS.values()) == 943
+        assert sum(pin["candidates"] for pin in PINS.values()) == 2939
 
     @pytest.mark.parametrize("name", list(PINS))
     def test_sizes_order_and_counters(self, name):
@@ -215,6 +308,8 @@ class TestPinnedWorkload:
         assert legacy_keys_digest(results) == pin["legacy_keys_sha256"]
 
     def test_both_keys_partition_every_candidate_alike(self, monkeypatch):
+        """Over the classical fixpoint's candidates, the larger and more
+        varied set."""
         candidates = []
         keyed = CQ.canonical_key
 
@@ -224,7 +319,7 @@ class TestPinnedWorkload:
 
         monkeypatch.setattr(CQ, "canonical_key", recording_key)
         for pin in PINS.values():
-            perfectref(parse_query(pin["query"]), lubm_exists_tbox())
+            legacy_perfectref(parse_query(pin["query"]), lubm_exists_tbox())
         monkeypatch.undo()
         assert len(candidates) == 9020
         new_classes, legacy_classes = {}, {}
@@ -260,18 +355,26 @@ class TestPinnedWorkload:
 
 class TestCounters:
     def test_no_update_is_lost_across_threads(self, example1_tbox):
-        """Serving-pool threads run fixpoints side by side: every run must
-        land in all three process-wide totals."""
-        query = parse_query("q(x) <- PhDStudent(x), worksWith(y, x)")
-        before = perfectref_candidates(), perfectref_results()
+        """Concurrent callers' threads run fixpoints side by side: every
+        run must land in all four process-wide totals."""
+        query = parse_query("q(x) <- Researcher(x), PhDStudent(x), worksWith(y, x)")
+        before = perfectref_candidates(), perfectref_results(), perfectref_eliminated()
         perfectref(query, example1_tbox)
         per_run = (
             perfectref_candidates() - before[0],
             perfectref_results() - before[1],
+            perfectref_eliminated() - before[2],
         )
+        # Researcher(x) goes (PhDStudent <= Researcher), then Example 4.
         assert per_run[0] >= per_run[1] == 10
+        assert per_run[2] == 1
         threads, runs = 8, 40
-        start = (perfectref_invocations(), perfectref_candidates(), perfectref_results())
+        start = (
+            perfectref_invocations(),
+            perfectref_candidates(),
+            perfectref_results(),
+            perfectref_eliminated(),
+        )
         barrier = threading.Barrier(threads)
 
         def worker():
@@ -294,3 +397,4 @@ class TestCounters:
         assert perfectref_invocations() - start[0] == total
         assert perfectref_candidates() - start[1] == total * per_run[0]
         assert perfectref_results() - start[2] == total * per_run[1]
+        assert perfectref_eliminated() - start[3] == total * per_run[2]

@@ -724,6 +724,25 @@ class TestHttp:
             )
         assert bad_timeout.value.code == 400
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("strategy", ["gdl"]),
+            ("strategy", "nope"),
+            ("strategy", None),
+            ("cost", {"a": 1}),
+            ("cost", "nope"),
+            ("cost", None),
+        ],
+    )
+    def test_rejects_an_unknown_strategy_or_cost(self, endpoint, field, value):
+        with pytest.raises(urllib.error.HTTPError) as bad_choice:
+            _post(
+                endpoint.url + "/answer",
+                {"queries": ["q(x) <- Researcher(x)"], field: value},
+            )
+        assert bad_choice.value.code == 400
+
     def test_timeout_bounds_an_in_process_read(self, monkeypatch):
         monkeypatch.delenv("REPRO_REPLICAS", raising=False)
 
