@@ -8,7 +8,7 @@ tuples), answer the same query with a reformulation strategy and with the
 * answers stay exactly the certain answers (no stale state, including
   existential witnesses re-created when a real fact disappears),
 * the data epoch advance on every effective write,
-* cost-based plans get invalidated while data-independent plans survive.
+* cost-based plans get invalidated while ``sat`` plans survive.
 
 Run:  python examples/updates.py
 """

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Tuple, Union
+from typing import AbstractSet, Dict, List, Optional, Tuple, Union
 
 from repro.covers.cover import Cover, GeneralizedCover
 from repro.covers.reformulate import (
@@ -51,7 +51,9 @@ class CoverCostEstimator(ABC):
 
     An estimator lives for one search under one data epoch: its cost
     memo is never shared, so a write can never leave a stale cost
-    behind.
+    behind. ``empty`` is the set of predicates with no rows the fragments
+    are reformulated under (see :mod:`repro.reformulation.perfectref`);
+    by default, none.
     """
 
     def __init__(
@@ -60,10 +62,12 @@ class CoverCostEstimator(ABC):
         minimize: bool = True,
         use_uscq: bool = False,
         fragment_cache: Optional[ReformulationCache] = None,
+        empty: AbstractSet[str] = frozenset(),
     ):
         self.tbox = tbox
         self.minimize = minimize
         self.use_uscq = use_uscq
+        self.empty = empty
         self.calls = 0
         self._cache: Dict[Tuple, float] = {}
         #: Set to a list by a traced search: every cover priced, with its
@@ -75,12 +79,17 @@ class CoverCostEstimator(ABC):
 
     def reformulate(self, cover: AnyCover):
         """The reformulation whose cost is being estimated."""
-        if self.use_uscq:
-            return cover_based_uscq_reformulation(
-                cover, self.tbox, minimize=self.minimize, cache=self.fragment_cache
-            )
-        return cover_based_reformulation(
-            cover, self.tbox, minimize=self.minimize, cache=self.fragment_cache
+        builder = (
+            cover_based_uscq_reformulation
+            if self.use_uscq
+            else cover_based_reformulation
+        )
+        return builder(
+            cover,
+            self.tbox,
+            minimize=self.minimize,
+            cache=self.fragment_cache,
+            empty=self.empty,
         )
 
     def estimate(self, cover: AnyCover, bound: float = math.inf) -> float:
@@ -119,12 +128,14 @@ class ExternalCoverCost(CoverCostEstimator):
         minimize: bool = True,
         use_uscq: bool = False,
         fragment_cache: Optional[ReformulationCache] = None,
+        empty: AbstractSet[str] = frozenset(),
     ) -> None:
         super().__init__(
             tbox,
             minimize=minimize,
             use_uscq=use_uscq,
             fragment_cache=fragment_cache,
+            empty=empty,
         )
         self.model = model
         # Neighbouring covers share all but one or two fragments, and the
@@ -148,12 +159,14 @@ class RDBMSCoverCost(CoverCostEstimator):
         minimize: bool = True,
         use_uscq: bool = False,
         fragment_cache: Optional[ReformulationCache] = None,
+        empty: AbstractSet[str] = frozenset(),
     ) -> None:
         super().__init__(
             tbox,
             minimize=minimize,
             use_uscq=use_uscq,
             fragment_cache=fragment_cache,
+            empty=empty,
         )
         self.backend = backend
         self.translator = translator

@@ -10,7 +10,7 @@ and the RDF layout stores the same logical extensions in wide rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Dict, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, Tuple
 
 from repro.dllite.abox import ABox
 from repro.dllite.positions import PositionCounts
@@ -31,6 +31,9 @@ class DataStatistics:
     def __init__(self) -> None:
         self._predicates: Dict[str, PredicateStatistics] = {}
         self.total_facts = 0
+        #: The names whose cardinality is above zero; every other name is
+        #: empty. Replaced, never mutated, so a reader's snapshot holds.
+        self.nonempty: FrozenSet[str] = frozenset()
         #: Value multisets of the roles written since load: a role's
         #: distinct counts after a write are ``len()`` of these. Filled
         #: per role on its first write, so loading builds nothing.
@@ -55,7 +58,22 @@ class DataStatistics:
                 distinct_objects=len({r[1] for r in rows}),
             )
         stats.total_facts = len(abox)
+        stats.nonempty = frozenset(
+            name for name, record in stats._predicates.items() if record.cardinality
+        )
         return stats
+
+    def mark_nonempty(self, names: Iterable[str]) -> None:
+        """Count *names* as non-empty ahead of the write that fills them.
+
+        The write path calls this before the backend changes: should the
+        write fail half-way, a name wrongly counted non-empty only stops
+        the rewriter from pruning it, while a name wrongly counted empty
+        would lose answers.
+        """
+        added = frozenset(names) - self.nonempty
+        if added:
+            self.nonempty = self.nonempty | added
 
     def share_positions(self, positions: PositionCounts) -> None:
         """Read role distinct counts off *positions* from now on: a
@@ -79,11 +97,16 @@ class DataStatistics:
         scanned once, on the first write to a role nobody counts yet —
         never under :meth:`share_positions`. The write path calls this
         for every predicate a write touched; the data epoch tells
-        consumers which cached estimates became stale.
+        consumers which cached estimates became stale. :attr:`nonempty`
+        follows the cardinality, so it stays exact.
         """
         change = len(added) - len(removed)
         self.total_facts += change
         cardinality = self.for_predicate(name).cardinality + change
+        if (cardinality > 0) != (name in self.nonempty):
+            self.nonempty = (
+                self.nonempty | {name} if cardinality > 0 else self.nonempty - {name}
+            )
         if len(next(iter(added or removed))) == 1:
             self._predicates[name] = PredicateStatistics(cardinality, cardinality)
             return

@@ -9,7 +9,7 @@ reformulation of the input query (Theorems 1 and 3).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, AbstractSet, List, Optional, Union
 
 from repro.covers.cover import Cover, GeneralizedCover
 from repro.covers.fragments import fragment_query, generalized_fragment_query
@@ -18,8 +18,11 @@ from repro.queries.cq import CQ
 from repro.queries.jucq import JUCQ, JUSCQ
 from repro.queries.scq import USCQ
 from repro.queries.ucq import UCQ
-from repro.reformulation.perfectref import reformulate_to_ucq
+from repro.reformulation.perfectref import emptiness_stamp, reformulate_to_ucq
 from repro.reformulation.uscq import factorize_ucq
+
+if TYPE_CHECKING:
+    from repro.cost.cache import ReformulationCache
 
 AnyCover = Union[Cover, GeneralizedCover]
 
@@ -48,7 +51,8 @@ def cover_based_reformulation(
     cover: AnyCover,
     tbox: TBox,
     minimize: bool = True,
-    cache: Optional[dict] = None,
+    cache: Optional["ReformulationCache"] = None,
+    empty: AbstractSet[str] = frozenset(),
 ) -> JUCQ:
     """The JUCQ reformulation of the cover's query (Definition 3).
 
@@ -59,17 +63,20 @@ def cover_based_reformulation(
 
     ``cache`` (structural fragment-query key -> UCQ) lets a search
     algorithm exploring many covers reformulate each distinct fragment
-    once — cover search revisits the same fragments constantly.
+    once — cover search revisits the same fragments constantly. An entry
+    is reused while the predicates it assumed empty are in *empty*.
     """
     query = cover.query
     components: List[UCQ] = []
     for fq in fragment_queries_of(cover):
         key = (fq.head, fq.atoms, minimize)
-        component = cache.get(key) if cache is not None else None
+        component = cache.get(key, empty=empty) if cache is not None else None
         if component is None:
-            component = reformulate_to_ucq(fq, tbox, minimize=minimize)
+            component = reformulate_to_ucq(
+                fq, tbox, minimize=minimize, empty=empty
+            )
             if cache is not None:
-                cache[key] = component
+                cache.put(key, component, emptiness_stamp(fq, tbox, empty))
         components.append(component)
     return JUCQ(
         head=query.head,
@@ -82,7 +89,8 @@ def cover_based_uscq_reformulation(
     cover: AnyCover,
     tbox: TBox,
     minimize: bool = True,
-    cache: Optional[dict] = None,
+    cache: Optional["ReformulationCache"] = None,
+    empty: AbstractSet[str] = frozenset(),
 ) -> JUSCQ:
     """The JUSCQ reformulation: fragments reformulated to USCQs instead.
 
@@ -95,12 +103,12 @@ def cover_based_uscq_reformulation(
     components: List[USCQ] = []
     for fq in fragment_queries_of(cover):
         key = (fq.head, fq.atoms, minimize, "uscq")
-        component = cache.get(key) if cache is not None else None
+        component = cache.get(key, empty=empty) if cache is not None else None
         if component is None:
-            ucq = reformulate_to_ucq(fq, tbox, minimize=minimize)
+            ucq = reformulate_to_ucq(fq, tbox, minimize=minimize, empty=empty)
             component = factorize_ucq(ucq, name=f"{fq.name}_uscq")
             if cache is not None:
-                cache[key] = component
+                cache.put(key, component, emptiness_stamp(fq, tbox, empty))
         components.append(component)
     return JUSCQ(
         head=query.head,

@@ -16,6 +16,7 @@ the system needs:
 from __future__ import annotations
 
 from typing import (
+    AbstractSet,
     Dict,
     FrozenSet,
     Iterable,
@@ -52,6 +53,7 @@ class TBox:
         self._saturated_concepts: Optional[Dict[BasicConcept, Set[BasicConcept]]] = None
         self._saturated_roles: Optional[Dict[Role, Set[Role]]] = None
         self._dependency_closure: Optional[Mapping[str, FrozenSet[str]]] = None
+        self._last_dead: Tuple[object, FrozenSet[str]] = (None, frozenset())
         into_concept: Dict[BasicConcept, List[ConceptInclusion]] = {}
         into_role: Dict[str, List[RoleInclusion]] = {}
         for axiom in self._axioms:
@@ -156,6 +158,27 @@ class TBox:
                 name: frozenset(deps) for name, deps in closure.items()
             }
         return self._dependency_closure
+
+    def dead_predicates(self, empty: AbstractSet[str]) -> FrozenSet[str]:
+        """The names in *empty* whose every dependency (``dep``, above) is
+        in *empty* too: no CQ a rewriting derives from an atom over one
+        has an answer.
+
+        The last result for a frozen *empty* is kept, keyed by its
+        identity: a system hands every fragment of a search one set.
+        """
+        if not empty:
+            return frozenset()
+        last_empty, dead = self._last_dead
+        if last_empty is empty:
+            return dead
+        closure = self.dependency_closure()
+        dead = frozenset(
+            name for name in empty if closure.get(name, frozenset((name,))) <= empty
+        )
+        if isinstance(empty, frozenset):
+            self._last_dead = (empty, dead)
+        return dead
 
     # ------------------------------------------------------------------
     # Saturation

@@ -32,11 +32,18 @@ The system is also **writable**: :meth:`OBDASystem.insert_facts` /
 :meth:`OBDASystem.delete_facts` update the ABox, incrementally maintain
 the saturation (delta chase on insert, delete/re-derive on delete), and
 advance a monotonically increasing **data epoch**. Every cached plan
-whose validity depends on the data (one picked by cost) is stamped with
-the epoch it was computed under and lazily dropped when read under a
-newer one; data-independent entries (UCQ/Croot/sat plans, fragment
-reformulations) survive every write. A write therefore never leaves a stale plan or statistic servable,
-and never costs a full-cache flush.
+picked by cost is stamped with the epoch it was computed under and
+lazily dropped when read under a newer one.
+
+Reformulation is for the data at hand: the rewriter is told which
+predicates have no rows (:attr:`DataStatistics.nonempty` is exact) and
+does not rewrite into them. Every plan and every fragment reformulation
+therefore carries the set of empty predicates it relied on, and is
+dropped when read after a write has filled one of them; UCQ/Croot/sat
+plans survive every other write. ``answer()`` checks the stamp again
+under the read barrier before it executes, and re-plans if a write got
+in between. A write therefore never leaves a wrong or stale plan
+servable, and never costs a full-cache flush or a sweep.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.collector import paused, thread_gc_seconds
 from repro.covers.reformulate import (
@@ -91,9 +98,12 @@ from repro.optimizer.result import SearchResult
 from repro.queries.cq import CQ
 from repro.queries.terms import is_variable
 from repro.reformulation.perfectref import (
+    arms_dropped_empty,
+    emptiness_stamp,
     perfectref_candidates,
     perfectref_eliminated,
     perfectref_invocations,
+    perfectref_pruned,
     perfectref_results,
     reformulate_to_ucq,
 )
@@ -170,24 +180,22 @@ def _env_replicas() -> Optional[int]:
         return None
     return count if count >= 1 else None
 
-#: Strategies whose chosen reformulation does not depend on data
-#: statistics; their cached plans survive writes (epoch stamp ``None``).
-DATA_INDEPENDENT_STRATEGIES = frozenset({"ucq", "croot", "sat"})
-
 #: Default cap on the generalized covers EDL enumerates. Kept as a named
 #: constant because the plan cache only stores plans computed with this
 #: default (the plan key deliberately excludes the knob).
 DEFAULT_GENERALIZED_LIMIT = 20_000
 
 
-def _perfectref_counts() -> Tuple[int, int, int, int]:
+def _perfectref_counts() -> Tuple[int, ...]:
     """PerfectRef's process-wide (invocations, candidates, results,
-    eliminated)."""
+    eliminated, pruned, arms dropped as empty)."""
     return (
         perfectref_invocations(),
         perfectref_candidates(),
         perfectref_results(),
         perfectref_eliminated(),
+        perfectref_pruned(),
+        arms_dropped_empty(),
     )
 
 
@@ -248,6 +256,9 @@ class ReformulationChoice:
     #: logical reformulation at plan time so cached plans skip the
     #: SQL-level route analysis. ``None`` lets the backend analyze.
     shard_route: Optional[object] = None
+    #: The empty predicates the reformulation was pruned on: the plan
+    #: returns the certain answers while none of them has a row.
+    assumed_empty: FrozenSet[str] = frozenset()
 
 
 @dataclass
@@ -438,6 +449,15 @@ class OBDASystem:
             )
         self.translator = SQLTranslator(self.layout)
         self.cost_model = ExternalCostModel(self.statistics)
+        self._signature = frozenset(tbox.predicate_names())
+        #: ``(statistics.nonempty, the signature's empty predicates)``
+        #: for the last set :meth:`empty_predicates` derived.
+        self._empty_memo: Tuple[object, FrozenSet[str]] = (None, frozenset())
+        #: ``(epoch, nonempty)``: the epoch of the last write that changed
+        #: whether some predicate is empty, and the non-empty names it
+        #: left. Every epoch from it to the current one has that
+        #: emptiness, which is what a replicated read checks against.
+        self._emptiness: Tuple[int, FrozenSet[str]] = (0, self.statistics.nonempty)
 
         #: Fragment reformulations shared across strategies, cost modes and
         #: queries for the lifetime of this system (one TBox, so sound);
@@ -664,12 +684,21 @@ class OBDASystem:
         # writes, so even barrier-less readers see whole writes.)
         registry = get_registry()
         with self._barrier.exclusive(), paused():
+            nonempty = self.statistics.nonempty
+            # Before the backend changes: if the write fails past here,
+            # the filled predicates already count as non-empty, so no
+            # plan pruned on them can run against their new rows.
+            self.statistics.mark_nonempty(predicate for predicate, _ in added)
             started = time.perf_counter()
             self.backend.apply_changes(inserts, deletes)
             applied = time.perf_counter()
             touched = self._refresh_statistics(added, removed)
             refreshed = time.perf_counter()
             epoch = self.data_epoch + 1
+            if self.statistics.nonempty != nonempty:
+                # Before the delta ships: a replica that has applied this
+                # epoch never meets an older emptiness record.
+                self._emptiness = (epoch, self.statistics.nonempty)
             if self._epoch_log is not None:
                 # Delta shipping: record the write (created tables plus
                 # both row deltas) under its resulting epoch, then fan
@@ -752,6 +781,17 @@ class OBDASystem:
             )
         return len(changes)
 
+    def empty_predicates(self) -> FrozenSet[str]:
+        """The signature's predicates with no rows now, the set every
+        rewriting path prunes on; derived once per change of
+        :attr:`DataStatistics.nonempty`."""
+        nonempty = self.statistics.nonempty
+        memo_nonempty, empty = self._empty_memo
+        if memo_nonempty is not nonempty:
+            empty = self._signature - nonempty
+            self._empty_memo = (nonempty, empty)
+        return empty
+
     # ------------------------------------------------------------------
     @classmethod
     def from_text(
@@ -762,7 +802,12 @@ class OBDASystem:
 
     # ------------------------------------------------------------------
     def _estimator(
-        self, cost: str, minimize: bool, use_uscq: bool
+        self,
+        cost: str,
+        minimize: bool,
+        use_uscq: bool,
+        empty: FrozenSet[str],
+        fragments: ReformulationCache,
     ) -> CoverCostEstimator:
         if cost == "ext":
             return ExternalCoverCost(
@@ -770,7 +815,8 @@ class OBDASystem:
                 self.cost_model,
                 minimize=minimize,
                 use_uscq=use_uscq,
-                fragment_cache=self.reformulation_cache,
+                fragment_cache=fragments,
+                empty=empty,
             )
         if cost == "rdbms":
             return RDBMSCoverCost(
@@ -779,7 +825,8 @@ class OBDASystem:
                 self.translator,
                 minimize=minimize,
                 use_uscq=use_uscq,
-                fragment_cache=self.reformulation_cache,
+                fragment_cache=fragments,
+                empty=empty,
             )
         raise ValueError(f"unknown cost mode {cost!r}; expected one of {COST_MODES}")
 
@@ -840,6 +887,7 @@ class OBDASystem:
         time_budget_seconds: Optional[float] = None,
         generalized_limit: Optional[int] = DEFAULT_GENERALIZED_LIMIT,
         use_plan_cache: bool = True,
+        prune: bool = True,
     ) -> ReformulationChoice:
         """Pick a FOL reformulation for *query* and translate it to SQL.
 
@@ -851,6 +899,12 @@ class OBDASystem:
         non-default generalized cap bypass the cache (the plan key
         deliberately excludes those knobs, and a budget-truncated plan
         must not be served as the full one).
+
+        The reformulation is pruned on the predicates that have no rows
+        now (:meth:`empty_predicates`). ``prune=False`` asks for the
+        classical one, which holds on any data — what the paper measures
+        (:func:`repro.bench.harness.evaluation_experiment` reproduces its
+        figures with it); such a call bypasses the plan cache.
         """
         if isinstance(query, str):
             query = parse_query(query)
@@ -858,12 +912,15 @@ class OBDASystem:
             # Before epoch capture: enabling materialization advances the
             # epoch, and the plan must be stamped with the post-enable one.
             self.enable_materialization()
-        # The epoch this plan is computed under. Captured *before* the
-        # computation: if a concurrent write lands mid-search, the stored
-        # plan is already stale and the stamp makes the next get() drop it.
+        # The epoch and the emptiness this plan is computed under. Captured
+        # *before* the computation: if a concurrent write lands
+        # mid-search, the stored plan is already stale and its stamps
+        # make the next get() drop it.
         epoch = self.data_epoch
+        empty = self.empty_predicates() if prune else frozenset()
         cacheable = (
             use_plan_cache
+            and prune
             and time_budget_seconds is None
             and generalized_limit == DEFAULT_GENERALIZED_LIMIT
         )
@@ -876,6 +933,7 @@ class OBDASystem:
                 use_uscq,
                 time_budget_seconds,
                 generalized_limit,
+                empty,
             )
         plan_key = self._plan_key(query, strategy, cost, minimize, use_uscq)
         with self._plan_locks_guard:
@@ -883,7 +941,7 @@ class OBDASystem:
         try:
             with flight_lock:
                 lookup_started = time.perf_counter()
-                cached = self.plan_cache.get(plan_key, self.data_epoch)
+                cached = self.plan_cache.get(plan_key, self.data_epoch, empty)
                 if cached is not None:
                     return replace(
                         cached,
@@ -898,18 +956,25 @@ class OBDASystem:
                     use_uscq,
                     time_budget_seconds,
                     generalized_limit,
+                    empty,
                 )
-                data_independent = (
-                    strategy in DATA_INDEPENDENT_STRATEGIES
+                data_dependent = (
+                    # A plan picked by cost is only the best one for the
+                    # statistics it was priced against.
+                    choice.search is not None
                     # A constant the dictionary has never seen translates
                     # to an impossible code; a later write may introduce
                     # it, so such a plan's SQL is *not* write-proof. (Codes
                     # of already-encoded constants are stable forever —
                     # the dictionary is append-only.)
-                    and not self._has_unencoded_constants(query)
+                    or self._has_unencoded_constants(query)
                 )
-                stamp = None if data_independent else epoch
-                self.plan_cache.put(plan_key, choice, stamp)
+                self.plan_cache.put(
+                    plan_key,
+                    choice,
+                    epoch if data_dependent else None,
+                    choice.assumed_empty,
+                )
                 return choice
         finally:
             with self._plan_locks_guard:
@@ -924,14 +989,20 @@ class OBDASystem:
         use_uscq: bool,
         time_budget_seconds: Optional[float],
         generalized_limit: Optional[int],
+        empty: FrozenSet[str],
+        fragments: Optional[ReformulationCache] = None,
     ) -> ReformulationChoice:
-        """The uncached reformulate-translate pipeline.
+        """The uncached reformulate-translate pipeline, pruned on the
+        *empty* predicates, sharing fragment work through *fragments*
+        (default: the system's cache).
 
         When a trace is active (``answer()`` activates its reformulate
         span around this call), cover-search and SQL-translation child
         spans hang off :func:`~repro.obs.trace.current_span`; with
         tracing off those are no-op singleton calls.
         """
+        if fragments is None:
+            fragments = self.reformulation_cache
         started = time.perf_counter()
         span = current_span()
         search: Optional[SearchResult] = None
@@ -960,7 +1031,7 @@ class OBDASystem:
                 saturation_cost = self._router.saturation_cost(
                     query, cost, saturated_model
                 )
-            estimator = self._estimator(cost, minimize, use_uscq)
+            estimator = self._estimator(cost, minimize, use_uscq, empty, fragments)
             search = self._search(
                 span,
                 "gdl",
@@ -984,12 +1055,16 @@ class OBDASystem:
                 reformulation = estimator.reformulate(search.cover)
         elif strategy == "ucq":
             ucq_key = (query.head, query.atoms, minimize)
-            reformulation = self.reformulation_cache.get(ucq_key)
+            reformulation = fragments.get(ucq_key, empty=empty)
             if reformulation is None:
                 reformulation = reformulate_to_ucq(
-                    query, self.kb.tbox, minimize=minimize
+                    query, self.kb.tbox, minimize=minimize, empty=empty
                 )
-                self.reformulation_cache[ucq_key] = reformulation
+                fragments.put(
+                    ucq_key,
+                    reformulation,
+                    emptiness_stamp(query, self.kb.tbox, empty),
+                )
         elif strategy == "croot":
             cover = root_cover(query, self.kb.tbox)
             builder = (
@@ -999,10 +1074,11 @@ class OBDASystem:
                 cover,
                 self.kb.tbox,
                 minimize=minimize,
-                cache=self.reformulation_cache,
+                cache=fragments,
+                empty=empty,
             )
         elif strategy in ("gdl", "edl"):
-            estimator = self._estimator(cost, minimize, use_uscq)
+            estimator = self._estimator(cost, minimize, use_uscq, empty, fragments)
             search = self._search(
                 span, strategy, query, estimator, time_budget_seconds, generalized_limit
             )
@@ -1024,6 +1100,13 @@ class OBDASystem:
             shard_route = self.backend.route_from_hint(
                 self.translator.shard_hint(reformulation)
             )
+        # The original CQ over the saturation is not pruned; a rewriting
+        # relied on every empty name its query can reach.
+        assumed_empty = (
+            frozenset()
+            if reformulation is query
+            else emptiness_stamp(query, self.kb.tbox, empty)
+        )
         elapsed = time.perf_counter() - started
         return ReformulationChoice(
             strategy=strategy,
@@ -1033,6 +1116,7 @@ class OBDASystem:
             reformulation_seconds=elapsed,
             routing=routing,
             shard_route=shard_route,
+            assumed_empty=assumed_empty,
         )
 
     # ------------------------------------------------------------------
@@ -1140,6 +1224,32 @@ class OBDASystem:
                                     route=choice.shard_route,
                                 )
                             )
+                            if not self._replica_saw_assumptions(
+                                choice, observed_epoch
+                            ):
+                                # The replica's epoch may have had rows in
+                                # a predicate the plan assumed empty. An
+                                # unpruned plan holds at every epoch; it
+                                # gets a cache of its own, so it cannot
+                                # displace the pruned fragments.
+                                choice = self._replan(
+                                    exec_span,
+                                    query,
+                                    strategy,
+                                    cost,
+                                    minimize,
+                                    use_uscq,
+                                    time_budget_seconds,
+                                    frozenset(),
+                                    ReformulationCache(),
+                                )
+                                rows, observed_epoch, replica_index = (
+                                    self._replicas.execute(
+                                        choice.sql,
+                                        min_epoch=token,
+                                        route=choice.shard_route,
+                                    )
+                                )
                         if exec_span.enabled:
                             exec_span.set(
                                 rows=len(rows),
@@ -1153,6 +1263,23 @@ class OBDASystem:
                     # saturation state the re-check sees belong to one
                     # consistent epoch.
                     with self._barrier.shared():
+                        if not choice.assumed_empty.isdisjoint(
+                            self.statistics.nonempty
+                        ):
+                            # A write since planning filled a predicate
+                            # the plan assumed empty. No write can land
+                            # while the barrier is held, so a plan for
+                            # the emptiness of now holds through the read.
+                            choice = self._replan(
+                                root,
+                                query,
+                                strategy,
+                                cost,
+                                minimize,
+                                use_uscq,
+                                time_budget_seconds,
+                                self.empty_predicates(),
+                            )
                         with root.child(
                             "execute", backend=self.backend.name
                         ) as exec_span:
@@ -1191,19 +1318,64 @@ class OBDASystem:
         self._record_answer(report, time.perf_counter() - query_started)
         return report
 
+    def _replica_saw_assumptions(
+        self, choice: ReformulationChoice, observed_epoch: int
+    ) -> bool:
+        """Whether every predicate *choice* assumed empty was empty at
+        *observed_epoch*. Known only from the last change of emptiness
+        on: a replica behind it may have had other rows."""
+        if not choice.assumed_empty:
+            return True
+        epoch, nonempty = self._emptiness
+        return epoch <= observed_epoch and choice.assumed_empty.isdisjoint(
+            nonempty
+        )
+
+    def _replan(
+        self,
+        span,
+        query: CQ,
+        strategy: str,
+        cost: str,
+        minimize: bool,
+        use_uscq: bool,
+        time_budget_seconds: Optional[float],
+        empty: FrozenSet[str],
+        fragments: Optional[ReformulationCache] = None,
+    ) -> ReformulationChoice:
+        """Plan *query* again, under *empty*, bypassing the plan cache:
+        the plan in hand assumed a predicate empty that has rows in the
+        data about to be read."""
+        get_registry().inc("repro.query.replanned")
+        with span.child("replan", strategy=strategy) as replan_span:
+            with activate(replan_span):
+                return self._compute_choice(
+                    query,
+                    strategy,
+                    cost,
+                    minimize,
+                    use_uscq,
+                    time_budget_seconds,
+                    DEFAULT_GENERALIZED_LIMIT,
+                    empty,
+                    fragments,
+                )
+
     def _describe_choice(
         self,
         span,
         choice: ReformulationChoice,
-        perfectref_before: Tuple[int, int, int, int],
+        perfectref_before: Tuple[int, ...],
         caches_before: Dict[str, Dict[str, int]],
     ) -> None:
         """Annotate a reformulate span with what the choice cost:
-        PerfectRef fixpoints run, CQs they keyed, CQs they kept and input
-        atoms they dropped as implied by another atom, and
-        per-cache hit/miss deltas this query caused, plus the plan-cache
+        PerfectRef fixpoints run, CQs they keyed, CQs they kept, input
+        atoms they dropped as implied by another atom, CQs they did not
+        generate because of a dead atom, UCQ disjuncts dropped as empty
+        and how many empty predicates the plan relied on, and per-cache
+        hit/miss/stale deltas this query caused, plus the plan-cache
         outcome and routing decision."""
-        invocations, candidates, results, eliminated = (
+        invocations, candidates, results, eliminated, pruned, dropped = (
             now - before
             for now, before in zip(_perfectref_counts(), perfectref_before)
         )
@@ -1214,6 +1386,9 @@ class OBDASystem:
             perfectref_candidates=candidates,
             perfectref_results=results,
             perfectref_eliminated=eliminated,
+            perfectref_pruned=pruned,
+            arms_dropped_empty=dropped,
+            assumed_empty=len(choice.assumed_empty),
             seconds=choice.reformulation_seconds,
         )
         caches_after = self.cache_stats()
@@ -1391,10 +1566,24 @@ class OBDASystem:
             raise ChaseTruncatedError(self.max_generations)
 
     def execute_choice(self, query: CQ, choice: ReformulationChoice) -> Set[Tuple]:
-        """Evaluate an already-made reformulation choice (bench harness)."""
+        """Evaluate an already-made reformulation choice (bench harness).
+
+        A choice that assumed a predicate empty which has rows now is
+        planned again first, with its strategy and the default flags."""
         self._check_saturation_complete(choice)
         with paused():
             with self._barrier.shared():
+                if not choice.assumed_empty.isdisjoint(self.statistics.nonempty):
+                    choice = self._replan(
+                        current_span(),
+                        query,
+                        choice.strategy,
+                        "ext",
+                        True,
+                        False,
+                        None,
+                        self.empty_predicates(),
+                    )
                 rows = self._execute_sql(choice)
                 self._check_saturation_complete(choice)  # see answer()
             return self._decode(query, rows)

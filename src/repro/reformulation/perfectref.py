@@ -21,12 +21,23 @@ a domain axiom, so ``Student(x)`` need not be rewritten. The reduced query
 is equivalent to the input under the TBox, so its reformulation is a
 perfect reformulation of the input as well, and a much smaller one: the
 exponential step runs on fewer atoms.
+
+Both entry points also take the set of predicates that have no rows in
+the data at hand, ``empty`` (default: none, the classical rewriter).
+PerfectRef never generates a CQ with an atom over a *dead* predicate, one
+whose whole ``dep(P)`` (:meth:`TBox.dependency_closure`) is empty:
+backward application stays inside ``dep`` and reduce only unifies atoms
+of one predicate, so every descendant of such a CQ keeps an atom over an
+empty name and has no answer. :func:`reformulate_to_ucq` then drops every
+disjunct with an atom over an empty predicate. The result is a perfect
+reformulation only for data on which every name in
+:func:`emptiness_stamp` still has no rows.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.dllite.axioms import ConceptInclusion, RoleInclusion
 from repro.dllite.tbox import TBox
@@ -187,13 +198,22 @@ def _drop_implied_atoms(query: CQ, tbox: TBox) -> CQ:
 
 _COUNTS_LOCK = threading.Lock()
 #: Process-wide totals over every :func:`perfectref` run: fixpoints run,
-#: CQs keyed for deduplication (the input included), CQs kept and input
-#: atoms dropped because another atom implies them. The
+#: CQs keyed for deduplication (the input included), CQs kept, input
+#: atoms dropped because another atom implies them, CQs never generated
+#: because an atom of theirs is over a dead predicate, and UCQ disjuncts
+#: dropped because an atom of theirs is over an empty predicate. The
 #: fixpoint is the expensive core the caches exist to avoid; benchmarks
 #: take deltas of :func:`perfectref_invocations` to show how much work
 #: sharing saved, and candidates ÷ results is the share of its work a
 #: fixpoint spends rediscovering CQs it already has.
-_COUNTS = {"invocations": 0, "candidates": 0, "results": 0, "eliminated": 0}
+_COUNTS = {
+    "invocations": 0,
+    "candidates": 0,
+    "results": 0,
+    "eliminated": 0,
+    "pruned": 0,
+    "arms_dropped": 0,
+}
 
 
 def perfectref_invocations() -> int:
@@ -217,33 +237,83 @@ def perfectref_eliminated() -> int:
     return _COUNTS["eliminated"]
 
 
-def _record_run(candidates: int, results: int, eliminated: int) -> None:
+def perfectref_pruned() -> int:
+    """Process-wide count of CQs PerfectRef did not generate because an
+    atom of theirs is over a dead predicate (monotone)."""
+    return _COUNTS["pruned"]
+
+
+def arms_dropped_empty() -> int:
+    """Process-wide count of UCQ disjuncts :func:`reformulate_to_ucq`
+    dropped because an atom of theirs is over an empty predicate
+    (monotone)."""
+    return _COUNTS["arms_dropped"]
+
+
+def _record_run(
+    candidates: int, results: int, eliminated: int, pruned: int
+) -> None:
     """Count one finished fixpoint; safe on concurrent callers' threads."""
     with _COUNTS_LOCK:
         _COUNTS["invocations"] += 1
         _COUNTS["candidates"] += candidates
         _COUNTS["results"] += results
         _COUNTS["eliminated"] += eliminated
+        _COUNTS["pruned"] += pruned
     registry = get_registry()
     registry.inc("repro.perfectref.candidates", candidates)
     registry.inc("repro.perfectref.results", results)
     registry.inc("repro.perfectref.eliminated", eliminated)
+    registry.inc("repro.perfectref.pruned", pruned)
 
 
-def perfectref(query: CQ, tbox: TBox, max_queries: Optional[int] = None) -> List[CQ]:
+def emptiness_stamp(
+    query: CQ, tbox: TBox, empty: AbstractSet[str]
+) -> FrozenSet[str]:
+    """The empty predicates a reformulation of *query* under *empty* may
+    rely on: ``empty`` met with ``dep(P)`` of every predicate of *query*.
+
+    Every name the rewriting can reach is in that union, so a write to
+    any other name cannot change the rewriting. The reformulation stays
+    perfect while none of the stamp has a row: ``stamp <= empty`` for a
+    caller's current set of empty predicates, ``stamp.isdisjoint(
+    nonempty)`` against :attr:`DataStatistics.nonempty`.
+    """
+    if not empty:
+        return frozenset()
+    closure = tbox.dependency_closure()
+    reachable: Set[str] = set()
+    for predicate in {atom.predicate for atom in query.atoms}:
+        reachable |= closure.get(predicate, frozenset((predicate,)))
+    return frozenset(reachable.intersection(empty))
+
+
+def perfectref(
+    query: CQ,
+    tbox: TBox,
+    max_queries: Optional[int] = None,
+    empty: AbstractSet[str] = frozenset(),
+) -> List[CQ]:
     """The UCQ reformulation of *query* w.r.t. *tbox*, as a list of CQs.
 
     The first element is always the input query, deduplicated and without
     the atoms other atoms of it imply under *tbox*. ``max_queries``
     optionally bounds the fixpoint as a safety valve for adversarial
-    inputs; the workloads in this repository never hit it.
+    inputs; the workloads in this repository never hit it. No other
+    element has an atom over a predicate :meth:`TBox.dead_predicates`
+    finds dead under *empty*; when the input has one, nothing else is
+    derived.
     """
     deduplicated = query.dedup_atoms()
     start = _drop_implied_atoms(deduplicated, tbox)
+    dead = tbox.dead_predicates(empty)
     seen: Set[Tuple] = {start.canonical_key()}
     results: List[CQ] = [start]
     frontier: List[CQ] = [start]
+    if any(atom.predicate in dead for atom in start.atoms):
+        frontier.clear()
     candidates = 1
+    pruned = 0
 
     def consider(candidate: CQ) -> None:
         nonlocal candidates
@@ -267,6 +337,11 @@ def perfectref(query: CQ, tbox: TBox, max_queries: Optional[int] = None) -> List
         # (a) backward constraint applications, one atom at a time.
         for index, atom in enumerate(atoms):
             for specialized in _specializations_of_atom(atom, unbound, tbox):
+                # The only new predicate is the specialized atom's: reduce
+                # never brings one in, and no frontier CQ has a dead atom.
+                if specialized.predicate in dead:
+                    pruned += 1
+                    continue
                 child = current._child(
                     current.head,
                     atoms[:index] + (specialized,) + atoms[index + 1 :],
@@ -280,7 +355,10 @@ def perfectref(query: CQ, tbox: TBox, max_queries: Optional[int] = None) -> List
                 if unifier is not None:
                     consider(current.apply(unifier).dedup_atoms())
     _record_run(
-        candidates, len(results), len(deduplicated.atoms) - len(start.atoms)
+        candidates,
+        len(results),
+        len(deduplicated.atoms) - len(start.atoms),
+        pruned,
     )
     return results
 
@@ -290,9 +368,24 @@ def reformulate_to_ucq(
     tbox: TBox,
     minimize: bool = False,
     max_queries: Optional[int] = None,
+    empty: AbstractSet[str] = frozenset(),
 ) -> UCQ:
-    """CQ-to-UCQ reformulation, optionally minimized (subsumed CQs removed)."""
-    disjuncts = perfectref(query, tbox, max_queries=max_queries)
+    """CQ-to-UCQ reformulation, optionally minimized (subsumed CQs removed).
+
+    Disjuncts with an atom over a predicate in *empty* are dropped before
+    minimization; if that would drop them all, the first one stays.
+    """
+    disjuncts = perfectref(query, tbox, max_queries=max_queries, empty=empty)
+    if empty:
+        kept = [
+            cq
+            for cq in disjuncts
+            if not any(atom.predicate in empty for atom in cq.atoms)
+        ]
+        if len(kept) < len(disjuncts):
+            with _COUNTS_LOCK:
+                _COUNTS["arms_dropped"] += len(disjuncts) - max(len(kept), 1)
+            disjuncts = kept or disjuncts[:1]
     ucq = UCQ(tuple(disjuncts), name=f"{query.name}_ucq")
     if minimize:
         ucq = ucq.minimized()

@@ -28,6 +28,9 @@ count, runs through one shared contract:
 * :func:`check_dialect_translations` — translated CQ / UCQ / JUCQ /
   USCQ / JUSCQ reformulations against the trusted naive evaluator, per
   layout;
+* :func:`check_fill_dead_predicate` — answer, insert one fact into a
+  predicate the rewriter pruned as dead, answer again: every strategy
+  serves the new answer at once;
 * :func:`check_replica_consistency` — the **session-consistency
   oracle** for replicated serving: concurrent readers with epoch
   tokens against a writer, every answer required to equal the
@@ -452,6 +455,81 @@ def check_dialect_translations(
         assert_matches(cover_based_uscq_reformulation(cover, tbox))
     finally:
         backend.close()
+
+
+# ---------------------------------------------------------------------------
+# Filling a predicate the rewriter pruned
+# ---------------------------------------------------------------------------
+#: Probes whose rewritings reach the dead ``Visitor`` / ``mentors``.
+FILL_PROBES = (
+    "q(x) <- Researcher(x)",
+    "q(x, y) <- worksWith(x, y)",
+    "q(x) <- PhDStudent(x), worksWith(y, x)",
+)
+
+
+def dead_predicate_kb():
+    """:func:`replica_consistency_kb` plus a concept and a role nobody
+    asserts, ``Visitor <= Researcher`` and ``mentors <= worksWith``: both
+    are dead on its data, so every plan of the probes is pruned on them."""
+    from repro.dllite.axioms import ConceptInclusion, RoleInclusion
+    from repro.dllite.tbox import TBox
+    from repro.dllite.vocabulary import AtomicConcept, Role
+
+    tbox, abox = replica_consistency_kb()
+    tbox = TBox(
+        [
+            *tbox.axioms,
+            ConceptInclusion(AtomicConcept("Visitor"), AtomicConcept("Researcher")),
+            RoleInclusion(Role("mentors"), Role("worksWith")),
+        ]
+    )
+    return tbox, abox
+
+
+def check_fill_dead_predicate(
+    make_system: Callable, strategies: Sequence[str]
+) -> None:
+    """Answer every probe under every strategy (so each plan is cached,
+    pruned on the dead predicates), insert one fact into a dead
+    predicate, and answer again: every answer must equal the classical
+    UCQ over the new ABox. Then the same for the second dead predicate.
+
+    ``sat`` and ``auto`` run on a system of their own: once the store is
+    saturated, a stale plan would read the derived tuples and hide the
+    fault this checks for. ``make_system(tbox, abox)`` builds the systems
+    under test (any backend, shard count, substrate or replica count)."""
+    saturating = [s for s in strategies if s in ("sat", "auto")]
+    plain = [s for s in strategies if s not in saturating]
+    for group in (plain, saturating):
+        if group:
+            _fill_dead_predicates(make_system, group)
+
+
+def _fill_dead_predicates(make_system: Callable, strategies: Sequence[str]) -> None:
+    tbox, abox = dead_predicate_kb()
+    truth = clone_abox(abox)
+    system = make_system(tbox, clone_abox(abox))
+    try:
+        for fact in (("Visitor", "Zoe"), ("mentors", "Ada", "Bob")):
+            for strategy in strategies:
+                for text in FILL_PROBES:
+                    system.answer(text, strategy=strategy)
+            assert system.insert_facts([fact]) == 1
+            if len(fact) == 2:
+                truth.add_concept(*fact)
+            else:
+                truth.add_role(*fact)
+            for text in FILL_PROBES:
+                query = parse_query(text)
+                expected = evaluate(
+                    reformulate_to_ucq(query, tbox), truth.fact_store()
+                )
+                for strategy in strategies:
+                    report = system.answer(query, strategy=strategy)
+                    assert report.answers == expected, (fact, strategy, text)
+    finally:
+        system.close()
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from backend_conformance import (
     check_bulk_load_equivalence,
     check_delete_count_semantics,
     check_dialect_translations,
+    check_fill_dead_predicate,
     check_random_workloads,
     check_random_write_churn,
     check_replica_consistency,
@@ -164,6 +165,16 @@ def test_strategy_conformance(
             ), (backend_name, layout_name, strategy, query)
 
 
+@pytest.mark.parametrize("backend_name", sorted(BACKENDS))
+def test_fill_dead_predicate(backend_name):
+    """A fact in a predicate every plan was pruned on is served at once,
+    on every strategy."""
+    factory, _oracle = BACKENDS[backend_name]
+    check_fill_dead_predicate(
+        lambda tbox, abox: OBDASystem(tbox, abox, backend=factory()), STRATEGIES
+    )
+
+
 # ---------------------------------------------------------------------------
 # Replicated serving: the session-consistency oracle over the matrix
 # ---------------------------------------------------------------------------
@@ -197,6 +208,15 @@ def test_replica_session_consistency(substrate, replicas):
         seed=5000 + replicas,
         writes=writes,
         readers=2 if substrate == "sharded-process" else 3,
+    )
+
+
+@pytest.mark.parametrize("substrate", sorted(REPLICA_SUBSTRATES))
+def test_fill_dead_predicate_replicated(substrate):
+    kwargs = REPLICA_SUBSTRATES[substrate]
+    check_fill_dead_predicate(
+        lambda tbox, abox: OBDASystem(tbox, abox, replicas=2, **kwargs),
+        STRATEGIES,
     )
 
 

@@ -64,12 +64,14 @@ def system_1k():
 
 def _unbounded_estimator(system: OBDASystem, use_uscq: bool = False):
     """An ``ext`` estimator over the system's saturated statistics that
-    shares no cost cache with the system's own searches."""
+    shares no cost cache with the system's own searches, and prunes on
+    the same empty predicates they do."""
     return ExternalCoverCost(
         system.kb.tbox,
         system.cost_model,
         use_uscq=use_uscq,
         fragment_cache=system.reformulation_cache,
+        empty=system.empty_predicates(),
     )
 
 

@@ -371,6 +371,22 @@ class TestDataEpoch:
             assert report.plan_cache_hit, strategy
             assert ("Eve",) in report.answers  # reused plan, fresh data
 
+    def test_write_filling_an_assumed_empty_predicate_drops_the_plan(self, system):
+        # The complement: a ucq / croot plan is pruned on the predicates
+        # it found empty, so a write that fills one of them drops it.
+        query = "q(x) <- GraduateStudent(x)"
+        for strategy in ("ucq", "croot"):
+            report = system.answer(query, strategy=strategy)
+            assert "DoctoralStudent" in report.choice.assumed_empty
+        stale = system.plan_cache.stats()["stale"]
+        system.insert_facts([("DoctoralStudent", "Dora")])
+        for strategy in ("ucq", "croot"):
+            report = system.answer(query, strategy=strategy)
+            assert not report.plan_cache_hit, strategy
+            assert ("Dora",) in report.answers
+            assert "DoctoralStudent" not in report.choice.assumed_empty
+        assert system.plan_cache.stats()["stale"] - stale == 2
+
     def test_noop_write_invalidates_nothing(self, system):
         query = "q(x) <- Professor(x), worksFor(x, y)"
         system.answer(query, strategy="gdl")

@@ -10,6 +10,8 @@ Four layers of coverage:
   tokens the log never issued, kill + heal, a publish racing a heal's
   bootstrap, and the epoch log's fold-on-record contract, all on a
   bare :class:`~repro.serving.replicas.ReplicaSet` over a tiny dataset;
+* **pruned plans on lagging replicas** — a plan pruned on a predicate
+  the primary sees empty never reads a replica epoch where it had rows;
 * **system deadlines** — ``answer()`` and ``answer_many``, on one
   thread or from concurrent callers, end a lagging tokened read at the
   query's deadline;
@@ -34,6 +36,7 @@ import pytest
 
 from backend_conformance import (
     check_replica_consistency,
+    dead_predicate_kb,
     replica_consistency_kb,
 )
 from repro.faults import FaultPlan
@@ -439,6 +442,56 @@ class TestSystemTokens:
             for report in reports:
                 assert report.epoch >= token
                 assert ("Nadia",) in report.answers
+
+
+class TestPrunedPlansOnLaggingReplicas:
+    """The primary prunes on its current emptiness; a replica read with a
+    low token may observe an older epoch. The read checks the plan's
+    stamp against the epoch it observed, and re-plans unpruned when that
+    epoch is older than the last change of emptiness."""
+
+    QUERY = "q(x) <- Researcher(x)"
+
+    def test_replica_behind_a_drain_still_sees_the_rows(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        tbox, abox = dead_predicate_kb()
+        with OBDASystem(tbox, abox, replicas=1) as system:
+            system.insert_facts([("Visitor", "Zoe")])
+            filled = system.epoch_token()
+            assert ("Zoe",) in system.answer(self.QUERY, strategy="ucq").answers
+            with _stalled(system.replica_set.replica(0)):
+                system.delete_facts([("Visitor", "Zoe")])
+                # The primary sees Visitor empty again: a fresh plan is
+                # pruned on it, and the replica still holds Zoe at *filled*.
+                pruned = system.reformulate(
+                    self.QUERY, strategy="ucq", use_plan_cache=False
+                )
+                assert "Visitor" in pruned.assumed_empty
+                report = system.answer(
+                    self.QUERY,
+                    strategy="ucq",
+                    min_epoch=filled,
+                    use_plan_cache=False,
+                )
+                assert report.epoch == filled
+                assert ("Zoe",) in report.answers
+                assert report.choice.assumed_empty == frozenset()
+            report = system.answer(self.QUERY, strategy="ucq")
+            assert report.epoch == system.epoch_token()
+            assert ("Zoe",) not in report.answers
+
+    def test_replica_behind_a_fill_reads_its_own_epoch(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        tbox, abox = dead_predicate_kb()
+        with OBDASystem(tbox, abox, replicas=1) as system:
+            before = system.answer(self.QUERY, strategy="gdl", min_epoch=0)
+            with _stalled(system.replica_set.replica(0)):
+                system.insert_facts([("Visitor", "Zoe")])
+                report = system.answer(self.QUERY, strategy="gdl", min_epoch=0)
+                assert report.epoch == 0
+                assert report.answers == before.answers
+            report = system.answer(self.QUERY, strategy="gdl")
+            assert ("Zoe",) in report.answers
 
 
 @contextlib.contextmanager

@@ -104,7 +104,7 @@ class TestReformulationCache:
         assert ("k",) in cache and cache[("k",)] == "v"
         cache.clear()
         assert len(cache) == 0
-        assert cache.stats() == {"entries": 0, "hits": 0, "misses": 0}
+        assert cache.stats() == {"entries": 0, "hits": 0, "misses": 0, "stale": 0}
 
     def test_bounded_capacity_evicts_lru(self):
         cache = ReformulationCache(capacity=2)
@@ -350,7 +350,11 @@ class TestLubmCacheCorrectness:
         alone = gdl_search(
             second,
             lubm_system.kb.tbox,
-            ExternalCoverCost(lubm_system.kb.tbox, lubm_system.cost_model),
+            ExternalCoverCost(
+                lubm_system.kb.tbox,
+                lubm_system.cost_model,
+                empty=lubm_system.empty_predicates(),
+            ),
         )
         assert choice.search.cover == alone.cover
         assert choice.search.cost == alone.cost
