@@ -12,11 +12,10 @@ Fails (exit 1) loudly when:
   a 2x slowdown against the recorded engine baseline, far outside CI
   timing noise);
 * a run recorded rows but every row failed;
-* a ``parallel_*`` / ``process_*`` / ``replica_*`` scaling block whose
-  benchmark ran on scaling-capable hardware (it recorded
-  ``scaling_asserted: true``) reports a speedup (``speedup_4w_vs_1w``
-  for worker scaling, ``speedup_4r_vs_1r`` for replica scaling) below
-  the scaling floor (``REPRO_BENCH_SCALING_FLOOR``, default 2.0).
+* a ``parallel_*`` / ``process_*`` scaling block whose benchmark ran
+  on scaling-capable hardware (it recorded ``scaling_asserted: true``)
+  reports a speedup (``speedup_4w_vs_1w``) below the scaling floor
+  (``REPRO_BENCH_SCALING_FLOOR``, default 2.0).
   Blocks measured on hardware that cannot scale (one CPU, or a
   GIL-bound thread benchmark) carry ``scaling_asserted: false`` and are
   informational only.
@@ -102,37 +101,26 @@ def check(path: str) -> int:
                     f"at or above the {ceiling:.0%} ceiling"
                 )
             continue
-        if not name.startswith(("parallel_", "process_", "replica_")):
+        if not name.startswith(("parallel_", "process_")):
             continue
-        if not isinstance(payload, dict):
+        if not isinstance(payload, dict) or "speedup_4w_vs_1w" not in payload:
             continue
-        speedup_key = next(
-            (
-                key
-                for key in ("speedup_4w_vs_1w", "speedup_4r_vs_1r")
-                if key in payload
-            ),
-            None,
-        )
-        if speedup_key is None:
-            continue
-        unit = "replicas" if speedup_key.endswith("_1r") else "workers"
-        speedup = payload[speedup_key]
+        speedup = payload["speedup_4w_vs_1w"]
         if payload.get("scaling_asserted"):
             marker = "ok" if speedup >= scaling_floor else "REGRESSION"
             print(
-                f"    scaling: {speedup:.2f}x at 4 {unit} "
+                f"    scaling: {speedup:.2f}x at 4 workers "
                 f"(floor {scaling_floor:.2f}) {marker}"
             )
             if speedup < scaling_floor:
                 failures.append(
-                    f"extras.{name}: {speedup_key} {speedup:.2f}x below "
+                    f"extras.{name}: speedup_4w_vs_1w {speedup:.2f}x below "
                     f"scaling floor {scaling_floor:.2f}x on hardware that "
                     "asserted scaling"
                 )
         else:
             print(
-                f"    scaling: {speedup:.2f}x at 4 {unit} "
+                f"    scaling: {speedup:.2f}x at 4 workers "
                 "(recorded, not asserted on this hardware)"
             )
     if failures:

@@ -27,16 +27,6 @@ Fault sites
 * **spawn** — the coordinator-side supervisor fails a *respawn* attempt
   (``spawn_fails`` per shard; never the initial spawn), driving the
   circuit-breaker path.
-* **replica kill / lag** — chaos for the read-replica serving tier
-  (:mod:`repro.serving.replicas`): a replica's delta applier crashes
-  the replica after applying a delta with probability
-  ``replica_kill_p`` (bounded per replica by ``replica_kill_limit``;
-  the router must heal it off a fresh bootstrap), or stalls
-  ``replica_lag_ms`` before applying with probability
-  ``replica_lag_p`` (drives the epoch-token wait and its deadline
-  paths). Decisions draw from ``random.Random(f"{seed}:replica:
-  {index}:{generation}")`` — per replica and per heal generation, the
-  exact determinism contract the worker faults use.
 
 Determinism
 -----------
@@ -58,9 +48,8 @@ Grammar
 Recognised keys: ``seed``, ``kill_at``, ``kill_cmd``, ``kill_p``,
 ``kill_limit``, ``delay_p``, ``delay_ms``, ``drop_p``,
 ``shm_attach_p``, ``shm_attach_limit``, ``spawn_fails``, ``shards``
-(``|``-separated shard ids the plan applies to; default all),
-``replica_kill_p``, ``replica_kill_limit``, ``replica_lag_p``,
-``replica_lag_ms``. See ``docs/ROBUSTNESS.md`` for a cookbook.
+(``|``-separated shard ids the plan applies to; default all). See
+``docs/ROBUSTNESS.md`` for a cookbook.
 """
 
 from __future__ import annotations
@@ -123,10 +112,6 @@ class FaultPlan:
     shm_attach_limit: Optional[int] = None
     spawn_fails: int = 0
     shards: Optional[FrozenSet[int]] = None
-    replica_kill_p: float = 0.0
-    replica_kill_limit: Optional[int] = None
-    replica_lag_p: float = 0.0
-    replica_lag_ms: float = 0.0
 
     @property
     def enabled(self) -> bool:
@@ -139,14 +124,6 @@ class FaultPlan:
             or self.drop_p
             or self.shm_attach_p
             or self.spawn_fails
-            or self.replica_faults
-        )
-
-    @property
-    def replica_faults(self) -> bool:
-        """Whether the plan targets the replica serving tier at all."""
-        return bool(
-            self.replica_kill_p or (self.replica_lag_p and self.replica_lag_ms)
         )
 
     def applies_to(self, shard: int) -> bool:
@@ -189,7 +166,6 @@ class FaultPlan:
                 "kill_limit",
                 "shm_attach_limit",
                 "spawn_fails",
-                "replica_kill_limit",
             ):
                 fields[key] = _parse_int(key, value)
             elif key == "kill_cmd":
@@ -200,9 +176,6 @@ class FaultPlan:
                 "delay_ms",
                 "drop_p",
                 "shm_attach_p",
-                "replica_kill_p",
-                "replica_lag_p",
-                "replica_lag_ms",
             ):
                 fields[key] = _parse_float(key, value)
             elif key == "shards":

@@ -1,9 +1,9 @@
 """Interpreter-shutdown detection and the exit backstop for fork-happy
 subsystems.
 
-The process substrate forks shard workers and the replica healer
-rebuilds whole backends from daemon threads. Both are safe while the
-program runs, but lethal during interpreter exit: a worker forked from
+The process substrate forks shard workers, and its supervisors respawn
+them from daemon threads. That is safe while the program runs, but
+lethal during interpreter exit: a worker forked from
 a daemon thread while atexit callbacks drain inherits a dying runtime
 and exits immediately, its supervisor respawns it, and
 ``multiprocessing.util._exit_function`` — which joins live children
@@ -15,10 +15,9 @@ The cure is a single process-wide latch. The exit backstop
 (:func:`close_at_exit`, registered lazily at first use and after
 ``multiprocessing``'s own hook, so LIFO ordering runs it *first*) flips
 it as its first action, then closes every object a caller forgot to;
-every code path that would fork a new process or rebuild a replica
-checks it and refuses instead of forking. Supervisors then fail their
-respawn attempts fast, circuit breakers trip, healers go quiet, and
-exit completes.
+every code path that would fork a new process checks it and refuses
+instead of forking. Supervisors then fail their respawn attempts fast,
+circuit breakers trip, and exit completes.
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ def close_at_exit(obj) -> None:
 
 def _close_live() -> None:
     """The exit backstop: latch shutdown, then close every live object
-    newest-first (a replica set before the workers it was built on)."""
+    newest-first."""
     mark_interpreter_exiting()
     for key in sorted(_LIVE.keys(), reverse=True):
         obj = _LIVE.get(key)

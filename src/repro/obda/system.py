@@ -114,11 +114,9 @@ from repro.serving.concurrency import (
     deadline_scope,
 )
 from repro.serving.plan_cache import PlanCache
-from repro.serving.replicas import ReplicaSet
 from repro.sql.translator import SQLTranslator
 from repro.storage.layouts import LayoutData, RDFLayout, SimpleLayout, TableSpec
 from repro.storage.memory_backend import MemoryBackend
-from repro.storage.epoch_log import EpochDelta, EpochLog
 from repro.storage.sharded_backend import ShardedBackend
 from repro.storage.sqlite_backend import SQLiteBackend
 
@@ -135,13 +133,6 @@ SHARDS_ENV = "REPRO_SHARDS"
 #: ``repro.slow_query`` logger as a structured WARNING record with the
 #: query's trace attached (when tracing is on). Unset = no slow log.
 SLOW_QUERY_ENV = "REPRO_SLOW_QUERY_MS"
-
-#: Environment knob: default replica count for systems constructed with
-#: a *named* backend and no explicit ``replicas`` argument. N >= 1
-#: builds N read-only replica backends fed asynchronously by the write
-#: path's epoch-tagged deltas and routes every read across them; unset
-#: (or < 1) keeps the structurally unchanged single-backend read path.
-REPLICAS_ENV = "REPRO_REPLICAS"
 
 #: The slow-query logger; handlers attached here receive one record per
 #: slow query with ``query_ms`` / ``strategy`` / ``query_trace`` extras.
@@ -169,16 +160,6 @@ def _env_slow_query_ms() -> Optional[float]:
         return None
     return threshold if threshold >= 0 else None
 
-
-def _env_replicas() -> Optional[int]:
-    raw = os.environ.get(REPLICAS_ENV)
-    if raw is None:
-        return None
-    try:
-        count = int(raw)
-    except ValueError:
-        return None
-    return count if count >= 1 else None
 
 #: Default cap on the generalized covers EDL enumerates. Kept as a named
 #: constant because the plan cache only stores plans computed with this
@@ -282,12 +263,9 @@ class AnswerReport:
     error: Optional[BaseException] = None
     #: The **exact data epoch this answer observed** — the backend state
     #: the rows were read from, frozen for the duration of the read by
-    #: the serving barrier. On a replicated system this is the chosen
-    #: replica's applied epoch (always ``>=`` the read's ``min_epoch``
+    #: the serving barrier (always ``>=`` the read's ``min_epoch``
     #: token); usable as a session token for subsequent reads.
     epoch: Optional[int] = None
-    #: Which replica served the read (``None`` on the primary path).
-    replica: Optional[int] = None
 
     @property
     def failed(self) -> bool:
@@ -335,16 +313,10 @@ class OBDASystem:
     — real parallelism on stock CPython, with answers still
     byte-identical to serial.
 
-    Replicated serving: ``replicas=N`` (or ``REPRO_REPLICAS>=1``)
-    builds N read-only replicas of the whole backend (same kind,
-    shards and substrate), fed asynchronously by the write path's
-    epoch-tagged deltas (healed from a folded epoch log), and serves
-    every read from the freshest live replica. Replicas buy consistency
-    and failover, not read throughput. Session consistency rides epoch
-    tokens (:meth:`epoch_token`, ``answer(..., min_epoch=tok)``); the
-    default token is the primary's current epoch, so in-process callers
-    keep exact read-your-writes with answers byte-identical to the
-    unreplicated system.
+    Session consistency rides epoch tokens (:meth:`epoch_token`,
+    ``answer(..., min_epoch=tok)``): every read is served by the one
+    backend at its current epoch, so any token the system issued is
+    already satisfied, and one it never issued is refused.
     """
 
     def __init__(
@@ -363,7 +335,6 @@ class OBDASystem:
         executor: Optional[str] = None,
         trace: Optional[bool] = None,
         slow_query_ms: Optional[float] = None,
-        replicas: Optional[int] = None,
     ) -> None:
         self.kb = KnowledgeBase(tbox, abox)
         #: When True, every insert_facts re-validates the disjointness
@@ -383,28 +354,19 @@ class OBDASystem:
         else:
             self.layout = layout
 
-        # The backend factory doubles as the replica factory: every
-        # replica is a full backend of the primary's exact construction
-        # (same kind, shard count and substrate), which is what makes
-        # shard routes portable and replica answers byte-identical.
-        backend_factory = None
         if isinstance(backend, str):
             if shards is None:
                 shards = _env_shards()
             if backend not in ("memory", "sqlite"):
                 raise ValueError(f"unknown backend {backend!r}")
             if shards:
-
-                def backend_factory() -> ShardedBackend:
-                    return ShardedBackend(
-                        shards, child=backend, substrate=executor
-                    )
-
+                self.backend = ShardedBackend(
+                    shards, child=backend, substrate=executor
+                )
             elif backend == "memory":
-                backend_factory = MemoryBackend
+                self.backend = MemoryBackend()
             else:
-                backend_factory = SQLiteBackend
-            self.backend = backend_factory()
+                self.backend = SQLiteBackend()
         else:
             if shards is not None:
                 raise ValueError(
@@ -420,44 +382,12 @@ class OBDASystem:
             self.backend.load(data)
             self.statistics = DataStatistics.from_abox(abox)
         self._table_names = {spec.name for spec in data.tables}
-
-        # Replicated serving (see repro.serving.replicas): N read-only
-        # replica backends fed asynchronously by the write path's
-        # epoch-tagged deltas, rebuilt from an epoch log that starts
-        # from the same LayoutData the primary loaded, at epoch 0 —
-        # exactly the primary's starting state.
-        replicas_explicit = replicas is not None
-        if replicas is None:
-            replicas = _env_replicas()
-        self._epoch_log: Optional[EpochLog] = None
-        self._replicas: Optional[ReplicaSet] = None
-        if replicas and backend_factory is None:
-            # An explicit request is a hard error; the env knob is a
-            # fleet-wide default and degrades to unreplicated where a
-            # custom backend object cannot be cloned into replicas.
-            if replicas_explicit:
-                raise ValueError(
-                    "replicas= requires a named backend "
-                    "('memory'/'sqlite'); custom backend objects "
-                    "cannot be cloned into replicas"
-                )
-            replicas = 0
-        if replicas:
-            self._epoch_log = EpochLog(data.tables)
-            self._replicas = ReplicaSet(
-                replicas, backend_factory, self._epoch_log
-            )
         self.translator = SQLTranslator(self.layout)
         self.cost_model = ExternalCostModel(self.statistics)
         self._signature = frozenset(tbox.predicate_names())
         #: ``(statistics.nonempty, the signature's empty predicates)``
         #: for the last set :meth:`empty_predicates` derived.
         self._empty_memo: Tuple[object, FrozenSet[str]] = (None, frozenset())
-        #: ``(epoch, nonempty)``: the epoch of the last write that changed
-        #: whether some predicate is empty, and the non-empty names it
-        #: left. Every epoch from it to the current one has that
-        #: emptiness, which is what a replicated read checks against.
-        self._emptiness: Tuple[int, FrozenSet[str]] = (0, self.statistics.nonempty)
 
         #: Fragment reformulations shared across strategies, cost modes and
         #: queries for the lifetime of this system (one TBox, so sound);
@@ -606,17 +536,12 @@ class OBDASystem:
 
         A client that captures this after a write (every write advances
         the epoch by one) and passes it as ``min_epoch`` to later reads
-        gets read-your-writes across replicas: no answer carrying that
-        token can come from a replica that has not applied the write.
-        ``report.epoch`` on any :class:`AnswerReport` works as a token
-        too (monotonic reads: never observe older state again).
+        gets read-your-writes: no answer carrying that token observed
+        an epoch before the write. ``report.epoch`` on any
+        :class:`AnswerReport` works as a token too (monotonic reads:
+        never observe older state again).
         """
         return self.data_epoch
-
-    @property
-    def replica_set(self) -> Optional[ReplicaSet]:
-        """The serving replica set, or ``None`` when unreplicated."""
-        return self._replicas
 
     def _as_assertion(self, value: Union[Assertion, Tuple]) -> Assertion:
         """Accept ``ConceptAssertion``/``RoleAssertion`` or plain tuples
@@ -666,16 +591,17 @@ class OBDASystem:
 
         Caller holds the write lock. No-op (epoch untouched) when both
         deltas are empty: a write that changed nothing invalidates nothing.
+        Once the backend has taken the rows the epoch advances, even if
+        the statistics refresh after it raises: an epoch names the data,
+        so a token or a plan stamp never passes the old epoch off as the
+        new rows.
         """
         if not added and not removed:
             return
         inserts = self._rows_by_table(added)
         deletes = self._rows_by_table(removed)
-        new_tables = []
         for table in (*inserts, *deletes):
-            spec = self._ensure_table(table)
-            if spec is not None:
-                new_tables.append(spec)
+            self._ensure_table(table)
         # The exclusive barrier drains every in-flight query, then the
         # backend, the statistics and the epoch all change before the
         # next query is admitted — a reader can never observe the
@@ -684,7 +610,6 @@ class OBDASystem:
         # writes, so even barrier-less readers see whole writes.)
         registry = get_registry()
         with self._barrier.exclusive(), paused():
-            nonempty = self.statistics.nonempty
             # Before the backend changes: if the write fails past here,
             # the filled predicates already count as non-empty, so no
             # plan pruned on them can run against their new rows.
@@ -692,30 +617,11 @@ class OBDASystem:
             started = time.perf_counter()
             self.backend.apply_changes(inserts, deletes)
             applied = time.perf_counter()
-            touched = self._refresh_statistics(added, removed)
+            try:
+                touched = self._refresh_statistics(added, removed)
+            finally:
+                self.data_epoch += 1
             refreshed = time.perf_counter()
-            epoch = self.data_epoch + 1
-            if self.statistics.nonempty != nonempty:
-                # Before the delta ships: a replica that has applied this
-                # epoch never meets an older emptiness record.
-                self._emptiness = (epoch, self.statistics.nonempty)
-            if self._epoch_log is not None:
-                # Delta shipping: record the write (created tables plus
-                # both row deltas) under its resulting epoch, then fan
-                # it out to the replica queues. Recording happens under
-                # the exclusive barrier so deltas hit the log in strict
-                # epoch order, and before the epoch advances so no token
-                # is ever ahead of the log; applying is asynchronous —
-                # the write returns without waiting for any replica.
-                delta = EpochDelta(
-                    epoch=epoch,
-                    tables=tuple(new_tables),
-                    inserts=inserts,
-                    deletes=deletes,
-                )
-                self._epoch_log.record(delta)
-                self._replicas.publish(delta)
-            self.data_epoch = epoch
         registry.observe("repro.write.apply_changes.seconds", applied - started)
         registry.observe("repro.write.stats_refresh.seconds", refreshed - applied)
         registry.inc("repro.write.facts_added", len(added))
@@ -736,12 +642,10 @@ class OBDASystem:
             )
         return grouped
 
-    def _ensure_table(self, table: str) -> Optional[TableSpec]:
-        """Create a table for a predicate outside the loaded schema;
-        returns its spec when one was created (the write's delta ships
-        it to the replicas) and ``None`` when the table already existed."""
+    def _ensure_table(self, table: str) -> None:
+        """Create a table for a predicate outside the loaded schema."""
         if table in self._table_names:
-            return None
+            return
         if table.startswith("c_"):
             spec = TableSpec(name=table, columns=("s",), rows=[], indexes=(("s",),))
         else:
@@ -753,7 +657,24 @@ class OBDASystem:
             )
         self.backend.load(LayoutData(tables=[spec]))
         self._table_names.add(table)
-        return spec
+
+    def _ensure_query_tables(self, query: CQ) -> None:
+        """Give every predicate *query* names a table. One that neither
+        the TBox nor a fact ever named has none yet: it is an empty
+        predicate, so it gets an empty table and its atoms read no rows.
+        The other layouts store every predicate in shared tables."""
+        if not isinstance(self.layout, SimpleLayout):
+            return
+        missing = {
+            branch.table
+            for atom in query.atoms
+            if atom.predicate not in self._signature
+            for branch in self.layout.atom_branches(atom)
+        } - self._table_names
+        if missing:
+            with self._write_lock:
+                for table in sorted(missing):
+                    self._ensure_table(table)
 
     def _refresh_statistics(self, added: Set[Fact], removed: Set[Fact]) -> int:
         """Fold a write's deltas into the logical statistics, one call
@@ -807,7 +728,6 @@ class OBDASystem:
         minimize: bool,
         use_uscq: bool,
         empty: FrozenSet[str],
-        fragments: ReformulationCache,
     ) -> CoverCostEstimator:
         if cost == "ext":
             return ExternalCoverCost(
@@ -815,7 +735,7 @@ class OBDASystem:
                 self.cost_model,
                 minimize=minimize,
                 use_uscq=use_uscq,
-                fragment_cache=fragments,
+                fragment_cache=self.reformulation_cache,
                 empty=empty,
             )
         if cost == "rdbms":
@@ -825,7 +745,7 @@ class OBDASystem:
                 self.translator,
                 minimize=minimize,
                 use_uscq=use_uscq,
-                fragment_cache=fragments,
+                fragment_cache=self.reformulation_cache,
                 empty=empty,
             )
         raise ValueError(f"unknown cost mode {cost!r}; expected one of {COST_MODES}")
@@ -908,6 +828,7 @@ class OBDASystem:
         """
         if isinstance(query, str):
             query = parse_query(query)
+        self._ensure_query_tables(query)
         if strategy in ("sat", "auto") and self._saturator is None:
             # Before epoch capture: enabling materialization advances the
             # epoch, and the plan must be stamped with the post-enable one.
@@ -990,19 +911,17 @@ class OBDASystem:
         time_budget_seconds: Optional[float],
         generalized_limit: Optional[int],
         empty: FrozenSet[str],
-        fragments: Optional[ReformulationCache] = None,
     ) -> ReformulationChoice:
         """The uncached reformulate-translate pipeline, pruned on the
-        *empty* predicates, sharing fragment work through *fragments*
-        (default: the system's cache).
+        *empty* predicates, sharing fragment work through the system's
+        fragment cache.
 
         When a trace is active (``answer()`` activates its reformulate
         span around this call), cover-search and SQL-translation child
         spans hang off :func:`~repro.obs.trace.current_span`; with
         tracing off those are no-op singleton calls.
         """
-        if fragments is None:
-            fragments = self.reformulation_cache
+        fragments = self.reformulation_cache
         started = time.perf_counter()
         span = current_span()
         search: Optional[SearchResult] = None
@@ -1031,7 +950,7 @@ class OBDASystem:
                 saturation_cost = self._router.saturation_cost(
                     query, cost, saturated_model
                 )
-            estimator = self._estimator(cost, minimize, use_uscq, empty, fragments)
+            estimator = self._estimator(cost, minimize, use_uscq, empty)
             search = self._search(
                 span,
                 "gdl",
@@ -1078,7 +997,7 @@ class OBDASystem:
                 empty=empty,
             )
         elif strategy in ("gdl", "edl"):
-            estimator = self._estimator(cost, minimize, use_uscq, empty, fragments)
+            estimator = self._estimator(cost, minimize, use_uscq, empty)
             search = self._search(
                 span, strategy, query, estimator, time_budget_seconds, generalized_limit
             )
@@ -1133,42 +1052,36 @@ class OBDASystem:
     ) -> AnswerReport:
         """Answer *query*: reformulate, translate, evaluate, decode.
 
-        On a replicated system (``replicas=N`` / ``REPRO_REPLICAS``)
-        the read is routed to a replica; ``min_epoch`` is the **session
-        token** deciding how fresh that replica must be. ``None`` (the
-        default) uses the primary's current epoch — the state this
-        process has already observed, so in-process callers keep exact
-        read-your-writes semantics with no code change. An explicit
-        token from :meth:`epoch_token` or a prior report's
-        ``report.epoch`` pins freshness for out-of-process clients
-        (``min_epoch=0`` accepts any replica state; a token the primary
-        has not issued yet raises ``ValueError``). The chosen replica
-        blocks until it has applied the token's epoch, bounded by the
-        query's deadline (:class:`~repro.serving.replicas.
-        ReplicaLagTimeoutError` past it), and ``report.epoch`` records
-        the exact epoch the answer observed. Without replicas the
-        token is ignored — the primary always serves its own epoch.
+        ``min_epoch`` is the client's **session token** — from
+        :meth:`epoch_token` or a prior report's ``report.epoch``. Every
+        read observes the current epoch, so a token the system issued
+        (``0 <= min_epoch <= data_epoch``) is always satisfied and
+        ``report.epoch`` is at least it; any other token raises
+        ``ValueError`` before any work is done.
 
         The deadline is the caller's ``deadline_scope`` when one is
         open (``answer_many`` opens one per query), else
-        ``query_timeout_seconds``; it bounds every wait below — the
-        replica's token wait and each shard worker RPC — and is checked
-        after reformulation and after execution, so a stage that ran
-        past it raises :class:`~repro.serving.concurrency.
-        QueryTimeoutError` rather than answering late. Without either,
-        the token wait has no limit and a worker RPC only its fault
-        detection timeout (``REPRO_RPC_TIMEOUT_MS``).
+        ``query_timeout_seconds``; it bounds every wait below — each
+        shard worker RPC — and is checked after reformulation and after
+        execution, so a stage that ran past it raises
+        :class:`~repro.serving.concurrency.QueryTimeoutError` rather
+        than answering late. Without either, a worker RPC has only its
+        fault detection timeout (``REPRO_RPC_TIMEOUT_MS``).
 
         With tracing on (``trace=True`` / ``REPRO_TRACE=1``) the report
         carries one coherent :class:`~repro.obs.trace.QueryTrace`:
         parse, reformulation (cover-search and translation children with
         PerfectRef / cache-delta counters), execution (per-shard
         children on a sharded backend, including span subtrees shipped
-        back from forked workers, or the replica-routing span on a
-        replicated system) and decode. Metrics are recorded either way,
-        and a query meeting the slow-query threshold is logged with its
-        trace attached.
+        back from forked workers) and decode. Metrics are recorded
+        either way, and a query meeting the slow-query threshold is
+        logged with its trace attached.
         """
+        if min_epoch is not None and not 0 <= min_epoch <= self.data_epoch:
+            raise ValueError(
+                f"epoch token {min_epoch} was never issued (the data is "
+                f"at epoch {self.data_epoch})"
+            )
         query_started = time.perf_counter()
         tracer: Optional[Tracer] = None
         root = NO_SPAN
@@ -1207,94 +1120,43 @@ class OBDASystem:
             # collector is held off until the answers are decoded.
             with paused():
                 started = time.perf_counter()
-                replica_index: Optional[int] = None
-                if self._replicas is not None:
-                    # Replicated read: route to a replica at least as fresh
-                    # as the session token (default: the primary's current
-                    # epoch — exact read-your-writes for in-process callers).
-                    token = self.data_epoch if min_epoch is None else min_epoch
+                # Shared barrier: a concurrent write drains this read
+                # before mutating anything, so the rows and the
+                # saturation state the re-check sees belong to one
+                # consistent epoch.
+                with self._barrier.shared():
+                    if not choice.assumed_empty.isdisjoint(
+                        self.statistics.nonempty
+                    ):
+                        # A write since planning filled a predicate the
+                        # plan assumed empty. No write can land while the
+                        # barrier is held, so a plan for the emptiness of
+                        # now holds through the read.
+                        choice = self._replan(
+                            root,
+                            query,
+                            strategy,
+                            cost,
+                            minimize,
+                            use_uscq,
+                            time_budget_seconds,
+                            self.empty_predicates(),
+                        )
                     with root.child(
                         "execute", backend=self.backend.name
                     ) as exec_span:
                         with activate(exec_span):
-                            rows, observed_epoch, replica_index = (
-                                self._replicas.execute(
-                                    choice.sql,
-                                    min_epoch=token,
-                                    route=choice.shard_route,
-                                )
-                            )
-                            if not self._replica_saw_assumptions(
-                                choice, observed_epoch
-                            ):
-                                # The replica's epoch may have had rows in
-                                # a predicate the plan assumed empty. An
-                                # unpruned plan holds at every epoch; it
-                                # gets a cache of its own, so it cannot
-                                # displace the pruned fragments.
-                                choice = self._replan(
-                                    exec_span,
-                                    query,
-                                    strategy,
-                                    cost,
-                                    minimize,
-                                    use_uscq,
-                                    time_budget_seconds,
-                                    frozenset(),
-                                    ReformulationCache(),
-                                )
-                                rows, observed_epoch, replica_index = (
-                                    self._replicas.execute(
-                                        choice.sql,
-                                        min_epoch=token,
-                                        route=choice.shard_route,
-                                    )
-                                )
+                            rows = self._execute_sql(choice)
                         if exec_span.enabled:
-                            exec_span.set(
-                                rows=len(rows),
-                                sql_chars=len(choice.sql),
-                                replica=replica_index,
-                            )
-                    self._check_saturation_complete(choice)  # see below
-                else:
-                    # Shared barrier: a concurrent write drains this read
-                    # before mutating anything, so the rows and the
-                    # saturation state the re-check sees belong to one
-                    # consistent epoch.
-                    with self._barrier.shared():
-                        if not choice.assumed_empty.isdisjoint(
-                            self.statistics.nonempty
-                        ):
-                            # A write since planning filled a predicate
-                            # the plan assumed empty. No write can land
-                            # while the barrier is held, so a plan for
-                            # the emptiness of now holds through the read.
-                            choice = self._replan(
-                                root,
-                                query,
-                                strategy,
-                                cost,
-                                minimize,
-                                use_uscq,
-                                time_budget_seconds,
-                                self.empty_predicates(),
-                            )
-                        with root.child(
-                            "execute", backend=self.backend.name
-                        ) as exec_span:
-                            with activate(exec_span):
-                                rows = self._execute_sql(choice)
-                            if exec_span.enabled:
-                                self._describe_execution(exec_span, choice, rows)
-                        # Re-checked *after* execution: a write may have
-                        # truncated the saturation between the first check
-                        # and the table read, and the rows would then
-                        # under-approximate. (A write landing after this
-                        # point is fine — the answer is the valid pre-write
-                        # one.)
-                        self._check_saturation_complete(choice)
-                        observed_epoch = self.data_epoch
+                            self._describe_execution(exec_span, choice, rows)
+                    # Re-checked *after* execution: a write may have
+                    # truncated the saturation between the first check
+                    # and the table read, and the rows would then
+                    # under-approximate. (A write landing after this
+                    # point is fine — the answer is the valid pre-write
+                    # one.)
+                    self._check_saturation_complete(choice)
+                    observed_epoch = self.data_epoch
                 execution = time.perf_counter() - started
                 check_deadline()
                 with root.child("decode") as decode_span:
@@ -1311,25 +1173,11 @@ class OBDASystem:
             execution_seconds=execution,
             cache_stats=self.cache_stats(),
             epoch=observed_epoch,
-            replica=replica_index,
         )
         if tracer is not None:
             report.trace = tracer.trace()
         self._record_answer(report, time.perf_counter() - query_started)
         return report
-
-    def _replica_saw_assumptions(
-        self, choice: ReformulationChoice, observed_epoch: int
-    ) -> bool:
-        """Whether every predicate *choice* assumed empty was empty at
-        *observed_epoch*. Known only from the last change of emptiness
-        on: a replica behind it may have had other rows."""
-        if not choice.assumed_empty:
-            return True
-        epoch, nonempty = self._emptiness
-        return epoch <= observed_epoch and choice.assumed_empty.isdisjoint(
-            nonempty
-        )
 
     def _replan(
         self,
@@ -1341,7 +1189,6 @@ class OBDASystem:
         use_uscq: bool,
         time_budget_seconds: Optional[float],
         empty: FrozenSet[str],
-        fragments: Optional[ReformulationCache] = None,
     ) -> ReformulationChoice:
         """Plan *query* again, under *empty*, bypassing the plan cache:
         the plan in hand assumed a predicate empty that has rows in the
@@ -1358,7 +1205,6 @@ class OBDASystem:
                     time_budget_seconds,
                     DEFAULT_GENERALIZED_LIMIT,
                     empty,
-                    fragments,
                 )
 
     def _describe_choice(
@@ -1508,8 +1354,8 @@ class OBDASystem:
         records it on that query's :class:`AnswerReport` (``error`` set,
         ``answers`` empty) and lets the rest of the batch finish.
 
-        ``min_epoch`` is the whole batch's session token on a
-        replicated system (see :meth:`answer`).
+        ``min_epoch`` is the whole batch's session token (see
+        :meth:`answer`); an unissued one fails every query of the batch.
         """
         if on_error not in ("raise", "collect"):
             raise ValueError(
@@ -1636,11 +1482,6 @@ class OBDASystem:
         fetch = getattr(self.backend, "metrics_snapshot", None)
         if fetch is not None:
             merged.merge_snapshot(fetch())
-        if self._replicas is not None:
-            replica_snapshot = self._replicas.metrics_snapshot()
-            if replica_snapshot is not None:
-                merged.merge_snapshot(replica_snapshot)
-            merged.set_gauge("repro.replica.lag.max", self._replicas.max_lag())
         for cache_name, counters in self.cache_stats().items():
             for key, value in counters.items():
                 merged.set_gauge(f"repro.cache.{cache_name}.{key}", value)
@@ -1664,8 +1505,6 @@ class OBDASystem:
 
     def close(self) -> None:
         """Release the backend's resources and drop cached plans. Idempotent."""
-        if self._replicas is not None:
-            self._replicas.close()
         self.backend.close()
         self.plan_cache.clear()
         self.reformulation_cache.clear()

@@ -15,8 +15,8 @@ request on its own):
   report) when one query exceeds its deadline.
 * :func:`deadline_scope` / :func:`current_deadline` — a contextvar
   carrying the query's **absolute** deadline down the call stack, so
-  every wait below (a shard worker RPC, a replica's token wait) is
-  capped at what is left of it, and :func:`check_deadline` — the
+  every wait below (a shard worker RPC) is capped at what is left of
+  it, and :func:`check_deadline` — the
   check ``answer()`` makes between its stages.
 """
 

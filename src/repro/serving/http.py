@@ -16,15 +16,14 @@ Routes:
     ``cost`` must name one of the system's strategies / cost modes;
     ``min_epoch`` is the client's session token (see
     :meth:`~repro.obda.system.OBDASystem.epoch_token`) — a token above
-    the primary's epoch comes back as a per-query ``ValueError``.
+    the system's epoch comes back as a per-query ``ValueError``.
     ``timeout_seconds`` (a positive finite number; default: the system's
     ``query_timeout_seconds``) is each query's deadline: it bounds
-    every wait below it, a replica's token wait included, and a query
-    whose reformulation or execution ends past it comes back as a
-    per-query ``QueryTimeoutError``. Always runs with
-    ``on_error="collect"`` — one bad query yields one error entry, not
-    a failed batch. Returns ``{"reports": [{"query", "answers",
-    "epoch", "replica", "error"}...], "epoch_token"}``; the token is
+    every wait below it, and a query whose reformulation or execution
+    ends past it comes back as a per-query ``QueryTimeoutError``.
+    Always runs with ``on_error="collect"`` — one bad query yields one
+    error entry, not a failed batch. Returns ``{"reports": [{"query",
+    "answers", "epoch", "error"}...], "epoch_token"}``; the token is
     the newest epoch any answer in the batch observed, so a client can
     thread it into its next request for monotonic reads.
 ``POST /write``
@@ -32,12 +31,12 @@ Routes:
     [...]}``. Returns ``{"inserted", "deleted", "epoch_token"}`` — the
     token a read-your-writes client passes as its next ``min_epoch``.
 ``GET /metrics``
-    The unified registry (coordinator + shard workers + replicas) in
-    the Prometheus plain-text exposition format.
+    The unified registry (coordinator + shard workers) in the
+    Prometheus plain-text exposition format.
 ``GET /epoch``
-    ``{"epoch": N}`` — the primary's current data epoch.
+    ``{"epoch": N}`` — the system's current data epoch.
 ``GET /healthz``
-    ``{"ok": true, "replicas": N}`` (0 when unreplicated).
+    ``{"ok": true}``.
 
 The event loop never blocks on query work: each request's system call
 runs on the loop's default thread-pool executor. That is the whole of
@@ -85,7 +84,6 @@ def _encode_report(report) -> Dict:
         "query": str(report.query),
         "answers": sorted(list(row) for row in report.answers),
         "epoch": report.epoch,
-        "replica": report.replica,
         "error": None,
     }
     if report.error is not None:
@@ -277,15 +275,7 @@ class ServingEndpoint:
         if method == "GET" and path == "/epoch":
             return 200, _JSON, _json_bytes({"epoch": self.system.data_epoch})
         if method == "GET" and path == "/healthz":
-            replica_set = self.system.replica_set
-            return 200, _JSON, _json_bytes(
-                {
-                    "ok": True,
-                    "replicas": replica_set.count
-                    if replica_set is not None
-                    else 0,
-                }
-            )
+            return 200, _JSON, _json_bytes({"ok": True})
         if method == "POST" and path == "/answer":
             return await self._answer(self._json_body(body))
         if method == "POST" and path == "/write":

@@ -1,18 +1,16 @@
 """The coordinator's mirror of a backend's data: one folded snapshot at
 an epoch.
 
-Two parts of the system keep a copy of data that lives elsewhere, so
-they can rebuild it: the supervisor mirrors each forked shard worker
-(:mod:`repro.storage.supervisor`), and a replicated system mirrors its
-primary for the read replicas (:mod:`repro.serving.replicas`). Both
-keep an :class:`EpochLog`:
+The supervisor (:mod:`repro.storage.supervisor`) keeps a copy of
+each forked shard worker's data, so it can rebuild it, in an
+:class:`EpochLog`:
 
 * every acknowledged write arrives as one :class:`EpochDelta` and is
   **folded on record** — there is no delta history, only the current
   tables and the epoch they are at;
 * :meth:`EpochLog.restore` is the one rebuild routine: load the folded
-  snapshot into a fresh backend (a respawned worker, a degraded
-  in-coordinator fallback, a healed replica) and report its epoch.
+  snapshot into a fresh backend (a respawned worker or a degraded
+  in-coordinator fallback) and report its epoch.
 
 Tables keep insertion-ordered row sets that mirror the backends'
 set-semantics writes, so a restored backend holds its rows in the order
@@ -71,14 +69,6 @@ class EpochDelta:
     tables: Tuple[TableSpec, ...] = ()
     inserts: Dict[str, List[Row]] = field(default_factory=dict)
     deletes: Dict[str, List[Row]] = field(default_factory=dict)
-
-    def apply_to(self, backend) -> None:
-        """Apply this delta to *backend*: load its tables, then one
-        atomic ``apply_changes`` for the rows."""
-        if self.tables:
-            backend.load(LayoutData(tables=list(self.tables)))
-        if self.inserts or self.deletes:
-            backend.apply_changes(self.inserts, self.deletes)
 
 
 class EpochLog:

@@ -31,15 +31,19 @@ count, runs through one shared contract:
 * :func:`check_fill_dead_predicate` — answer, insert one fact into a
   predicate the rewriter pruned as dead, answer again: every strategy
   serves the new answer at once;
-* :func:`check_replica_consistency` — the **session-consistency
-  oracle** for replicated serving: concurrent readers with epoch
-  tokens against a writer, every answer required to equal the
-  sequential single-backend oracle at exactly the epoch it reports,
-  with that epoch never below the reader's token.
+* :func:`check_unknown_predicate` — a query over a predicate that
+  neither the TBox nor any fact names reads it as empty, on every
+  strategy, and a later write into it is served;
+* :func:`check_session_consistency` — the **session-consistency
+  oracle**: concurrent readers with epoch tokens against a writer,
+  every answer required to equal the sequential single-backend oracle
+  at exactly the epoch it reports, with that epoch never below the
+  reader's token.
 
 ``tests/test_backend_conformance.py`` runs the full backend × layout ×
-strategy matrix (including replicas × {1,2,4} × substrates for the
-replica oracle); the original differential tests delegate here too.
+strategy matrix (and the session oracle over memory, sqlite and
+sharded-process systems); the original differential tests delegate
+here too.
 """
 
 from __future__ import annotations
@@ -469,14 +473,14 @@ FILL_PROBES = (
 
 
 def dead_predicate_kb():
-    """:func:`replica_consistency_kb` plus a concept and a role nobody
+    """:func:`session_consistency_kb` plus a concept and a role nobody
     asserts, ``Visitor <= Researcher`` and ``mentors <= worksWith``: both
     are dead on its data, so every plan of the probes is pruned on them."""
     from repro.dllite.axioms import ConceptInclusion, RoleInclusion
     from repro.dllite.tbox import TBox
     from repro.dllite.vocabulary import AtomicConcept, Role
 
-    tbox, abox = replica_consistency_kb()
+    tbox, abox = session_consistency_kb()
     tbox = TBox(
         [
             *tbox.axioms,
@@ -498,7 +502,7 @@ def check_fill_dead_predicate(
     ``sat`` and ``auto`` run on a system of their own: once the store is
     saturated, a stale plan would read the derived tuples and hide the
     fault this checks for. ``make_system(tbox, abox)`` builds the systems
-    under test (any backend, shard count, substrate or replica count)."""
+    under test (any backend, shard count or substrate)."""
     saturating = [s for s in strategies if s in ("sat", "auto")]
     plain = [s for s in strategies if s not in saturating]
     for group in (plain, saturating):
@@ -533,11 +537,57 @@ def _fill_dead_predicates(make_system: Callable, strategies: Sequence[str]) -> N
 
 
 # ---------------------------------------------------------------------------
-# Replicated-serving session consistency
+# A predicate with no table
 # ---------------------------------------------------------------------------
-#: Probe queries for the replica oracle (Example 1 vocabulary: one
+#: Probes over ``Ghost`` / ``haunts``, which no axiom and no fact names.
+UNKNOWN_PROBES = (
+    "q(x) <- Ghost(x)",
+    "q(x) <- Researcher(x), Ghost(x)",
+    "q(x, y) <- haunts(x, y)",
+    "q(x) <- PhDStudent(x), haunts(x, y)",
+)
+
+
+def check_unknown_predicate(
+    make_system: Callable, strategies: Sequence[str]
+) -> None:
+    """An atom over a predicate with no table is an atom over an empty
+    predicate: every probe has no answers under every strategy, the
+    system's other answers are untouched, and facts written into the
+    predicate afterwards are served. ``make_system(tbox, abox)`` builds
+    the system under test."""
+    tbox, abox = session_consistency_kb()
+    truth = clone_abox(abox)
+    system = make_system(tbox, clone_abox(abox))
+    try:
+        for strategy in strategies:
+            for text in UNKNOWN_PROBES:
+                assert system.answer(text, strategy=strategy).answers == set(), (
+                    strategy,
+                    text,
+                )
+        facts = [("Ghost", "Damian"), ("haunts", "Damian", "Ioana")]
+        assert system.insert_facts(facts) == 2
+        truth.add_concept("Ghost", "Damian")
+        truth.add_role("haunts", "Damian", "Ioana")
+        for text in (*UNKNOWN_PROBES, "q(x) <- Researcher(x)"):
+            query = parse_query(text)
+            expected = evaluate(
+                reformulate_to_ucq(query, tbox), truth.fact_store()
+            )
+            for strategy in strategies:
+                report = system.answer(query, strategy=strategy)
+                assert report.answers == expected, (strategy, text)
+    finally:
+        system.close()
+
+
+# ---------------------------------------------------------------------------
+# Session consistency
+# ---------------------------------------------------------------------------
+#: Probe queries for the session oracle (Example 1 vocabulary: one
 #: concept with a subsumption chain, one role with inference, one join).
-REPLICA_PROBES = (
+SESSION_PROBES = (
     "q(x) <- Researcher(x)",
     "q(x, y) <- worksWith(x, y)",
     "q(x) <- PhDStudent(x), worksWith(y, x)",
@@ -548,7 +598,7 @@ _WRITE_CONCEPTS = ("Researcher", "PhDStudent")
 _WRITE_ROLES = ("worksWith", "supervisedBy")
 
 
-def replica_consistency_kb():
+def session_consistency_kb():
     """The oracle's KB: paper Example 1 constraints (minus the negative
     one, so random inserts can never make the KB inconsistent) over a
     small seed ABox that mentions every write-script predicate."""
@@ -583,7 +633,7 @@ def replica_consistency_kb():
     return tbox, abox
 
 
-def replica_write_script(
+def session_write_script(
     rng: random.Random, writes: int
 ) -> List[List[Tuple]]:
     """A deterministic write script where **every step changes the
@@ -620,23 +670,22 @@ def _apply_script_step(system, step: List[Tuple]) -> None:
         assert system.delete_facts(deletes) == len(deletes)
 
 
-def check_replica_consistency(
+def check_session_consistency(
     make_system: Callable,
     seed: int,
-    queries: Sequence[str] = REPLICA_PROBES,
+    queries: Sequence[str] = SESSION_PROBES,
     writes: int = 10,
     readers: int = 3,
     strategy: str = "ucq",
 ) -> None:
-    """The session-consistency oracle for replicated serving.
+    """The session-consistency oracle.
 
-    ``make_system(tbox, abox)`` must return a **replicated**
-    :class:`~repro.obda.system.OBDASystem` (any backend, shard count,
-    substrate or replica count — including 1, and including seeded
-    replica-kill / lag chaos via ``REPRO_FAULTS``).
+    ``make_system(tbox, abox)`` returns the
+    :class:`~repro.obda.system.OBDASystem` under test (any backend,
+    shard count or substrate).
 
     The oracle first replays a deterministic, always-effective write
-    script on an *unreplicated* reference system, recording every probe
+    script on a single-backend reference system, recording every probe
     query's answers at every epoch — the sequential history
     ``history[query][epoch]``. Then, on the system under test, a writer
     thread replays the same script while reader threads issue reads
@@ -654,12 +703,12 @@ def check_replica_consistency(
     the last epoch.
     """
     rng = random.Random(seed)
-    script = replica_write_script(rng, writes)
+    script = session_write_script(rng, writes)
 
-    # Sequential history on an unreplicated single-backend reference.
+    # Sequential history on a single-backend reference.
     from repro.obda.system import OBDASystem
 
-    tbox, abox = replica_consistency_kb()
+    tbox, abox = session_consistency_kb()
     history: Dict[str, List] = {query: [] for query in queries}
     with OBDASystem(tbox, clone_abox(abox), backend="memory") as reference:
         for query in queries:
@@ -676,17 +725,12 @@ def check_replica_consistency(
                     reference.answer(query, strategy=strategy).answers
                 )
 
-    tbox, abox = replica_consistency_kb()
+    tbox, abox = session_consistency_kb()
     system = make_system(tbox, abox)
-    assert system.replica_set is not None, (
-        "make_system must build a replicated system"
-    )
     failures: List[str] = []
     done = threading.Event()
 
     def read_loop(reader_index: int) -> None:
-        from repro.serving.concurrency import QueryTimeoutError
-
         reader_rng = random.Random(f"{seed}:{reader_index}")
         last_seen = 0
         while not failures and (not done.is_set() or last_seen == 0):
@@ -698,22 +742,15 @@ def check_replica_consistency(
                     report = system.answer(query, strategy=strategy)
                 elif mode == "any":
                     token = 0
-                    report = system.answer(
-                        query, strategy=strategy, min_epoch=0
-                    )
+                    report = system.answer(query, strategy=strategy, min_epoch=0)
                 else:
                     token = last_seen
                     report = system.answer(
                         query, strategy=strategy, min_epoch=last_seen
                     )
-            except QueryTimeoutError:
-                # Deadline-bounded degradation (replica lag under
-                # chaos, a slow substrate) is the router's documented
-                # failure mode, not a consistency violation: the read
-                # failed loudly rather than returning stale data. Keep
-                # probing — the final caught-up reads still assert
-                # full convergence.
-                continue
+            except Exception as exc:
+                failures.append(f"read raised {exc!r} ({mode}, {query})")
+                return
             if report.epoch is None:
                 failures.append(f"report without epoch ({mode}, {query})")
                 return

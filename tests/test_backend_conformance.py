@@ -19,7 +19,8 @@ from backend_conformance import (
     check_fill_dead_predicate,
     check_random_workloads,
     check_random_write_churn,
-    check_replica_consistency,
+    check_session_consistency,
+    check_unknown_predicate,
     clone_abox,
 )
 from repro.obda.system import OBDASystem
@@ -175,66 +176,47 @@ def test_fill_dead_predicate(backend_name):
     )
 
 
+@pytest.mark.parametrize("backend_name", sorted(BACKENDS))
+def test_unknown_predicate(backend_name):
+    """An atom over a predicate no axiom and no fact names reads no
+    rows, on every strategy."""
+    factory, _oracle = BACKENDS[backend_name]
+    check_unknown_predicate(
+        lambda tbox, abox: OBDASystem(tbox, abox, backend=factory()), STRATEGIES
+    )
+
+
 # ---------------------------------------------------------------------------
-# Replicated serving: the session-consistency oracle over the matrix
+# Session consistency: epoch tokens under a concurrent writer
 # ---------------------------------------------------------------------------
-#: name -> OBDASystem kwargs for the replica oracle's system under test.
-REPLICA_SUBSTRATES = {
+#: name -> OBDASystem kwargs for the session oracle's system under test.
+SESSION_SYSTEMS = {
     "memory": {"backend": "memory"},
+    "sqlite": {"backend": "sqlite"},
 }
 
 if process_substrate_available():
-    REPLICA_SUBSTRATES["sharded-process"] = {
+    SESSION_SYSTEMS["sharded-process"] = {
         "backend": "memory",
         "shards": 2,
         "executor": "process",
     }
 
 
-@pytest.mark.parametrize("substrate", sorted(REPLICA_SUBSTRATES))
-@pytest.mark.parametrize("replicas", (1, 2, 4))
-def test_replica_session_consistency(substrate, replicas):
+@pytest.mark.parametrize("system_name", sorted(SESSION_SYSTEMS))
+@pytest.mark.parametrize("seed", (5001, 5002, 5004))
+def test_session_consistency(system_name, seed):
     """Every answer observed with token t equals the sequential oracle
-    at exactly its reported epoch >= t — across replica counts and
-    execution substrates."""
-    kwargs = REPLICA_SUBSTRATES[substrate]
-    # Process legs fork 2 workers per replica per system; keep the
-    # script short so the matrix stays tier-1 fast.
-    writes = 6 if substrate == "sharded-process" else 10
-    check_replica_consistency(
-        lambda tbox, abox: OBDASystem(
-            tbox, abox, replicas=replicas, **kwargs
-        ),
-        seed=5000 + replicas,
-        writes=writes,
-        readers=2 if substrate == "sharded-process" else 3,
-    )
-
-
-@pytest.mark.parametrize("substrate", sorted(REPLICA_SUBSTRATES))
-def test_fill_dead_predicate_replicated(substrate):
-    kwargs = REPLICA_SUBSTRATES[substrate]
-    check_fill_dead_predicate(
-        lambda tbox, abox: OBDASystem(tbox, abox, replicas=2, **kwargs),
-        STRATEGIES,
-    )
-
-
-@pytest.mark.parametrize("replicas", (2, 4))
-def test_replica_session_consistency_under_chaos(replicas, monkeypatch):
-    """The oracle holds under seeded replica kills and injected lag:
-    crashed replicas heal from the replication log and lagging replicas
-    either catch up within the token wait or are routed around —
-    answers never diverge and tokens are never violated."""
-    monkeypatch.setenv(
-        "REPRO_FAULTS",
-        "seed=11,replica_kill_p=0.2,replica_lag_p=0.5,replica_lag_ms=20",
-    )
-    check_replica_consistency(
-        lambda tbox, abox: OBDASystem(tbox, abox, replicas=replicas),
-        seed=6000 + replicas,
-        writes=8,
-        readers=3,
+    at exactly its reported epoch >= t."""
+    kwargs = SESSION_SYSTEMS[system_name]
+    # Process legs fork 2 workers per system; keep the script short so
+    # the matrix stays tier-1 fast.
+    process = system_name == "sharded-process"
+    check_session_consistency(
+        lambda tbox, abox: OBDASystem(tbox, abox, **kwargs),
+        seed=seed,
+        writes=6 if process else 10,
+        readers=2 if process else 3,
     )
 
 

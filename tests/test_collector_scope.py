@@ -451,7 +451,7 @@ class TestCollectorMetrics:
         self, example1_tbox, example1_abox
     ):
         with OBDASystem(
-            example1_tbox, example1_abox, shards=0, replicas=0, trace=True
+            example1_tbox, example1_abox, shards=0, trace=True
         ) as system:
             before = system.metrics()
             gc.collect()  # one full collection the hook must see
@@ -520,7 +520,6 @@ class TestCollectorMetrics:
                 backend="memory",
                 shards=2,
                 executor="process",
-                replicas=0,
             )
         try:
             system.answer("q(x, y) <- supervisedBy(x, y)", strategy="ucq")

@@ -11,6 +11,7 @@ predicates and checks every strategy's answers after each write.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from test_property_based import CONCEPTS, INDIVIDUALS, ROLES, connected_cqs, tboxes
@@ -164,20 +165,26 @@ class TestStamps:
     def test_a_failed_write_still_counts_its_rows(self, monkeypatch):
         # The statistics refresh fails after the backend took the rows:
         # the filled predicate already counts as non-empty, so no plan
-        # pruned on it runs against them. Read from the primary: a write
-        # that fails before its delta is recorded never reaches a replica.
-        with OBDASystem(TBOX, _abox(), replicas=0) as system:
+        # pruned on it runs against them, and the epoch names the new
+        # rows, so a plan picked by cost before them is picked again.
+        other = "q(x, y) <- worksWith(x, y)"
+        with OBDASystem(TBOX, _abox()) as system:
             assert ("Zoe",) not in system.answer(self.QUERY, strategy="gdl").answers
+            before = system.answer(other, strategy="gdl")
+            assert "Visitor" not in before.choice.assumed_empty
+            assert system.answer(other, strategy="gdl").plan_cache_hit
 
             def broken(*args, **kwargs):
                 raise RuntimeError("refresh failed")
 
             monkeypatch.setattr(system.statistics, "refresh_predicate", broken)
-            try:
+            with pytest.raises(RuntimeError, match="refresh failed"):
                 system.insert_facts([("Visitor", "Zoe")])
-            except RuntimeError:
-                pass
             monkeypatch.undo()
+            assert system.data_epoch == system.epoch_token() == 1
+            after = system.answer(other, strategy="gdl")
+            assert not after.plan_cache_hit
+            assert after.epoch == 1 and after.answers == before.answers
             for strategy in ("ucq", "croot", "gdl"):
                 assert ("Zoe",) in system.answer(self.QUERY, strategy=strategy).answers
 

@@ -55,18 +55,6 @@ PIPELINE_SPANS = ("query", "parse", "reformulate", "translate", "execute", "deco
 
 
 @pytest.fixture(autouse=True)
-def _isolate_replica_env(monkeypatch):
-    """Insulate this suite from the ambient replica knob (the CI
-    replicated-serving leg exports ``REPRO_REPLICAS`` for the *rest* of
-    the tier-1 suite): tests here introspect the primary backend's
-    execution internals (``last_execution`` routes, shard telemetry,
-    batch route counters), which legitimately stay idle when reads are
-    served by replica backends. Replica observability has its own
-    assertions in ``tests/test_replica_serving.py``."""
-    monkeypatch.delenv("REPRO_REPLICAS", raising=False)
-
-
-@pytest.fixture(autouse=True)
 def fresh_registry():
     """Isolate each test's process-wide metrics."""
     reset_registry()

@@ -13,16 +13,6 @@ import random
 
 import pytest
 
-
-@pytest.fixture(autouse=True)
-def _isolate_replica_env(monkeypatch):
-    """Insulate this suite from the ambient replica knob (the CI
-    replicated-serving leg exports ``REPRO_REPLICAS`` for the rest of
-    the tier-1 suite): the pruning proofs here read the *primary*
-    backend's ``last_execution`` / batch route counters, which stay
-    idle when reads are served by replica backends."""
-    monkeypatch.delenv("REPRO_REPLICAS", raising=False)
-
 from repro.dllite.abox import ABox
 from repro.obda.system import OBDASystem
 from repro.storage.layouts import LayoutData, SimpleLayout, TableSpec
