@@ -18,7 +18,10 @@ This benchmark prices that contract from two directions:
   compared against an uninstrumented build, so its cost is measured
   directly — time a generous overcount of the per-answer NO_SPAN
   operations and express it as a fraction of the measured untraced
-  per-answer latency. This is the number the <5% contract (and the
+  per-answer latency. The two are timed interleaved (one untraced
+  answer batch, then one no-op batch, per round) so a load spike on a
+  shared box hits both sides of a round's ratio; the median of the
+  per-round ratios is the number the <5% contract (and the
   ``check_engine_regressions.py`` gate) applies to.
 
 Both land in ``BENCH_engine.json`` under ``extras.obs_overhead``.
@@ -26,12 +29,17 @@ Both land in ``BENCH_engine.json`` under ``extras.obs_overhead``.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from repro.obda.system import OBDASystem
 from repro.obs.trace import NO_SPAN, activate, current_span
 
 TIMING_ROUNDS = 3
+
+#: Interleaved (answer batch, no-op batch) rounds behind the disabled-
+#: path ratio; the assertion takes their median.
+OVERHEAD_ROUNDS = 5
 
 #: Answers per timed round — one answer is ~100µs; a batch keeps the
 #: measurement comfortably above timer resolution.
@@ -65,25 +73,36 @@ def _time_answers(system, queries):
 
 
 def _noop_op_seconds(iterations: int = 200_000) -> float:
-    """Measured cost of one disabled instrumentation point (min-of-3).
+    """Measured cost of one disabled instrumentation point (one batch).
 
     The loop body exercises :data:`OPS_PER_LOOP_BODY` points; the
     per-point cost is the per-iteration time divided by that.
     """
-    best = None
-    for _ in range(TIMING_ROUNDS):
-        started = time.perf_counter()
-        for _ in range(iterations):
-            span = current_span()
-            child = span.child("x")
-            if child.enabled:  # pragma: no cover - disabled path
-                child.set(rows=1)
-            with activate(child):
-                pass
-        elapsed = time.perf_counter() - started
-        best = elapsed if best is None else min(best, elapsed)
+    started = time.perf_counter()
+    for _ in range(iterations):
+        span = current_span()
+        child = span.child("x")
+        if child.enabled:  # pragma: no cover - disabled path
+            child.set(rows=1)
+        with activate(child):
+            pass
+    elapsed = time.perf_counter() - started
     assert current_span() is NO_SPAN
-    return best / iterations / OPS_PER_LOOP_BODY
+    return elapsed / iterations / OPS_PER_LOOP_BODY
+
+
+def _disabled_overhead_rounds(system, queries):
+    """``(per-answer seconds, no-op cost seconds)`` for each of
+    :data:`OVERHEAD_ROUNDS` interleaved rounds: one untraced answer
+    batch, then one no-op batch."""
+    rounds = []
+    for _ in range(OVERHEAD_ROUNDS):
+        started = time.perf_counter()
+        for query in queries:
+            system.answer(query)
+        per_answer = (time.perf_counter() - started) / len(queries)
+        rounds.append((per_answer, _noop_op_seconds() * NOOP_OPS_PER_ANSWER))
+    return rounds
 
 
 def test_tracing_overhead(tbox, abox_15m, engine_report):
@@ -105,18 +124,22 @@ def test_tracing_overhead(tbox, abox_15m, engine_report):
     with build(trace=False) as off, build(trace=True) as on:
         off_wall = _time_answers(off, queries)
         on_wall = _time_answers(on, queries)
+        rounds = _disabled_overhead_rounds(off, queries)
         assert off.answer(queries[0]).trace is None
         assert on.answer(queries[0]).trace is not None
 
-    per_answer_untraced = off_wall / len(queries)
-    disabled_cost = _noop_op_seconds() * NOOP_OPS_PER_ANSWER
-    disabled_overhead = disabled_cost / max(per_answer_untraced, 1e-12)
+    per_answer_untraced = statistics.median(answer for answer, _ in rounds)
+    disabled_cost = statistics.median(cost for _, cost in rounds)
+    disabled_overhead = statistics.median(
+        cost / max(answer, 1e-12) for answer, cost in rounds
+    )
     enabled_ratio = on_wall / max(off_wall, 1e-9)
     engine_report.extra(
         "obs_overhead",
         {
             "answers_per_round": len(queries),
             "timing_rounds": TIMING_ROUNDS,
+            "overhead_rounds": OVERHEAD_ROUNDS,
             "wall_s_untraced": round(off_wall, 5),
             "wall_s_traced": round(on_wall, 5),
             "per_answer_untraced_us": round(per_answer_untraced * 1e6, 2),

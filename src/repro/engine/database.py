@@ -144,8 +144,8 @@ class MiniRDBMS:
 
         The columnar twin of :meth:`execute` — same answers, same
         order, but no row tuples are materialized. Shard worker
-        processes answer scatter legs through this so results go
-        straight into the per-column shared-memory wire format.
+        processes answer through this and send the columns as their
+        reply.
         """
         stats = ExecutionStats()
         result = execute_plan_columns(self.plan(sql), stats)

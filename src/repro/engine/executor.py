@@ -134,9 +134,9 @@ def execute_plan_columns(
     """Run *plan* and return ``(nrows, columns)`` — no row tuples built.
 
     The columnar twin of :func:`execute_plan` for callers that want the
-    result in column vectors (the process substrate's shared-memory
-    wire format is per-column, so a shard worker answering through this
-    skips materializing ``nrows`` tuples only to transpose them again).
+    result in column vectors (a process-substrate shard worker replies
+    with the columns, so answering through this skips materializing
+    ``nrows`` tuples only to transpose them again).
     Column order and intra-column order match :func:`execute_plan`
     exactly; an empty result is ``(0, [])``.
     """

@@ -20,10 +20,6 @@ Fault sites
 * **drop** — the worker swallows an RPC without replying with
   probability ``drop_p`` (the coordinator's ``conn.poll`` deadline is
   the only thing standing between this and a hang).
-* **shm attach** — the worker fails attaching the coordinator-created
-  shared-memory segment (``shm_attach_p``), surfacing a
-  :class:`TransientWorkerFault` (drives the retry-without-respawn path
-  and the crash-path segment unlink).
 * **spawn** — the coordinator-side supervisor fails a *respawn* attempt
   (``spawn_fails`` per shard; never the initial spawn), driving the
   circuit-breaker path.
@@ -47,7 +43,7 @@ Grammar
 
 Recognised keys: ``seed``, ``kill_at``, ``kill_cmd``, ``kill_p``,
 ``kill_limit``, ``delay_p``, ``delay_ms``, ``drop_p``,
-``shm_attach_p``, ``shm_attach_limit``, ``spawn_fails``, ``shards``
+``spawn_fails``, ``shards``
 (``|``-separated shard ids the plan applies to; default all). See
 ``docs/ROBUSTNESS.md`` for a cookbook.
 """
@@ -67,18 +63,6 @@ FAULTS_ENV = "REPRO_FAULTS"
 #: The exit status an injected kill dies with (mirrors ``128 + SIGKILL``
 #: so coordinator-side handling cannot tell it from the real thing).
 KILL_EXIT_CODE = 137
-
-
-class TransientWorkerFault(RuntimeError):
-    """A worker-side failure that is safe to retry on the same worker.
-
-    The worker caught the failure and replied with it over a still-
-    synchronized RPC stream (unlike a crash or timeout, after which the
-    stream cannot be trusted), so the supervisor may simply retry the
-    command with backoff. Raised by injected shm-attach failures; real
-    transient allocation failures can use it too. Picklable (single
-    message argument), so it crosses the worker pipe intact.
-    """
 
 
 def _parse_int(key: str, value: str) -> int:
@@ -108,8 +92,6 @@ class FaultPlan:
     delay_p: float = 0.0
     delay_ms: float = 0.0
     drop_p: float = 0.0
-    shm_attach_p: float = 0.0
-    shm_attach_limit: Optional[int] = None
     spawn_fails: int = 0
     shards: Optional[FrozenSet[int]] = None
 
@@ -122,7 +104,6 @@ class FaultPlan:
             or self.kill_p
             or (self.delay_p and self.delay_ms)
             or self.drop_p
-            or self.shm_attach_p
             or self.spawn_fails
         )
 
@@ -161,22 +142,11 @@ class FaultPlan:
             value = value.strip()
             if key == "seed":
                 fields["seed"] = _parse_int(key, value)
-            elif key in (
-                "kill_at",
-                "kill_limit",
-                "shm_attach_limit",
-                "spawn_fails",
-            ):
+            elif key in ("kill_at", "kill_limit", "spawn_fails"):
                 fields[key] = _parse_int(key, value)
             elif key == "kill_cmd":
                 fields["kill_cmd"] = value
-            elif key in (
-                "kill_p",
-                "delay_p",
-                "delay_ms",
-                "drop_p",
-                "shm_attach_p",
-            ):
+            elif key in ("kill_p", "delay_p", "delay_ms", "drop_p"):
                 fields[key] = _parse_float(key, value)
             elif key == "shards":
                 fields["shards"] = frozenset(
@@ -213,8 +183,6 @@ class WorkerFaultConfig:
     delay_p: float = 0.0
     delay_ms: float = 0.0
     drop_p: float = 0.0
-    shm_attach_p: float = 0.0
-    shm_attach_limit: Optional[int] = None
 
 
 class FaultInjector:
@@ -267,11 +235,11 @@ class FaultInjector:
             delay_p=plan.delay_p,
             delay_ms=plan.delay_ms,
             drop_p=plan.drop_p,
-            shm_attach_p=plan.shm_attach_p,
-            shm_attach_limit=plan.shm_attach_limit,
         )
-        if (arm_kill and has_kill) or (
-            (plan.delay_p and plan.delay_ms) or plan.drop_p or plan.shm_attach_p
+        if (
+            (arm_kill and has_kill)
+            or (plan.delay_p and plan.delay_ms)
+            or plan.drop_p
         ):
             return config
         return None
@@ -311,7 +279,6 @@ class FaultRuntime:
         self.config = config
         self._rng = random.Random(config.token)
         self._rpcs_served = 0
-        self._shm_fails = 0
 
     def before_command(self, cmd: str) -> Optional[str]:
         """Apply pre-dispatch faults for one received *cmd*.
@@ -336,19 +303,3 @@ class FaultRuntime:
         if config.drop_p and self._rng.random() < config.drop_p:
             return "drop"
         return None
-
-    def fail_shm_attach(self) -> bool:
-        """Whether this shm attach should fail (bounded by
-        ``shm_attach_limit`` per worker lifetime)."""
-        config = self.config
-        if not config.shm_attach_p:
-            return False
-        if (
-            config.shm_attach_limit is not None
-            and self._shm_fails >= config.shm_attach_limit
-        ):
-            return False
-        if self._rng.random() < config.shm_attach_p:
-            self._shm_fails += 1
-            return True
-        return False

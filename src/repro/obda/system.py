@@ -232,11 +232,6 @@ class ReformulationChoice:
     plan_cache_hit: bool = False
     #: For ``strategy="auto"``: the costs compared and the winner.
     routing: Optional[RoutingDecision] = None
-    #: On a sharded backend: the precomputed shard route (pruned /
-    #: scatter / gather) the execution should take, derived from the
-    #: logical reformulation at plan time so cached plans skip the
-    #: SQL-level route analysis. ``None`` lets the backend analyze.
-    shard_route: Optional[object] = None
     #: The empty predicates the reformulation was pruned on: the plan
     #: returns the certain answers while none of them has a row.
     assumed_empty: FrozenSet[str] = frozenset()
@@ -309,9 +304,9 @@ class OBDASystem:
     execution substrate under the shards (``"serial"`` / ``"process"``
     / ``"auto"``; default ``REPRO_EXECUTOR``): on ``process``, a sharded
     memory/sqlite system hosts each shard's engine in a long-lived forked
-    worker and scatter results return as columnar shared-memory batches
-    — real parallelism on stock CPython, with answers still
-    byte-identical to serial.
+    worker and results return over its pipe as columns — real
+    parallelism on stock CPython, with answers still byte-identical to
+    serial.
 
     Session consistency rides epoch tokens (:meth:`epoch_token`,
     ``answer(..., min_epoch=tok)``): every read is served by the one
@@ -1010,15 +1005,6 @@ class OBDASystem:
         with span.child("translate") as translate_span:
             sql = self.translator.translate(reformulation)
             translate_span.set(sql_chars=len(sql))
-        shard_route = None
-        if isinstance(self.backend, ShardedBackend):
-            # Logical hint: routes plan-cached statements without ever
-            # re-parsing the (possibly megabyte-scale) SQL. Dialects the
-            # hint does not cover leave None and the backend analyzes
-            # the statement itself on first execution.
-            shard_route = self.backend.route_from_hint(
-                self.translator.shard_hint(reformulation)
-            )
         # The original CQ over the saturation is not pruned; a rewriting
         # relied on every empty name its query can reach.
         assumed_empty = (
@@ -1034,7 +1020,6 @@ class OBDASystem:
             search=search,
             reformulation_seconds=elapsed,
             routing=routing,
-            shard_route=shard_route,
             assumed_empty=assumed_empty,
         )
 
@@ -1146,7 +1131,7 @@ class OBDASystem:
                         "execute", backend=self.backend.name
                     ) as exec_span:
                         with activate(exec_span):
-                            rows = self._execute_sql(choice)
+                            rows = self.backend.execute(choice.sql)
                         if exec_span.enabled:
                             self._describe_execution(exec_span, choice, rows)
                     # Re-checked *after* execution: a write may have
@@ -1430,18 +1415,9 @@ class OBDASystem:
                         None,
                         self.empty_predicates(),
                     )
-                rows = self._execute_sql(choice)
+                rows = self.backend.execute(choice.sql)
                 self._check_saturation_complete(choice)  # see answer()
             return self._decode(query, rows)
-
-    def _execute_sql(self, choice: ReformulationChoice) -> List[Tuple]:
-        """Run a choice's SQL, passing the plan-time shard route through
-        to a sharded backend (other backends take the plain path)."""
-        if choice.shard_route is not None and isinstance(
-            self.backend, ShardedBackend
-        ):
-            return self.backend.execute(choice.sql, route=choice.shard_route)
-        return self.backend.execute(choice.sql)
 
     def _decode(self, query: CQ, rows: List[Tuple]) -> Set[Tuple]:
         if not query.head:

@@ -25,8 +25,7 @@ no fact).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.queries.atoms import Atom
 from repro.queries.cq import CQ
@@ -37,30 +36,6 @@ from repro.queries.ucq import UCQ
 from repro.storage.layouts import IMPOSSIBLE_CODE, AtomBranch
 
 AnyQuery = Union[CQ, UCQ, SCQ, USCQ, JUCQ, JUSCQ]
-
-
-@dataclass(frozen=True)
-class ShardHint:
-    """Logical-level shard routing for a reformulation.
-
-    Computed from the *query objects* (shared variables and constants)
-    rather than by parsing the emitted SQL, so a sharded backend can
-    route a plan-cached statement without re-tokenizing megabyte-scale
-    reformulations. The hint mirrors the conservative AST analysis in
-    :func:`repro.engine.planner.analyze_shard_route` exactly — the
-    conformance suite cross-checks the two on translated queries.
-    """
-
-    #: Every disjunct joins all its atoms on the shard key (first
-    #: argument), so per-shard evaluation partitions the answer.
-    co_partitioned: bool
-    #: Dictionary codes binding the shard key, one per disjunct; ``None``
-    #: when some disjunct leaves the key unbound (all shards needed).
-    key_codes: Optional[FrozenSet[int]]
-    #: Tables the translated SQL reads (for the gather fallback).
-    tables: FrozenSet[str]
-    #: Translator output always deduplicates at the root.
-    dedup_root: bool = True
 
 
 def _var_column(variable: Variable) -> str:
@@ -182,112 +157,6 @@ class SQLTranslator:
         return self._join_of_components(
             query.head, fragment_names, heads, with_clauses=ctes
         )
-
-    # ------------------------------------------------------------------
-    # Shard routing hints
-    # ------------------------------------------------------------------
-    def shard_hint(self, query: AnyQuery) -> Optional[ShardHint]:
-        """The logical shard route of *query*, or ``None`` if unanalyzed.
-
-        Covers the dialects the answer path actually produces (CQ, UCQ,
-        JUCQ); the SCQ family returns ``None`` and the sharded backend
-        falls back to its SQL-level analysis. A disjunct is shard-key
-        co-partitioned exactly when all its atoms share one first
-        argument (the same variable, or constants with one dictionary
-        code) — the only way the emitted SQL ever joins shard keys.
-        """
-        if isinstance(query, CQ):
-            disjunct = self._disjunct_hint(query)
-            if disjunct is None:
-                return self._gather_hint(query.atoms)
-            key, tables = disjunct
-            codes = frozenset([key[1]]) if key[0] == "const" else None
-            return ShardHint(True, codes, frozenset(tables))
-        if isinstance(query, UCQ):
-            return self._ucq_hint(query)[0]
-        if isinstance(query, JUCQ):
-            hints = []
-            aligned_sets = []
-            for component in query.components:
-                hint, aligned = self._ucq_hint(component)
-                hints.append(hint)
-                aligned_sets.append(aligned)
-            tables = frozenset().union(*(h.tables for h in hints))
-            if not all(h.co_partitioned for h in hints):
-                return ShardHint(False, None, tables)
-            shared = aligned_sets[0]
-            for aligned in aligned_sets[1:]:
-                shared = shared & aligned
-            # The fragment join is co-partitioned when some head variable
-            # is shard-aligned in every component; fragment-internal
-            # constants never reach the outer join, so the join itself is
-            # never constant-bound (matching the SQL-level analysis).
-            return ShardHint(bool(shared), None, tables)
-        return None
-
-    def _gather_hint(self, atoms: Sequence[Atom]) -> ShardHint:
-        return ShardHint(False, None, frozenset(self._atom_tables(atoms)))
-
-    def _atom_tables(self, atoms: Sequence[Atom]) -> List[str]:
-        return [
-            branch.table
-            for atom in atoms
-            for branch in self.layout.atom_branches(atom)
-        ]
-
-    def _disjunct_hint(self, cq: CQ):
-        """``(key node, tables)`` when *cq* is co-partitioned, else None.
-
-        The key node is ``("var", variable)`` or ``("const", code)``.
-        """
-        nodes = set()
-        for atom in cq.atoms:
-            term = atom.args[0]
-            if is_variable(term):
-                nodes.add(("var", term))
-            else:
-                nodes.add(("const", self._encode(term)))
-        if len(nodes) != 1:
-            return None
-        return next(iter(nodes)), self._atom_tables(cq.atoms)
-
-    def _ucq_hint(self, ucq: UCQ):
-        """A UCQ's hint plus its shard-aligned exported variables."""
-        tables: set = set()
-        keys = []
-        for disjunct in ucq.disjuncts:
-            entry = self._disjunct_hint(disjunct)
-            if entry is None:
-                for other in ucq.disjuncts:
-                    tables.update(self._atom_tables(other.atoms))
-                return ShardHint(False, None, frozenset(tables)), frozenset()
-            key, disjunct_tables = entry
-            keys.append(key)
-            tables.update(disjunct_tables)
-        codes: Optional[FrozenSet[int]] = frozenset(
-            key[1] for key in keys
-        ) if all(key[0] == "const" for key in keys) else None
-        # A head position is aligned when every disjunct exports its own
-        # shard key there; the outer fragment join uses the variables.
-        aligned: set = set()
-        arity = len(ucq.disjuncts[0].head)
-        for position in range(arity):
-            ok = True
-            for disjunct, key in zip(ucq.disjuncts, keys):
-                term = disjunct.head[position]
-                node = (
-                    ("var", term)
-                    if is_variable(term)
-                    else ("const", self._encode(term))
-                )
-                if node != key:
-                    ok = False
-                    break
-            if ok:
-                term = ucq.disjuncts[0].head[position]
-                if is_variable(term):
-                    aligned.add(term)
-        return ShardHint(True, codes, frozenset(tables)), frozenset(aligned)
 
     # ------------------------------------------------------------------
     # Internals

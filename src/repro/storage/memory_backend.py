@@ -145,8 +145,8 @@ class MemoryBackend(Backend):
 
     def execute_columns(self, sql: str) -> Tuple[int, List[List]]:
         """Evaluate *sql* returning ``(nrows, column vectors)`` — the
-        engine's columnar result path (shard worker processes use this
-        to feed the shared-memory wire format without row tuples)."""
+        engine's columnar result path (shard worker processes reply
+        with these columns, never building row tuples)."""
         started = time.perf_counter()
         with self._lock, paused():
             result = self.db.execute_columns(sql)

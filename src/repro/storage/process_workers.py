@@ -17,11 +17,7 @@ worker, never shipped), run a strict request/reply loop, and live until
 escalates to ``terminate`` only if the worker does not exit in time.
 Workers are daemonic and additionally registered with the exit backstop
 (:func:`repro.lifecycle.close_at_exit`), so an interpreter that forgets
-to close a backend still never hangs at exit or leaks shared memory:
-segments are created and unlinked only in the coordinator process (see
-:mod:`repro.storage.shm_exchange`), and the parent's
-``resource_tracker`` is started *before* the first fork so every worker
-shares it.
+to close a backend still never hangs at exit.
 
 Failure handling
 ----------------
@@ -36,16 +32,15 @@ deterministically.
 
 Result transport
 ----------------
-``execute`` replies inline (one pickle) for small results; larger ones
-use the shared-memory handshake: the worker offers ``(nbytes, meta)``,
-the coordinator creates a segment and replies with its name, the worker
-attaches, writes the packed columns, closes, and acks — after which the
-coordinator decodes rows out of the segment and unlinks it. When the
-caller's context carries an active trace span, the same RPC asks the
-worker for its span subtree and grafts it under that span. Errors are
-pre-checked for picklability in the worker (falling back to a
-``RuntimeError`` carrying the repr), so a failing shard surfaces the
-real exception type at the coordinator whenever it can cross the wire.
+``execute`` has one reply for every result size: the worker pickles the
+``(nrows, columns)`` its engine produced (a backend without
+``execute_columns`` is transposed once) onto the pipe, and the
+coordinator zips the columns back into rows. When the caller's context
+carries an active trace span, the same RPC asks the worker for its span
+subtree and grafts it under that span. Errors are pre-checked for
+picklability in the worker (falling back to a ``RuntimeError`` carrying
+the repr), so a failing shard surfaces the real exception type at the
+coordinator whenever it can cross the wire.
 """
 
 from __future__ import annotations
@@ -57,25 +52,18 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.faults import FaultRuntime, TransientWorkerFault, WorkerFaultConfig
+from repro.faults import FaultRuntime, WorkerFaultConfig
 from repro.lifecycle import close_at_exit, interpreter_exiting
 from repro.obs.metrics import get_registry, reset_registry
 from repro.obs.trace import Tracer, current_span
 from repro.storage.base import Backend, BulkLoader, Row
 from repro.storage.layouts import LayoutData
-from repro.storage.shm_exchange import (
-    pack_columns,
-    should_inline,
-    shm_min_cells,
-    unpack_rows,
-)
 
 #: How long ``close`` waits for a worker to exit before terminating it.
 CLOSE_TIMEOUT = 5.0
 
 #: Environment knob: per-RPC deadline in milliseconds. Every reply wait
-#: in :meth:`ProcessShardWorker._call` / the execute handshake runs
-#: under ``conn.poll(timeout)`` with this budget, so a hung or wedged
+#: in :meth:`ProcessShardWorker._call` runs under ``conn.poll(timeout)`` with this budget, so a hung or wedged
 #: worker surfaces as a :class:`WorkerTimeoutError` instead of blocking
 #: ``conn.recv()`` forever. ``0`` (or negative) disables the deadline.
 RPC_TIMEOUT_ENV = "REPRO_RPC_TIMEOUT_MS"
@@ -192,11 +180,11 @@ def _sendable(exc: BaseException) -> BaseException:
 
 
 def _run_execute(backend: Backend, sql: str) -> Tuple[int, List]:
-    """Evaluate *sql* in the worker, columnar when the backend can.
+    """Evaluate *sql* in the worker as ``(nrows, columns)``.
 
     Backends exposing ``execute_columns`` (the embedded engine does)
-    answer columnar end to end — result vectors go straight into the
-    wire format without ever materializing row tuples in the worker.
+    answer columnar end to end, without ever materializing row tuples
+    in the worker; any other backend's rows are transposed once.
     """
     columns_api = getattr(backend, "execute_columns", None)
     if columns_api is not None:
@@ -206,31 +194,15 @@ def _run_execute(backend: Backend, sql: str) -> Tuple[int, List]:
     return nrows, list(zip(*result_rows)) if result_rows else []
 
 
-def _serve_execute(
-    conn,
-    backend: Backend,
-    sql: str,
-    min_cells: int,
-    traced: bool = False,
-    faults: Optional[FaultRuntime] = None,
-) -> None:
-    """Worker side of one ``execute``: inline reply or shm handshake.
+def _serve_execute(conn, backend: Backend, sql: str, traced: bool) -> None:
+    """Worker side of one ``execute``: one reply carrying the columns.
 
     With *traced* the execution runs under a worker-local
     :class:`~repro.obs.trace.Tracer` and the reply carries the span
-    subtree as a plain dict (third element), stamped with this worker's
-    pid for attribution and ``clock="worker"`` — a forked process's
-    monotonic clock is not comparable to the coordinator's, so grafted
-    durations are meaningful but offsets are not.
-
-    A non-``segment`` message where the segment name is expected is the
-    coordinator **aborting the handshake** (its allocation failed, or a
-    fault was injected): consume it and send nothing, which keeps the
-    request/reply stream synchronized. An injected shm-attach fault
-    raises :class:`~repro.faults.TransientWorkerFault` *before*
-    attaching — the request loop replies with the error, and the
-    coordinator (which is blocked on the write ack) unlinks its segment
-    on that same error path.
+    subtree as a plain dict, stamped with this worker's pid for
+    attribution and ``clock="worker"`` — a forked process's monotonic
+    clock is not comparable to the coordinator's, so grafted durations
+    are meaningful but offsets are not.
     """
     started = time.perf_counter()
     span_dict = None
@@ -252,31 +224,7 @@ def _serve_execute(
     if traced:
         root.set(rows=nrows, batches=batches)
         span_dict = root.to_dict()
-    if not nrows or should_inline(nrows, len(columns), min_cells):
-        conn.send(
-            (
-                "rows",
-                (list(zip(*columns)) if nrows else [], batches, span_dict),
-            )
-        )
-        return
-    meta, payload = pack_columns(nrows, columns)
-    conn.send(("shm", (len(payload), meta, batches, span_dict)))
-    tag, name = conn.recv()
-    if tag != "segment":  # coordinator aborted (e.g. allocation failed)
-        return
-    if faults is not None and faults.fail_shm_attach():
-        raise TransientWorkerFault(
-            f"injected shm attach failure (segment {name})"
-        )
-    from multiprocessing import shared_memory
-
-    segment = shared_memory.SharedMemory(name=name)
-    try:
-        segment.buf[: len(payload)] = payload
-    finally:
-        segment.close()
-    conn.send(("ok", None))
+    conn.send(("ok", (nrows, columns, batches, span_dict)))
 
 
 def _worker_main(
@@ -311,7 +259,6 @@ def _worker_main(
     # coordinator's own traffic. Start this process from zero — the
     # "metrics" command then ships only what *this worker* recorded.
     reset_registry()
-    min_cells = shm_min_cells()
     faults = FaultRuntime(fault_config) if fault_config is not None else None
     bulk = None  # the open worker-side bulk-load session, if any
     while True:
@@ -337,7 +284,7 @@ def _worker_main(
         try:
             if cmd == "execute":
                 sql, traced = payload
-                _serve_execute(conn, backend, sql, min_cells, traced, faults)
+                _serve_execute(conn, backend, sql, traced)
             elif cmd == "metrics":
                 conn.send(("ok", get_registry().snapshot()))
             elif cmd == "load":
@@ -419,8 +366,6 @@ class WorkerExecution:
 
     batches: int = 0
     rows: int = 0
-    #: ``"inline"`` (pipe pickle) or ``"shm"`` (columnar segment).
-    transport: str = "inline"
 
 
 class _WorkerBulkLoader(BulkLoader):
@@ -480,7 +425,6 @@ class ProcessShardWorker(Backend):
         fault_config: Optional[WorkerFaultConfig] = None,
     ) -> None:
         import multiprocessing
-        from multiprocessing import resource_tracker
 
         if interpreter_exiting():
             # A worker forked now would inherit a dying runtime, exit
@@ -491,11 +435,6 @@ class ProcessShardWorker(Backend):
                 "shard worker"
             )
         ctx = multiprocessing.get_context("fork")
-        # Start the resource tracker *before* forking so every worker
-        # inherits it: segment register/unregister messages from both
-        # sides then land in one tracker, and coordinator-side unlink
-        # leaves nothing for exit-time leak warnings to find.
-        resource_tracker.ensure_running()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self._process = ctx.Process(
             target=_worker_main,
@@ -521,10 +460,6 @@ class ProcessShardWorker(Backend):
             rpc_timeout_seconds() if rpc_timeout is None else rpc_timeout
         )
         self.last_execution: Optional[WorkerExecution] = None
-        #: Cumulative transport counters (merged into shard telemetry).
-        self.shm_results = 0
-        self.shm_bytes = 0
-        self.inline_results = 0
         try:
             _tag, value = self._recv(timeout=self.rpc_timeout, cmd="startup")
         except BaseException:  # the factory failed inside the worker
@@ -628,7 +563,7 @@ class ProcessShardWorker(Backend):
         self._call("load", data)
 
     def execute(self, sql: str, timeout: Optional[float] = None) -> List[Row]:
-        """Evaluate *sql* in the worker; decode the columnar reply.
+        """Evaluate *sql* in the worker; zip the columnar reply into rows.
 
         *timeout* overrides the per-RPC deadline for this statement.
         When the caller's context has an active trace span, the worker
@@ -636,65 +571,15 @@ class ProcessShardWorker(Backend):
         grafted under that span.
         """
         parent = current_span()
-        self._check_usable()
-        if timeout is None:
-            timeout = self.rpc_timeout
-        # One deadline covers the whole conversation (result reply plus
-        # the shm write ack), so a handshake cannot stretch one logical
-        # RPC to N deadlines.
-        expiry = None if timeout is None else time.monotonic() + timeout
-
-        def remaining() -> Optional[float]:
-            return None if expiry is None else expiry - time.monotonic()
-
-        with self._lock:
-            self._send(("execute", (sql, parent.enabled)))
-            tag, payload = self._recv(timeout=remaining(), cmd="execute")
-            if tag == "rows":
-                rows, batches, span = payload
-                transport = "inline"
-                self.inline_results += 1
-            elif tag == "shm":
-                nbytes, meta, batches, span = payload
-                from multiprocessing import shared_memory
-
-                try:
-                    segment = shared_memory.SharedMemory(
-                        create=True, size=max(1, nbytes)
-                    )
-                except Exception:
-                    # Abort the handshake explicitly: the worker is
-                    # blocked waiting for a segment name, and without
-                    # this message it would swallow the *next* command
-                    # tuple as the name and desynchronize the stream.
-                    self._send(("abort", None))
-                    raise
-                try:
-                    self._send(("segment", segment.name))
-                    # Worker's write ack (or its error). The finally
-                    # guarantees the coordinator-created segment is
-                    # unlinked even when the worker dies or times out
-                    # between create and attach — segments must never
-                    # outlive the RPC that allocated them.
-                    self._recv(timeout=remaining(), cmd="execute")
-                    rows = unpack_rows(segment.buf, meta)
-                finally:
-                    segment.close()
-                    segment.unlink()
-                transport = "shm"
-                self.shm_results += 1
-                self.shm_bytes += nbytes
-            else:  # pragma: no cover - protocol violation
-                raise RuntimeError(f"unexpected worker reply {tag!r}")
-        self.last_execution = WorkerExecution(
-            batches=batches, rows=len(rows), transport=transport
+        nrows, columns, batches, span = self._call(
+            "execute", (sql, parent.enabled), timeout
         )
+        rows = list(zip(*columns))
+        self.last_execution = WorkerExecution(batches=batches, rows=nrows)
         if span is not None:
-            # The coordinator knows the shard and transport; the worker
-            # does not — annotate its subtree before it is grafted.
-            attributes = span.setdefault("attributes", {})
-            attributes["shard"] = self.shard
-            attributes["transport"] = transport
+            # The coordinator knows the shard; the worker does not —
+            # annotate its subtree before it is grafted.
+            span.setdefault("attributes", {})["shard"] = self.shard
             parent.graft(span)
         return rows
 

@@ -6,9 +6,7 @@ i.e. the subject) across ``shards`` child backends, each a full
 :class:`~repro.storage.memory_backend.MemoryBackend` or
 :class:`~repro.storage.sqlite_backend.SQLiteBackend`. Every statement is
 routed by the shard analysis in :func:`repro.engine.planner.
-analyze_shard_route` (or by a logical :class:`~repro.sql.translator.
-ShardHint` computed at plan time, which skips re-parsing cached
-statements):
+analyze_shard_route`, once per statement text (routes are cached):
 
 * **pruned** — an equality binds the shard key to a constant: the
   statement runs on exactly the shards those constants hash to;
@@ -31,8 +29,7 @@ long-lived forked worker
 legs of a multi-shard fan-out run on a dispatch pool of one thread per
 shard, each blocking on worker IPC with the GIL released — shard
 pipelines then truly run in parallel on stock CPython, and results
-return as dictionary-encoded columnar batches over shared memory
-(:mod:`repro.storage.shm_exchange`) instead of per-row pickles.
+return over the worker's pipe as the columns its engine produced.
 ``auto`` picks ``process`` on a multi-core box that can fork.
 
 On the process substrate every worker sits behind a
@@ -358,9 +355,9 @@ class ShardedBackend(Backend):
             "shards.route.gather": 0,
             # Gather-path transfer accounting: how much data the
             # coordinator pulled out of the shards to materialize its
-            # row copies (bytes are estimated at 8 per cell — the shm
-            # wire format's int64 width — since in-process transfers
-            # never serialize).
+            # row copies (bytes are estimated at 8 per cell — one int64
+            # dictionary code — since in-process transfers never
+            # serialize).
             "shards.gather.tables": 0,
             "shards.gather.rows": 0,
             "shards.gather.cells": 0,
@@ -544,29 +541,9 @@ class ShardedBackend(Backend):
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def route_from_hint(self, hint) -> Optional[ShardRoute]:
-        """Build a route from a translator :class:`~repro.sql.translator.
-        ShardHint` without parsing any SQL; ``None`` when no hint."""
-        if hint is None:
-            return None
-        tables = tuple(sorted(name.lower() for name in hint.tables))
-        if not hint.co_partitioned:
-            return ShardRoute("gather", (), tables, hint.dedup_root)
-        if hint.key_codes is not None:
-            shards = tuple(
-                sorted({self.shard_of(code) for code in hint.key_codes})
-            )
-            return ShardRoute("pruned", shards, tables, hint.dedup_root)
-        return ShardRoute(
-            "scatter", tuple(range(self.shards)), tables, hint.dedup_root
-        )
-
-    def plan_route(self, sql: str, hint=None) -> ShardRoute:
-        """The route *sql* must take (hint fast path, else parse once;
-        parsed routes are cached per statement text)."""
-        route = self.route_from_hint(hint)
-        if route is not None:
-            return route
+    def plan_route(self, sql: str) -> ShardRoute:
+        """The route *sql* must take (parsed once, then cached per
+        statement text)."""
         with self._route_lock:
             if self._route_cache_version != self._schema_version:
                 self._route_cache.clear()
@@ -592,7 +569,7 @@ class ShardedBackend(Backend):
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def execute(self, sql: str, route: Optional[ShardRoute] = None) -> List[Row]:
+    def execute(self, sql: str) -> List[Row]:
         """Evaluate *sql* on the route's shards and merge the results.
 
         When the caller's context carries an active trace span (see
@@ -602,8 +579,7 @@ class ShardedBackend(Backend):
         workers on the process substrate.
         """
         self._check_length(sql)
-        if route is None:
-            route = self.plan_route(sql)
+        route = self.plan_route(sql)
         with self._barrier.shared():
             with current_span().child(
                 "shards.execute",
@@ -703,8 +679,7 @@ class ShardedBackend(Backend):
         (``gather_tables`` / ``gather_rows`` / ``gather_cells`` /
         ``gather_bytes``): the gather route invisibly ships whole table
         copies to the coordinator, and these counters make that cost
-        measurable (bytes estimated at 8 per cell, the int64 wire
-        width).
+        measurable (bytes estimated at 8 per cell, one int64 code).
         """
         for name in tables:
             columns, _key, indexes = self._table_entry(name)
@@ -840,23 +815,13 @@ class ShardedBackend(Backend):
 
     def shard_telemetry(self) -> Dict[str, int]:
         """Cumulative route and gather-transfer counters (plus the shard
-        count; on the process substrate, also the shared-memory exchange
-        counters summed over the workers; under supervision, the
-        supervisor's counters), keyed by their dotted metric names
-        (``shards.route.pruned``, ``shards.count``, ``worker.restarts``,
-        ...)."""
+        count; on the process substrate, the supervisor's counters),
+        keyed by their dotted metric names (``shards.route.pruned``,
+        ``shards.count``, ``worker.restarts``, ...)."""
         with self._telemetry_lock:
             snapshot = dict(self._counters)
         snapshot["shards.count"] = self.shards
         if self.substrate == "process":
-            for key, attribute in (
-                ("shards.shm.results", "shm_results"),
-                ("shards.shm.bytes", "shm_bytes"),
-                ("shards.inline.results", "inline_results"),
-            ):
-                snapshot[key] = sum(
-                    getattr(child, attribute) for child in self.children
-                )
             snapshot.update(self._supervisor.telemetry())
         return snapshot
 

@@ -9,10 +9,9 @@ inside a :class:`SupervisedShardWorker`, which keeps the shard
   (:class:`~repro.storage.process_workers.WorkerCrashedError` /
   :class:`~repro.storage.process_workers.WorkerTimeoutError`, both of
   which mean the stream is desynchronized and the worker must be
-  recycled, vs :class:`~repro.faults.TransientWorkerFault`, which is
-  retryable in place); additionally the :class:`ShardSupervisor`'s
-  monitor thread polls process sentinels so an *idle* worker's death is
-  healed off the query path.
+  recycled); additionally the :class:`ShardSupervisor`'s monitor thread
+  polls process sentinels so an *idle* worker's death is healed off the
+  query path.
 * **Rebuild** — the coordinator mirrors each shard's data in an
   :class:`~repro.storage.epoch_log.EpochLog`: one folded snapshot at
   the shard's epoch, every acknowledged write folded in as it is
@@ -25,7 +24,7 @@ inside a :class:`SupervisedShardWorker`, which keeps the shard
   only after the worker acknowledged it, so a crash mid-write rebuilds
   the worker to the *pre-write* epoch and re-applies the write exactly
   once — partial application inside the dead worker is discarded.
-* **Degradation** — after ``REPRO_WORKER_RESTARTS`` consecutive respawn
+* **Degradation** — after ``max_respawns`` consecutive respawn
   failures the shard's circuit breaker trips OPEN: its work executes
   **in-coordinator** on a fallback child loaded from the same snapshot
   (identical answers; a WARNING and metrics record the degradation).
@@ -47,13 +46,12 @@ with the deterministic fault harness in :mod:`repro.faults`; see
 from __future__ import annotations
 
 import logging
-import os
 import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.faults import FaultInjector, TransientWorkerFault
+from repro.faults import FaultInjector
 from repro.lifecycle import interpreter_exiting
 from repro.obs.metrics import get_registry
 from repro.obs.trace import current_span
@@ -70,22 +68,6 @@ from repro.storage.process_workers import (
 )
 
 logger = logging.getLogger("repro.supervisor")
-
-#: Environment knob: K — consecutive respawn failures before a shard's
-#: circuit breaker trips and the shard degrades to in-coordinator
-#: execution.
-RESTARTS_ENV = "REPRO_WORKER_RESTARTS"
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return default
-
 
 class Backoff:
     """A deterministic exponential backoff schedule.
@@ -147,11 +129,9 @@ class SupervisionConfig:
 
     @classmethod
     def from_env(cls) -> "SupervisionConfig":
-        """The environment-configured supervision tunables."""
-        return cls(
-            rpc_timeout_s=rpc_timeout_seconds(),
-            max_respawns=_env_int(RESTARTS_ENV, 3),
-        )
+        """The environment-configured supervision tunables (the RPC
+        deadline, ``REPRO_RPC_TIMEOUT_MS``; the rest keep defaults)."""
+        return cls(rpc_timeout_s=rpc_timeout_seconds())
 
 
 class _SupervisedBulkLoader(BulkLoader):
@@ -201,7 +181,7 @@ class _SupervisedBulkLoader(BulkLoader):
                 )
             try:
                 return op()
-            except (WorkerError, TransientWorkerFault):
+            except WorkerError:
                 if self._via_worker:
                     supervised._discard_worker_locked()
                 raise
@@ -261,11 +241,11 @@ class SupervisedShardWorker(Backend):
     :class:`ProcessShardWorker` plus the state to replace it.
 
     Presents the same duck surface as a raw worker (``execute``,
-    ``statistics_many``, transport counters), so supervision is
-    invisible to routing and merge semantics. All telemetry counters
-    (``restarts``, ``rpc_retries``, ``deadline_exceeded``,
-    ``circuit_trips``, ``circuit_recoveries``, ``degraded_executions``,
-    shm/inline transport counts) accumulate across worker generations.
+    ``statistics_many``), so supervision is invisible to routing and
+    merge semantics. All telemetry counters (``restarts``,
+    ``rpc_retries``, ``deadline_exceeded``, ``circuit_trips``,
+    ``circuit_recoveries``, ``degraded_executions``) accumulate across
+    worker generations.
     """
 
     def __init__(
@@ -306,9 +286,6 @@ class SupervisedShardWorker(Backend):
         self.circuit_trips = 0
         self.circuit_recoveries = 0
         self.degraded_executions = 0
-        self._prior_shm_results = 0
-        self._prior_shm_bytes = 0
-        self._prior_inline_results = 0
         self.last_execution = None
         self.exit_code: Optional[int] = None
         # Initial spawn failures propagate: a broken child factory is a
@@ -334,26 +311,6 @@ class SupervisedShardWorker(Backend):
         """The shard's current data epoch."""
         return self._log.epoch
 
-    @property
-    def shm_results(self) -> int:
-        """Shm-transport results across all worker generations."""
-        worker = self._worker
-        return self._prior_shm_results + (worker.shm_results if worker else 0)
-
-    @property
-    def shm_bytes(self) -> int:
-        """Shm-transport bytes across all worker generations."""
-        worker = self._worker
-        return self._prior_shm_bytes + (worker.shm_bytes if worker else 0)
-
-    @property
-    def inline_results(self) -> int:
-        """Inline-transport results across all worker generations."""
-        worker = self._worker
-        return self._prior_inline_results + (
-            worker.inline_results if worker else 0
-        )
-
     def _spawn_locked(self, generation: int) -> ProcessShardWorker:
         injector = self._injector
         if (
@@ -377,15 +334,12 @@ class SupervisedShardWorker(Backend):
         )
 
     def _discard_worker_locked(self, graceful: bool = False) -> None:
-        """Retire the live worker, keeping its transport counters:
-        killed, or on *graceful* closed with the shutdown handshake."""
+        """Retire the live worker: killed, or on *graceful* closed with
+        the shutdown handshake."""
         worker = self._worker
         self._worker = None
         if worker is None:
             return
-        self._prior_shm_results += worker.shm_results
-        self._prior_shm_bytes += worker.shm_bytes
-        self._prior_inline_results += worker.inline_results
         if graceful:
             worker.close()
             self.exit_code = getattr(worker, "exit_code", None)
@@ -558,15 +512,14 @@ class SupervisedShardWorker(Backend):
         attempt: Callable[[ProcessShardWorker, Optional[float]], object],
         fallback: Callable[[Backend], object],
     ):
-        """Run one idempotent command with retries: transient faults
-        retry in place with backoff; crashes and missed deadlines
-        recycle the worker first. Fail-fast on a blown serving deadline
-        (the caller's :func:`~repro.serving.concurrency.current_deadline`)."""
+        """Run one idempotent command with retries: crashes and missed
+        deadlines recycle the worker first. Fail-fast on a blown serving
+        deadline (the caller's :func:`~repro.serving.concurrency.
+        current_deadline`)."""
         if self._closed:
             raise RuntimeError("SupervisedShardWorker is closed")
         deadline = current_deadline()
         with self._lock:
-            transient = 0
             failures = 0
             while True:
                 self._rpc_wait(deadline)
@@ -576,12 +529,6 @@ class SupervisedShardWorker(Backend):
                 timeout = self._rpc_wait(deadline)
                 try:
                     return attempt(target, timeout)
-                except TransientWorkerFault:
-                    transient += 1
-                    if transient > self._config.max_rpc_retries:
-                        raise
-                    self._count_retry()
-                    self._backoff.sleep(transient - 1, self._sleeper)
                 except WorkerTimeoutError:
                     self.deadline_exceeded += 1
                     get_registry().inc("repro.rpc.deadline_exceeded")
@@ -621,11 +568,10 @@ class SupervisedShardWorker(Backend):
                 else:
                     try:
                         result = attempt(target)
-                    except (TransientWorkerFault, WorkerError) as exc:
+                    except WorkerError as exc:
                         # A failed write leaves the worker's applied
-                        # state unknown (even a "transient" error may
-                        # have landed after a partial multi-table apply)
-                        # — recycle and rebuild rather than guess.
+                        # state unknown — recycle and rebuild rather
+                        # than guess.
                         if isinstance(exc, WorkerTimeoutError):
                             self.deadline_exceeded += 1
                             get_registry().inc("repro.rpc.deadline_exceeded")
@@ -745,7 +691,7 @@ class SupervisedShardWorker(Backend):
                 return None
             try:
                 return worker.metrics_snapshot()
-            except (WorkerError, TransientWorkerFault):
+            except WorkerError:
                 return None
 
     # ------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""The pluggable execution substrate: resolution, workers, exchange.
+"""The pluggable execution substrate: resolution, workers, transport.
 
 Covers substrate selection (serial / process via argument and
 ``REPRO_EXECUTOR``, auto-detection rules), the process substrate's
 worker lifecycle (close teardown, error propagation, write
-replication), its dispatch pool, and the shared-memory columnar wire
-format.
+replication), its dispatch pool, and the worker's columnar reply, whose
+oracle is the same backend run in process.
 """
 
 import os
@@ -13,8 +13,9 @@ import pickle
 import pytest
 
 from repro.engine.errors import StatementTooLongError, UnknownTableError
+from repro.dllite.abox import ABox
 from repro.engine.operators import CostParameters
-from repro.storage.layouts import LayoutData, TableSpec
+from repro.storage.layouts import LayoutData, RDFLayout, TableSpec
 from repro.storage.memory_backend import MemoryBackend
 from repro.storage.process_workers import (
     EXECUTOR_ENV,
@@ -23,12 +24,7 @@ from repro.storage.process_workers import (
     resolve_substrate,
 )
 from repro.storage.sharded_backend import ShardedBackend
-from repro.storage.shm_exchange import (
-    pack_columns,
-    pack_rows,
-    should_inline,
-    unpack_rows,
-)
+from repro.storage.sqlite_backend import SQLiteBackend
 
 needs_processes = pytest.mark.skipif(
     not process_substrate_available(),
@@ -53,6 +49,23 @@ def _layout(rows=2000):
             ),
         ]
     )
+
+
+def _rdf_layout(rows):
+    """One wide-table row per subject; the unused slot's cells are
+    ``None``."""
+    abox = ABox()
+    for i in range(rows):
+        abox.add_role("p", f"s{i}", f"o{i % 7}")
+    return RDFLayout(width=2).build(abox)
+
+
+#: Child kind -> (backend factory, layout builder, full-table scan).
+SCAN_CHILDREN = {
+    "memory": (MemoryBackend, _layout, "SELECT s, o FROM r_p"),
+    "sqlite": (SQLiteBackend, _layout, "SELECT s, o FROM r_p"),
+    "rdf": (MemoryBackend, _rdf_layout, "SELECT s, p0, v0, p1, v1 FROM dph"),
+}
 
 
 QUERIES = [
@@ -90,40 +103,6 @@ class TestResolution:
     def test_auto_with_process_preference_depends_on_cpus(self):
         expected = "process" if (os.cpu_count() or 1) > 1 else "serial"
         assert resolve_substrate("auto") == expected
-
-
-# ----------------------------------------------------------------------
-# Columnar wire format
-# ----------------------------------------------------------------------
-class TestWireFormat:
-    def test_int_rows_round_trip_as_i64(self):
-        rows = [(i, i * 3) for i in range(500)]
-        meta, payload = pack_rows(rows)
-        nrows, column_metas = meta
-        assert nrows == 500
-        assert [kind for kind, _ in column_metas] == ["i64", "i64"]
-        assert unpack_rows(payload, meta) == rows
-
-    def test_mixed_columns_fall_back_to_pickle(self):
-        rows = [(i, None if i % 5 == 0 else 10**30) for i in range(64)]
-        meta, payload = pack_rows(rows)
-        _nrows, column_metas = meta
-        assert [kind for kind, _ in column_metas] == ["i64", "pkl"]
-        assert unpack_rows(payload, meta) == rows
-
-    def test_pack_columns_matches_pack_rows(self):
-        rows = [(i, -i) for i in range(100)]
-        assert pack_columns(100, list(zip(*rows))) == pack_rows(rows)
-
-    def test_corrupt_meta_detected(self):
-        meta, payload = pack_rows([(1, 2), (3, 4)])
-        bad_meta = (3, meta[1])  # claims one more row than packed
-        with pytest.raises(ValueError):
-            unpack_rows(payload, bad_meta)
-
-    def test_should_inline_threshold(self):
-        assert should_inline(10, 2, 4096)
-        assert not should_inline(4096, 2, 4096)
 
 
 # ----------------------------------------------------------------------
@@ -166,25 +145,32 @@ class TestProcessWorkers:
         worker = ProcessShardWorker(MemoryBackend, shard=0)
         worker.load(_layout(rows=200))
         assert worker.execute("SELECT o FROM r_p WHERE s = 6") == [(42,)]
-        assert worker.last_execution.transport == "inline"
+        assert worker.last_execution.rows == 1
         worker.close()
         assert worker.exit_code == 0
         worker.close()  # idempotent
         with pytest.raises(RuntimeError):
             worker.execute("SELECT s FROM c_a")
 
-    def test_shm_transport_used_above_threshold(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MIN_CELLS", "10")
-        worker = ProcessShardWorker(MemoryBackend, shard=0)
+    @pytest.mark.parametrize("rows", (0, 1, 2047, 2048, 3000))
+    @pytest.mark.parametrize("child", sorted(SCAN_CHILDREN))
+    def test_rows_equal_in_process_backend(self, child, rows):
+        factory, build, sql = SCAN_CHILDREN[child]
+        data = build(rows)
+        oracle = factory()
+        worker = ProcessShardWorker(factory, shard=0)
         try:
-            worker.load(_layout(rows=300))
-            rows = worker.execute("SELECT s, o FROM r_p")
-            assert len(rows) == 300
-            assert worker.last_execution.transport == "shm"
-            assert worker.shm_results == 1
-            assert worker.shm_bytes > 0
+            oracle.load(data)
+            worker.load(data)
+            expected = oracle.execute(sql)
+            assert len(expected) == rows
+            if child == "rdf" and rows:
+                assert None in expected[0]
+            assert worker.execute(sql) == expected
+            assert worker.last_execution.rows == rows
         finally:
             worker.close()
+            oracle.close()
 
     def test_errors_cross_with_real_types(self):
         worker = ProcessShardWorker(
@@ -235,8 +221,7 @@ class TestProcessWorkers:
 @needs_processes
 class TestShardedProcess:
     @pytest.mark.parametrize("shards", (1, 3))
-    def test_answers_identical_to_serial(self, shards, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MIN_CELLS", "64")
+    def test_answers_identical_to_serial(self, shards):
         oracle = ShardedBackend(shards, substrate="serial")
         backend = ShardedBackend(shards, substrate="process")
         try:
@@ -245,8 +230,9 @@ class TestShardedProcess:
             backend.load(data)
             for sql in QUERIES:
                 assert backend.execute(sql) == oracle.execute(sql), sql
-            telemetry = backend.shard_telemetry()
-            assert telemetry["shards.shm.results"] > 0
+            # The forked workers, not the coordinator, ran the shards.
+            counters = backend.metrics_snapshot()["counters"]
+            assert counters["repro.worker.statements"] >= len(QUERIES)
         finally:
             backend.close()
             oracle.close()

@@ -228,44 +228,6 @@ class TestSystemPruning:
             assert moved["shards.route.scatter"] >= 1
 
 
-class TestHintMatchesSQLAnalysis:
-    """The translator's logical hint and the SQL-level AST analysis are
-    two implementations of one routing function — they must agree."""
-
-    QUERIES = (
-        "q(x) <- PhDStudent(x)",
-        "q(x) <- supervisedBy(Damian, x)",
-        "q(x) <- PhDStudent(x), worksWith(y, x)",
-        "q(x) <- PhDStudent(x), supervisedBy(x, y)",
-        "q(x, y) <- worksWith(x, y), Researcher(y)",
-        "q() <- supervisedBy(Damian, Ioana)",
-    )
-
-    @pytest.mark.parametrize("strategy", ("ucq", "croot", "gdl", "sat"))
-    @pytest.mark.parametrize("layout", ("simple", "rdf"))
-    def test_hint_route_equals_parsed_route(
-        self, strategy, layout, example1_tbox, example1_abox
-    ):
-        if layout == "rdf" and strategy == "sat":
-            pytest.skip("materialization requires the simple layout")
-        with OBDASystem(
-            example1_tbox,
-            example1_abox,
-            backend="memory",
-            layout=layout,
-            shards=4,
-        ) as system:
-            checked = 0
-            for query in self.QUERIES:
-                choice = system.reformulate(query, strategy=strategy)
-                if choice.shard_route is None:
-                    continue
-                parsed = system.backend.plan_route(choice.sql)
-                assert choice.shard_route == parsed, (strategy, layout, query)
-                checked += 1
-            assert checked > 0  # the hint must cover these dialects
-
-
 TBOX_TEXT = """
 role worksWith, supervisedBy
 PhDStudent <= Researcher
