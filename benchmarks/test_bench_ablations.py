@@ -8,11 +8,15 @@
 (c) Cost estimator: ext vs RDBMS — the two modes of Figures 2/3; both
     must produce correct (identical-answer) reformulations.
 (d) JUCQ vs JUSCQ for the root cover — the [33]-style factorized dialect.
+(e) Semi-joins in the in-repo engine's planner vs the hash-join-only
+    ordering kept in ``tests/legacy_planner.py`` — gated on the rows the
+    join operators emit, a deterministic count.
 """
 
 from __future__ import annotations
 
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -21,11 +25,16 @@ from repro.bench.harness import ExperimentResult, evaluation_experiment
 from repro.cost.estimators import ExternalCoverCost
 from repro.cost.model import ExternalCostModel
 from repro.cost.statistics import DataStatistics
+from repro.engine.executor import _walk_operators, execute_plan, execute_plan_analyzed
+from repro.engine.operators import CrossJoin, HashJoin, SemiJoin
+from repro.engine.planner import Planner
+from repro.engine.sqlparser import parse_sql
 from repro.obda.system import OBDASystem
 from repro.optimizer.gdl import gdl_search
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from legacy_perfectref import legacy_reformulate_to_ucq  # noqa: E402
+from legacy_planner import LegacyPlanner  # noqa: E402
 
 ABLATION_QUERIES = ("Q2", "Q9", "Q8", "Q12")
 
@@ -203,3 +212,64 @@ def test_ablation_juscq(benchmark, tbox, abox_15m, queries):
     # Factorization only pays off when unions share structure; at minimum
     # it must preserve answers (asserted above) and produce valid SQL.
     assert all(row["juscq_sql_chars"] > 0 for row in result.rows)
+
+
+SEMIJOIN_QUERIES = ("Q4", "Q8", "Q10", "Q12")
+
+
+def _join_rows_and_ms(planner_class, engine, sql):
+    """Answers, rows out of every join operator (the counts EXPLAIN
+    ANALYZE shows) and the best of three plain executions in ms."""
+    statement = parse_sql(sql)
+    plan = planner_class(engine.catalog, engine.cost_parameters).plan(statement)
+    rows, measurements = execute_plan_analyzed(plan)
+    seen: set = set()
+    join_rows = 0
+    for root in [m for _name, m in plan.cte_plans] + [plan.body]:
+        for op in _walk_operators(root, seen):
+            if isinstance(op, (HashJoin, SemiJoin, CrossJoin)):
+                join_rows += measurements[id(op)]["rows"]
+    timings = []
+    for _ in range(3):
+        plan = planner_class(engine.catalog, engine.cost_parameters).plan(statement)
+        started = time.perf_counter()
+        execute_plan(plan)
+        timings.append((time.perf_counter() - started) * 1000)
+    return set(rows), join_rows, min(timings)
+
+
+def test_ablation_semijoin(benchmark, tbox, abox_15m, queries):
+    """(e) semi-joins never make a join emit more rows than the legacy
+    hash-join-only ordering, and strictly fewer on Q8 and Q12, whose
+    PerfectRef arms join existential atoms on their key alone."""
+    system = OBDASystem(tbox, abox_15m, backend="memory", shards=0)
+    engine = system.backend.db
+
+    def run():
+        result = ExperimentResult("Ablation: semi-joins vs hash joins only")
+        for name in SEMIJOIN_QUERIES:
+            sql = system.answer(queries[name], strategy="gdl").choice.sql
+            answers, join_rows, ms = _join_rows_and_ms(Planner, engine, sql)
+            legacy, legacy_rows, legacy_ms = _join_rows_and_ms(
+                LegacyPlanner, engine, sql
+            )
+            assert answers == legacy, name
+            result.rows.append(
+                {
+                    "query": name,
+                    "join_rows": join_rows,
+                    "legacy_join_rows": legacy_rows,
+                    "eval_ms": round(ms, 2),
+                    "legacy_eval_ms": round(legacy_ms, 2),
+                }
+            )
+        return result
+
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    system.close()
+    print()
+    print(result.table())
+    for row in result.rows:
+        assert row["join_rows"] <= row["legacy_join_rows"], row
+        if row["query"] in ("Q8", "Q12"):
+            assert row["join_rows"] < row["legacy_join_rows"], row

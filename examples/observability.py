@@ -8,7 +8,9 @@ query with tracing on, and prints:
   execute (per-shard, including spans shipped home from the forked
   workers) → decode;
 * the `EXPLAIN ANALYZE` rendering of the chosen SQL (measured rows and
-  per-node times next to the optimizer's estimates);
+  per-node times next to the optimizer's estimates), and of a second
+  query whose existential atom (``supervisedBy(y, z)``: ``z`` occurs
+  nowhere else) the engine runs as a ``SemiJoin``;
 * the unified metrics snapshot in Prometheus text format.
 
 CI runs this after the benchmark smoke and uploads the output as a
@@ -38,6 +40,7 @@ supervisedBy(Damian, Francois)
 """
 
 QUERY = "q(x) <- Researcher(x)"
+EXISTENTIAL_QUERY = "q(x, y) <- worksWith(x, y), supervisedBy(y, z)"
 
 
 def main() -> None:
@@ -54,6 +57,10 @@ def main() -> None:
 
         print("\n=== EXPLAIN ANALYZE " + "=" * 43)
         print(system.backend.explain_text(report.choice.sql, analyze=True))
+
+        existential = system.answer(EXISTENTIAL_QUERY)
+        print(f"\n{EXISTENTIAL_QUERY}  ->  {sorted(existential.answers)}")
+        print(system.backend.explain_text(existential.choice.sql, analyze=True))
 
         print("\n=== metrics (Prometheus exposition format) " + "=" * 20)
         print(system.metrics_prometheus(), end="")

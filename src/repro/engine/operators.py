@@ -653,6 +653,100 @@ class HashJoin(Operator):
         return rendered
 
 
+class SemiJoin(Operator):
+    """Left rows whose key occurs in the right input, each at most once.
+
+    For an input that gives nothing above the join but its key (set
+    semantics only). Membership is a lookup in the right table's hash
+    index when it is a bare scan with one — nothing scanned or built —
+    and otherwise in one ``set`` of keys built from the right batches.
+    """
+
+    def __init__(
+        self,
+        left: Operator,
+        right: Operator,
+        key_pairs: Sequence[Tuple[int, int]],
+        params: CostParameters,
+    ) -> None:
+        self.left = left
+        self.right = right
+        self.key_pairs = list(key_pairs)  # positions: (left, right)
+        self.columns = list(left.columns)
+        self._index = _index_join_side(right, [r for _, r in self.key_pairs])
+        pairs = [(left.columns[l], right.columns[r]) for l, r in self.key_pairs]
+        self.est_rows, self.cost = self.estimate_cost(
+            left, right, pairs, self._index is not None, params
+        )
+        self.est_ndv = {
+            label: max(1.0, min(ndv, self.est_rows or 1.0))
+            for label, ndv in left.est_ndv.items()
+        }
+
+    @staticmethod
+    def estimate_cost(
+        left: Operator,
+        right: Operator,
+        label_pairs: Sequence[Tuple[str, str]],
+        indexed: bool,
+        params: CostParameters,
+    ) -> Tuple[float, float]:
+        """``(est_rows, cumulative cost)``: each key keeps the fraction
+        ``min(1, ndv(right) / ndv(left))`` of the left rows; the right
+        rows are never output, and on the index path never built."""
+        fraction = 1.0
+        for left_label, right_label in label_pairs:
+            left_ndv = left.est_ndv.get(left_label, left.est_rows or 1.0)
+            right_ndv = right.est_ndv.get(right_label, right.est_rows or 1.0)
+            fraction *= min(1.0, right_ndv / max(1.0, left_ndv))
+        est_rows = left.est_rows * fraction
+        cost = left.cost + params.hash_probe_per_row * left.est_rows
+        cost += params.output_per_row * est_rows
+        if not indexed:
+            cost += right.cost + params.hash_build_per_row * right.est_rows
+        return est_rows, cost
+
+    def batches(self, context: Context) -> Iterator[Batch]:
+        positions = [l for l, _ in self.key_pairs]
+        right_positions = [r for _, r in self.key_pairs]
+        if self._index is not None:
+            members = self._index.buckets
+            # Two-column bucket keys follow the index's column order, as
+            # in HashJoin._index_probe_spec.
+            order = [self.right.columns[p].split(".", 1)[1] for p in right_positions]
+            if not self._index.single:
+                positions = [positions[order.index(c)] for c in self._index.columns]
+        else:
+            members = set()
+            for batch in self.right.batches(context):
+                columns = [batch[p] for p in right_positions]
+                members.update(columns[0] if len(columns) == 1 else zip(*columns))
+        if not members:
+            return
+        for batch in self.left.batches(context):
+            if len(positions) == 1:
+                keys: Iterable = batch[positions[0]]
+            else:
+                keys = zip(*[batch[p] for p in positions])
+            selection = [i for i, key in enumerate(keys) if key in members]
+            if len(selection) == len(batch[0]):
+                yield batch
+            elif selection:
+                yield _gather(batch, selection)
+
+    def children(self) -> Sequence[Operator]:
+        return (self.left, self.right)
+
+    def label(self) -> str:
+        conds = ", ".join(
+            f"{self.left.columns[l]} = {self.right.columns[r]}"
+            for l, r in self.key_pairs
+        )
+        if self._index is None:
+            return f"SemiJoin [{conds}] (key set)"
+        return f"SemiJoin [{conds}] (index probe into {self._index.table.name})"
+
+
 class CrossJoin(Operator):
     """Cartesian product (heavily penalized by the planner)."""
 

@@ -12,7 +12,12 @@ Planning one SELECT block proceeds as in a textbook System-R-lite:
    cardinality, repeatedly join the source whose hash join yields the
    smallest estimated cost (cartesian products are a last resort) —
    candidate costs are computed arithmetically, without constructing
-   throwaway operators;
+   throwaway operators. Under set semantics (DISTINCT, or an arm of a
+   deduplicating UNION) a source referenced only by ``=`` keys to the
+   composite (a projected key column is read from the composite) joins
+   as a :class:`SemiJoin` — a membership probe that keeps each row once
+   instead of multiplying it by the source's fan-out. Such a source that
+   may repeat its key never starts the order;
 4. apply residual filters as soon as both sides are available, then
    project, then deduplicate for SELECT DISTINCT.
 
@@ -46,6 +51,7 @@ from repro.engine.operators import (
     Materialize,
     Operator,
     Project,
+    SemiJoin,
     SeqScan,
     Union,
     _index_join_side,
@@ -668,8 +674,40 @@ class Planner:
                     keys.append((left_loc, right_loc))
             return keys
 
-        # Start with the smallest leaf.
-        start = min(remaining, key=lambda a: leaves[a].est_rows)
+        def keyed_by(alias: str, joined: Set[str]) -> Optional[Set[str]]:
+            """The labels of *alias* in ``=`` edges to *joined*, when every
+            reference to it is one (a projected column among them)."""
+            keyed = set()
+            for left_loc, right_loc, op in pending:
+                if alias in (left_loc[0], right_loc[0]):
+                    mine, other = (
+                        (left_loc, right_loc)
+                        if left_loc[0] == alias
+                        else (right_loc, left_loc)
+                    )
+                    if op != "=" or other[0] not in joined:
+                        return None
+                    keyed.add(f"{alias}.{mine[1]}")
+            labels = set(leaves[alias].columns) & needed_labels
+            return keyed if labels <= keyed else None
+
+        def label_pairs(keys) -> List[Tuple[str, str]]:
+            return [(f"{o[0]}.{o[1]}", f"{i[0]}.{i[1]}") for o, i in keys]
+
+        def dangles(alias: str) -> bool:
+            """Whether *alias* is keyed to one other leaf and may repeat a
+            key: it drops a column (an unbound position), or it is not a
+            base table, whose rows are a set."""
+            leaf = leaves[alias]
+            base = isinstance(leaf, (SeqScan, IndexScan))
+            whole = set(leaf.columns) if base else None
+            others = remaining - {alias}
+            return any(keyed_by(alias, {b}) not in (None, whole) for b in others)
+
+        # Start with the smallest leaf; under set semantics, not with a
+        # dangling one, which a semi-join keeps from multiplying rows.
+        starts = [a for a in sorted(remaining) if not set_semantics or not dangles(a)]
+        start = min(starts or sorted(remaining), key=lambda a: leaves[a].est_rows)
         composite = leaves[start]
         in_composite = {start}
         remaining.discard(start)
@@ -679,10 +717,19 @@ class Planner:
             best_alias = None
             best_keys = None
             best_cost = None
+            best_semi = False
             for alias in sorted(remaining):
                 keys = join_keys(in_composite, alias)
                 leaf = leaves[alias]
-                if keys:
+                semi = bool(set_semantics and keys) and (
+                    keyed_by(alias, in_composite) is not None
+                )
+                if semi:
+                    index = self._label_index_side(leaf, [i for _, i in keys])
+                    _rows, cost = SemiJoin.estimate_cost(
+                        composite, leaf, label_pairs(keys), index is not None, params
+                    )
+                elif keys:
                     cost = self._hash_join_estimate(composite, leaf, keys)
                 else:
                     cost = (
@@ -695,6 +742,7 @@ class Planner:
                     best_cost = cost
                     best_keys = keys
                     best_alias = alias
+                    best_semi = semi
             assert best_alias is not None
             leaf = leaves[best_alias]
             if best_keys:
@@ -705,7 +753,19 @@ class Planner:
                     )
                     for o, i in best_keys
                 ]
-                composite = HashJoin(composite, leaf, key_pairs, params)
+                join = SemiJoin if best_semi else HashJoin
+                composite = join(composite, leaf, key_pairs, params)
+                # A projected key column of a semi-joined leaf is read
+                # from the composite column it equals.
+                aliased = {
+                    inner: positions[outer]
+                    for outer, inner in label_pairs(best_keys)
+                    if best_semi and inner in needed_labels
+                }
+                if aliased:
+                    items = [(i, None, c) for i, c in enumerate(composite.columns)]
+                    items += [(i, None, c) for c, i in aliased.items()]
+                    composite = Project(composite, items, params)
             else:
                 composite = CrossJoin(composite, leaf, params)
             positions = {label: i for i, label in enumerate(composite.columns)}
@@ -721,12 +781,7 @@ class Planner:
                     open_edges.append((left_loc, right_loc, op))
             pending = open_edges
             residual_pairs = []
-            used_as_keys = set()
-            if isinstance(composite, HashJoin):
-                for l, r in composite.key_pairs:
-                    used_as_keys.add(
-                        (composite.left.columns[l], composite.right.columns[r])
-                    )
+            used_as_keys = set(label_pairs(best_keys or []))
             for left_loc, right_loc, op in closed:
                 left_label = f"{left_loc[0]}.{left_loc[1]}"
                 right_label = f"{right_loc[0]}.{right_loc[1]}"

@@ -8,13 +8,33 @@ from repro.engine import (
     StatementTooLongError,
     UnknownTableError,
 )
+from test_cost_optimizer import LEDGER_QUERIES
+
+from repro.bench.datagen import stream_facts
+from repro.bench.lubm import lubm_exists_tbox
+from repro.dllite.abox import ABox
 from repro.engine.errors import UnknownColumnError
+from repro.engine.explain import explain_plan
+from repro.engine.operators import (
+    ConstFilter,
+    Distinct,
+    Filter,
+    HashJoin,
+    IndexScan,
+    Materialize,
+    Project,
+    SemiJoin,
+    SeqScan,
+    Union,
+)
+from repro.engine.planner import Planner
 from repro.engine.sqlparser import (
     ColumnRef,
     Literal,
     parse_sql,
     tokenize,
 )
+from repro.obda.system import OBDASystem
 
 
 @pytest.fixture
@@ -261,6 +281,92 @@ class TestExplain:
         )
         assert "Materialize f1" in result.text
         assert result.total_cost > 0
+
+    def test_key_only_input_renders_as_semi_join(self, db):
+        indexed = db.explain(
+            "SELECT DISTINCT a0.s FROM r_supervisedby a0, r_workswith a1"
+            " WHERE a0.o = a1.o"
+        )
+        assert (
+            "SemiJoin [a0.o = a1.o] (index probe into r_workswith)" in indexed.text
+        )
+        filtered = db.explain(
+            "SELECT DISTINCT a0.s FROM r_workswith a0, r_supervisedby a1"
+            " WHERE a0.o = a1.o AND a1.s = 2"
+        )
+        assert "SemiJoin [a0.o = a1.o] (key set)" in filtered.text
+
+    def test_ledger_plans_join_no_input_for_its_key_alone(self):
+        """Under set semantics no hash join of a chosen ledger plan has an
+        input that gives nothing above it but copies of the other side's
+        rows: such an input is a semi-join."""
+        abox = ABox()
+        for fact in stream_facts(1_000, 7):
+            if fact[0] == "c":
+                abox.add_concept(fact[1], fact[2])
+            else:
+                abox.add_role(fact[1], fact[2], fact[3])
+        # shards=0 pins the plain engine even under REPRO_SHARDS.
+        system = OBDASystem(lubm_exists_tbox(), abox, backend="memory", shards=0)
+        engine = system.backend.db
+        offenders = []
+        semi_joins = 0
+        for name, query in LEDGER_QUERIES.items():
+            sql = system.answer(query, strategy="gdl").choice.sql
+            plan = Planner(engine.catalog, engine.cost_parameters).plan(
+                parse_sql(sql)
+            )
+            for _name, materialize in plan.cte_plans:
+                _multiplied_inputs(materialize, set(), False, offenders)
+            _multiplied_inputs(plan.body, set(), False, offenders)
+            semi_joins += explain_plan(plan).text.count("SemiJoin")
+        system.close()
+        assert offenders == []
+        assert semi_joins > 0
+
+
+def _multiplied_inputs(op, needed, set_semantic, offenders):
+    """Collect hash joins, under set semantics, with an input none of whose
+    columns is read above the join (*needed*: the labels read above)."""
+    if isinstance(op, (Distinct, Materialize)) or (
+        isinstance(op, Union) and not op.all_rows
+    ):
+        set_semantic = set_semantic or not isinstance(op, Materialize)
+        for child in op.children():
+            _multiplied_inputs(child, set(child.columns), set_semantic, offenders)
+        return
+    if isinstance(op, Union):
+        for child in op.children():
+            _multiplied_inputs(child, set(child.columns), set_semantic, offenders)
+        return
+    if isinstance(op, Project):
+        needed = {
+            op.child.columns[position]
+            for position, _value, label in op.items
+            if position is not None and label in needed
+        }
+    elif isinstance(op, Filter):
+        needed = needed | {op.columns[i] for l, r, _op in op.pairs for i in (l, r)}
+    elif isinstance(op, ConstFilter):
+        needed = needed | {op.columns[p] for p, _value, _op in op.tests}
+    elif isinstance(op, (HashJoin, SemiJoin)):
+        left_keys = {op.left.columns[l] for l, _r in op.key_pairs}
+        right_keys = {op.right.columns[r] for _l, r in op.key_pairs}
+        if isinstance(op, HashJoin) and set_semantic:
+            for side, keys in ((op.left, left_keys), (op.right, right_keys)):
+                # A base table whose every column is a key holds distinct
+                # keys: joining it multiplies nothing.
+                distinct = isinstance(side, (SeqScan, IndexScan))
+                if not needed & set(side.columns) and not (
+                    distinct and set(side.columns) <= keys
+                ):
+                    offenders.append(op.label())
+        _multiplied_inputs(op.left, needed | left_keys, set_semantic, offenders)
+        right_needed = right_keys if isinstance(op, SemiJoin) else needed
+        _multiplied_inputs(op.right, right_needed | right_keys, set_semantic, offenders)
+        return
+    for child in op.children():
+        _multiplied_inputs(child, needed, set_semantic, offenders)
 
 
 class TestStatementLimit:

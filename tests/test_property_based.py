@@ -110,8 +110,13 @@ def aboxes(draw):
 
 
 @st.composite
-def connected_cqs(draw, max_atoms: int = 3, concepts=CONCEPTS, roles=ROLES):
-    """Small connected CQs over the shared vocabulary (or the given one)."""
+def connected_cqs(
+    draw, max_atoms: int = 3, concepts=CONCEPTS, roles=ROLES, head_subsets=False
+):
+    """Small connected CQs over the shared vocabulary (or the given one).
+
+    The head is the first body variable; with *head_subsets*, any proper
+    subset of the body variables (so existential atoms occur)."""
     atom_count = draw(st.integers(1, max_atoms))
     atoms = []
     used_vars = [VARIABLES[0]]
@@ -133,6 +138,17 @@ def connected_cqs(draw, max_atoms: int = 3, concepts=CONCEPTS, roles=ROLES):
                 used_vars.append(other)
     body_vars = sorted({v for a in atoms for v in a.variables()})
     head = (body_vars[0],) if body_vars else ()
+    if head_subsets and len(body_vars) > 1:
+        head = tuple(
+            draw(
+                st.lists(
+                    st.sampled_from(body_vars),
+                    min_size=1,
+                    max_size=len(body_vars) - 1,
+                    unique=True,
+                )
+            )
+        )
     return CQ(head=head, atoms=tuple(atoms))
 
 
@@ -393,7 +409,7 @@ class TestContainmentProperties:
 
 class TestSQLDifferential:
     @COMMON_SETTINGS
-    @given(tboxes(), aboxes(), connected_cqs(max_atoms=2))
+    @given(tboxes(), aboxes(), connected_cqs(max_atoms=4, head_subsets=True))
     def test_backends_agree_with_reference(self, tbox, abox, query):
         from repro.sql.translator import SQLTranslator
         from repro.storage.layouts import SimpleLayout
